@@ -18,6 +18,7 @@
 #include "common/log.hh"
 #include "gpu/gpu.hh"
 #include "kernels/lambda_program.hh"
+#include "sim/observer.hh"
 
 using namespace laperm;
 
@@ -30,35 +31,40 @@ struct Placement
     Cycle cycle;
 };
 
-std::vector<Placement> g_placements;
-std::map<TbUid, std::string> g_names;
-
-void
-hook(void *, const ThreadBlock &tb)
+/** Labels every TB dispatch as in the paper's figure. */
+class PlacementRecorder : public obs::SimObserver
 {
-    // Built with += rather than operator+ to dodge the GCC 12 -Wrestrict
-    // false positive on inlined std::string concatenation (GCC PR105329).
-    std::string label;
-    if (!tb.isDynamic) {
-        label += 'P';
-        label += std::to_string(tb.tbIndex);
-    } else {
-        // Children of P2 come first (C0, C1), then P4's (C2..C5).
-        const std::string &parent = g_names[tb.directParent];
-        std::uint32_t base = parent == "P2" ? 0 : 2;
-        label += 'C';
-        label += std::to_string(base + tb.tbIndex);
+  public:
+    void
+    onTbDispatch(const obs::TbEvent &e) override
+    {
+        // Built with += rather than operator+ to dodge the GCC 12
+        // -Wrestrict false positive on inlined std::string
+        // concatenation (GCC PR105329).
+        std::string label;
+        if (!e.isDynamic) {
+            label += 'P';
+            label += std::to_string(e.tbIndex);
+        } else {
+            // Children of P2 come first (C0, C1), then P4's (C2..C5).
+            const std::string &parent = names_[e.directParent];
+            std::uint32_t base = parent == "P2" ? 0 : 2;
+            label += 'C';
+            label += std::to_string(base + e.tbIndex);
+        }
+        names_[e.uid] = label;
+        placements.push_back({label, e.smx, e.cycle});
     }
-    g_names[tb.uid] = label;
-    g_placements.push_back({label, tb.smx, tb.dispatchCycle});
-}
+
+    std::vector<Placement> placements;
+
+  private:
+    std::map<TbUid, std::string> names_;
+};
 
 void
 runPolicy(TbPolicy policy)
 {
-    g_placements.clear();
-    g_names.clear();
-
     GpuConfig cfg;
     cfg.numSmx = 4;
     cfg.maxThreadsPerSmx = 64;
@@ -86,7 +92,8 @@ runPolicy(TbPolicy policy)
         });
 
     Gpu gpu(cfg);
-    gpu.setDispatchHook(&hook, nullptr);
+    PlacementRecorder recorder;
+    gpu.observers().attach(&recorder);
     gpu.launchHostKernel({parent, 8, 32});
     gpu.runToIdle();
 
@@ -94,7 +101,7 @@ runPolicy(TbPolicy policy)
                 static_cast<unsigned long long>(gpu.stats().cycles));
     for (SmxId smx = 0; smx < 4; ++smx) {
         std::vector<Placement> row;
-        for (const auto &p : g_placements) {
+        for (const auto &p : recorder.placements) {
             if (p.smx == smx)
                 row.push_back(p);
         }

@@ -7,10 +7,9 @@
 #   ctest        Release build + full test suite
 #   tick-diff    scripts/tick_diff.sh (dense/event artifacts identical,
 #                DESIGN.md §11)
-#   serve-smoke  scripts/serve_smoke.sh (daemon end-to-end, DESIGN.md §10)
-#   cluster-smoke scripts/cluster_smoke.sh (2-worker TCP cluster:
-#                routing, worker respawn, shared cache tier,
-#                DESIGN.md §15)
+#   serve-smoke  scripts/serve_smoke.sh (daemon end-to-end plus a
+#                kill -9 restart served off the shared cache tier,
+#                DESIGN.md §10, §15)
 #   tenant-smoke scripts/tenant_smoke.sh (multi-tenant determinism
 #                across tick modes and LAPERM_JOBS, DESIGN.md §14)
 #   asan-ubsan   full test suite under AddressSanitizer + UBSan
@@ -76,13 +75,6 @@ stage_serve_smoke() {
         scripts/serve_smoke.sh build
 }
 
-stage_cluster_smoke() {
-    # Reuses the Release tree the ctest stage just built.
-    cmake --build build -j"$JOBS" \
-        --target laperm_sim laperm_served laperm_submit &&
-        scripts/cluster_smoke.sh build
-}
-
 stage_tenant_smoke() {
     # Reuses the Release tree the ctest stage just built.
     cmake --build build -j"$JOBS" \
@@ -114,7 +106,6 @@ run_stage build-werror stage_werror
 run_stage ctest stage_ctest
 run_stage tick-diff stage_tick_diff
 run_stage serve-smoke stage_serve_smoke
-run_stage cluster-smoke stage_cluster_smoke
 run_stage tenant-smoke stage_tenant_smoke
 run_stage asan-ubsan stage_asan
 run_stage tsan stage_tsan

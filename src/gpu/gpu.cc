@@ -24,12 +24,6 @@ Gpu::Gpu(const GpuConfig &cfg)
 Gpu::~Gpu() = default;
 
 void
-Gpu::addDispatchHook(DispatchHook hook, void *ctx)
-{
-    dispatchHooks_.emplace_back(hook, ctx);
-}
-
-void
 Gpu::setLocalityTracker(obs::MemObserver *tracker)
 {
     mem_.setLocalityTracker(tracker);
@@ -421,8 +415,6 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
 
     tb->smx = smx;
     tb->dispatchCycle = now;
-    for (const auto &[hook, ctx] : dispatchHooks_)
-        hook(ctx, *tb);
     if (hub_.enabled()) {
         hub_.tbDispatch({now, tb->uid, tb->kernel->id, tb->tbIndex, smx,
                          tb->priority, tb->isDynamic, tb->directParent,

@@ -104,19 +104,6 @@ class Gpu : public SmxCallbacks, public DispatchContext
     /** TBs visible to the scheduler but not yet dispatched. */
     std::uint64_t undispatchedTbs() const { return undispatchedTbs_; }
 
-    /**
-     * Optional dispatch probe for tests/visualization. Any number of
-     * hooks may be attached; they are invoked in attachment order on
-     * every TB dispatch.
-     */
-    using DispatchHook = void (*)(void *ctx, const ThreadBlock &tb);
-    void addDispatchHook(DispatchHook hook, void *ctx);
-    /** Historical name; attaches like addDispatchHook (never replaces). */
-    void setDispatchHook(DispatchHook hook, void *ctx)
-    {
-        addDispatchHook(hook, ctx);
-    }
-
     /** Attach-point for structured observers (DESIGN.md §8). */
     obs::ObserverHub &observers() override { return hub_; }
 
@@ -201,7 +188,6 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::uint64_t activeTbs_ = 0;
     std::uint64_t issuedInstSnapshot_ = 0;
 
-    std::vector<std::pair<DispatchHook, void *>> dispatchHooks_;
     obs::ObserverHub hub_;
     const DispatchGate *gate_ = nullptr;
 };

@@ -342,9 +342,9 @@ ResultCache::storeFile(const std::string &path,
         fs::create_directories(p.parent_path(), ec);
     // Write-then-rename so a concurrent reader (another bench process
     // sharing the sweep cache) never sees a truncated file. The temp
-    // name carries the pid: cluster workers share one cache directory,
-    // and two processes storing the same key must not interleave
-    // writes into one temp file.
+    // name carries the pid: a daemon and a sweep may share one cache
+    // directory, and two processes storing the same key must not
+    // interleave writes into one temp file.
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
     {

@@ -171,15 +171,15 @@ class ResultCache
 /**
  * Two-tier cache for the serve layer (DESIGN.md §15.3): a per-process
  * in-memory map (L1) in front of the fingerprint-gated on-disk
- * ResultCache (L2). The disk tier is SHARED — every worker of a
- * cluster points at the same directory, so a result computed by one
- * worker is a (promoted) hit for all of them, across process restarts.
+ * ResultCache (L2). The disk tier is SHARED — every process pointed at
+ * the same directory sees it, so a result computed before a daemon
+ * restart is a (promoted) hit afterwards.
  *
  * probe() distinguishes where a hit came from: Memory means this
  * process stored or already promoted the entry; Shared means the bytes
  * came off disk — i.e. another process (or a previous incarnation of
  * this one) paid for the run. That distinction is what the
- * cross-worker cache-hit metrics count.
+ * cache_mem_hits / cache_shared_hits service metrics count.
  *
  * Thread-safe; disk writes go through ResultCache's unique-temp
  * rename, so concurrent writers of one key are last-writer-wins with
@@ -206,10 +206,10 @@ class TieredResultCache
     bool store(const std::string &key, const std::string &payload);
 
     /**
-     * Drop the in-memory tier (what a worker restart does to L1). The
+     * Drop the in-memory tier (what a daemon restart does to L1). The
      * shared tier is untouched; the next probe of a stored key reports
-     * Shared. Tests and the cluster bench use this to measure
-     * cross-worker / cross-incarnation hits without forking.
+     * Shared. Tests use this to measure cross-incarnation hits without
+     * restarting a process.
      */
     void dropMemory();
 

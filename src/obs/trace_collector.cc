@@ -358,5 +358,29 @@ TraceCollector::writeLaunchLatencyTsv(const std::string &path) const
     return true;
 }
 
+bool
+TraceCollector::writeDispatchCsv(const std::string &path) const
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    std::fprintf(f, "uid,kernel,tbIndex,smx,cycle,priority,dynamic,"
+                    "parent\n");
+    for (const TbEvent &e : dispatches_) {
+        std::fprintf(f, "%llu,%u,%u,%u,%llu,%u,%d,",
+                     static_cast<unsigned long long>(e.uid), e.kernel,
+                     e.tbIndex, e.smx,
+                     static_cast<unsigned long long>(e.cycle),
+                     e.priority, e.isDynamic ? 1 : 0);
+        if (e.directParent == kNoTb)
+            std::fprintf(f, "-\n");
+        else
+            std::fprintf(f, "%llu\n",
+                         static_cast<unsigned long long>(e.directParent));
+    }
+    std::fclose(f);
+    return true;
+}
+
 } // namespace obs
 } // namespace laperm

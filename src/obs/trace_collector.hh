@@ -3,10 +3,11 @@
  * TraceCollector: the standard observer. Accumulates the full event
  * stream of a run and exports it as (a) Chrome-trace/Perfetto JSON for
  * timeline visualization, (b) a per-interval metrics TSV for
- * time-series plots, and (c) launch-latency records and histograms for
- * the Section IV-D analysis. All outputs are deterministic functions
- * of the event stream: integer cycle timestamps, fixed field order,
- * no wall-clock reads.
+ * time-series plots, (c) launch-latency records and histograms for
+ * the Section IV-D analysis, and (d) the flat dispatch CSV behind
+ * `laperm_sim --trace`. All outputs are deterministic functions of the
+ * event stream: integer cycle timestamps, fixed field order, no
+ * wall-clock reads.
  */
 
 #ifndef LAPERM_OBS_TRACE_COLLECTOR_HH
@@ -104,6 +105,14 @@ class TraceCollector : public SimObserver
      * trailing summary row with counts and means.
      */
     bool writeLaunchLatencyTsv(const std::string &path) const;
+
+    /**
+     * One CSV row per TB dispatch, in dispatch order:
+     * "uid,kernel,tbIndex,smx,cycle,priority,dynamic,parent" (parent
+     * is "-" for host TBs) — the raw material for Figure 4-style
+     * placement timelines.
+     */
+    bool writeDispatchCsv(const std::string &path) const;
 
   private:
     std::vector<TbEvent> dispatches_;

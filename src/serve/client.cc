@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-
 namespace laperm {
 namespace serve {
 
@@ -55,7 +54,10 @@ Client::call(const std::string &request, JsonObject &response,
     }
     std::string line;
     if (!conn_->readLine(line)) {
-        err = "connection closed before response";
+        err = conn_->frameTooLong()
+                  ? "response frame exceeds " +
+                        std::to_string(kMaxFrameBytes) + " bytes"
+                  : "connection closed before response";
         close();
         return false;
     }

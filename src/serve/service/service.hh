@@ -70,9 +70,9 @@ struct ServiceMetrics
     /**
      * Tier breakdown of cacheHits (harness TieredResultCache): memory
      * hits were stored or promoted by this process; shared hits came
-     * off the shared disk tier — i.e. another worker (or a previous
-     * incarnation of this one) executed the simulation. Non-zero
-     * shared hits are the cluster's cross-worker dedup at work.
+     * off the shared disk tier — i.e. another process (or a previous
+     * incarnation of this daemon) executed the simulation. Non-zero
+     * shared hits after a restart are the disk tier surviving it.
      */
     std::uint64_t cacheMemHits = 0;
     std::uint64_t cacheSharedHits = 0;

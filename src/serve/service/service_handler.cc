@@ -70,5 +70,13 @@ ServiceHandler::handleLine(const std::string &line)
     return errorResponse(kStatusError, outcome.error);
 }
 
+std::string
+ServiceHandler::oversizedFrame(std::size_t limitBytes)
+{
+    return errorResponse(
+        kStatusError,
+        logFormat("request frame exceeds %zu bytes", limitBytes));
+}
+
 } // namespace serve
 } // namespace laperm

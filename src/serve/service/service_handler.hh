@@ -2,10 +2,8 @@
  * @file
  * Service layer entry point (DESIGN.md §15.3): a LineHandler that
  * parses protocol frames, dispatches verbs, and answers from a local
- * SimService. This is the single-process deployment's whole brain —
- * Server (serve/session) feeds it frames over UDS or TCP — and it is
- * also what each worker of a cluster runs behind the balancer
- * (serve/cluster).
+ * SimService. This is the daemon's whole brain: Server (serve/session)
+ * feeds it frames over UDS or TCP.
  *
  * Response formats are part of the protocol contract: the run / stats /
  * ping / shutdown response lines here are byte-compatible with every
@@ -31,6 +29,9 @@ class ServiceHandler : public LineHandler
 
     /** Dispatch one protocol line; also usable directly in tests. */
     std::string handleLine(const std::string &line) override;
+
+    /** A structured `error` response naming the frame limit. */
+    std::string oversizedFrame(std::size_t limitBytes) override;
 
     SimService &service() { return *service_; }
 

@@ -3,16 +3,14 @@
  * The seam between the session layer and whatever answers requests
  * (DESIGN.md §15.2). A LineHandler maps one request frame to one
  * response frame; the Server owns sockets, threads, and framing and
- * knows nothing else. Two implementations exist: ServiceHandler
- * (serve/service) answers locally, BalancerHandler (serve/cluster)
- * routes to workers — and because both sit behind this interface, the
- * session layer is byte-identical for single-process and cluster
- * deployments.
+ * knows nothing else. ServiceHandler (serve/service) is the daemon's
+ * implementation; protocol verbs stay above this seam.
  */
 
 #ifndef LAPERM_SERVE_SESSION_HANDLER_HH
 #define LAPERM_SERVE_SESSION_HANDLER_HH
 
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -30,6 +28,13 @@ class LineHandler
      * session threads concurrently.
      */
     virtual std::string handleLine(const std::string &line) = 0;
+
+    /**
+     * The response frame (no terminator) for a request frame that
+     * outgrew @p limitBytes before its terminator arrived. The session
+     * sends it and closes the connection.
+     */
+    virtual std::string oversizedFrame(std::size_t limitBytes) = 0;
 
     /**
      * Invoked (at most once) when the handler wants the process to

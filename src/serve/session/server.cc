@@ -141,6 +141,13 @@ Server::handleConnection(Connection &conn,
         if (!conn.writeAll(response + "\n"))
             break;
     }
+    // The rest of an oversized frame may never end, so the session
+    // answers once and hangs up; the peer sees the close now, not when
+    // the node is reaped.
+    if (conn.frameTooLong()) {
+        conn.writeAll(handler_.oversizedFrame(kMaxFrameBytes) + "\n");
+        conn.shutdownBoth();
+    }
     // Only the flag is touched here: the node (and with it the socket)
     // is destroyed by the reaper after this thread has been joined.
     std::lock_guard<std::mutex> lock(mu_);

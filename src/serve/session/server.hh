@@ -13,8 +13,8 @@
  * O(live connections) thread handles, not O(all connections ever) —
  * the unbounded-growth bug the pre-§15 server had.
  *
- * Embeddable: tests and the cluster bench run Servers in-process;
- * laperm_served is a thin main() around one.
+ * Embeddable: tests and the repository benchmark run Servers
+ * in-process; laperm_served is a thin main() around one.
  */
 
 #ifndef LAPERM_SERVE_SESSION_SERVER_HH

@@ -6,10 +6,10 @@
  *   unix:PATH            Unix-domain stream socket
  *   tcp:HOST:PORT        TCP socket (IPv4 dotted quad or "localhost")
  *
- * A bare string with no scheme is accepted as a Unix path so every
- * pre-cluster invocation (`--socket laperm_served.sock`) keeps
- * working. Parsing is checked: a malformed endpoint is reported, never
- * half-applied (same stance as tools/cli_parse.hh).
+ * A bare string with no scheme is accepted as a Unix path, so
+ * `--listen laperm_served.sock` names a socket file. Parsing is
+ * checked: a malformed endpoint is reported, never half-applied (same
+ * stance as tools/cli_parse.hh).
  */
 
 #ifndef LAPERM_SERVE_TRANSPORT_ENDPOINT_HH

@@ -238,8 +238,15 @@ Connection::writeAll(const std::string &data)
 bool
 Connection::readLine(std::string &line)
 {
-    for (;;) {
+    while (!frameTooLong_) {
         const std::size_t nl = carry_.find('\n');
+        // Without a terminator yet, the frame is at least carry_ long.
+        if ((nl == std::string::npos ? carry_.size() : nl) >
+            kMaxFrameBytes) {
+            frameTooLong_ = true;
+            std::string().swap(carry_); // release the buffer
+            break;
+        }
         if (nl != std::string::npos) {
             line = carry_.substr(0, nl);
             carry_.erase(0, nl + 1);
@@ -256,6 +263,7 @@ Connection::readLine(std::string &line)
             return false; // EOF mid-frame
         carry_.append(buf, static_cast<std::size_t>(n));
     }
+    return false;
 }
 
 bool

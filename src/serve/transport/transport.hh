@@ -23,6 +23,7 @@
 #ifndef LAPERM_SERVE_TRANSPORT_TRANSPORT_HH
 #define LAPERM_SERVE_TRANSPORT_TRANSPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,6 +32,14 @@
 
 namespace laperm {
 namespace serve {
+
+/**
+ * Largest frame readLine() accepts, terminator excluded. The largest
+ * legitimate frame is a few KB (an inline machine TOML, a tenant-mix
+ * TSV payload); the cap keeps one unterminated stream from growing a
+ * peer's buffer without bound.
+ */
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
 
 /**
  * One accepted or established stream connection. Owns the fd; the
@@ -55,9 +64,17 @@ class Connection
     /**
      * Read one '\n'-terminated frame into @p line (terminator
      * stripped). Bytes past the frame stay buffered for the next
-     * call. False on EOF/error with no complete frame buffered.
+     * call. False on EOF/error with no complete frame buffered, and
+     * for a frame longer than kMaxFrameBytes (see frameTooLong()).
      */
     bool readLine(std::string &line);
+
+    /**
+     * True once readLine() has met a frame over kMaxFrameBytes. The
+     * stream cannot be resynchronized past it, so every later
+     * readLine() fails too; the owner answers (if it can) and closes.
+     */
+    bool frameTooLong() const { return frameTooLong_; }
 
     /** Bound the time a read may block (0 = no timeout). */
     bool setRecvTimeout(std::uint64_t ms);
@@ -72,6 +89,7 @@ class Connection
   private:
     int fd_ = -1;
     std::string carry_; ///< bytes received past the last frame
+    bool frameTooLong_ = false;
 };
 
 /**

@@ -58,7 +58,6 @@
 
 #include "common/log.hh"
 #include "gpu/gpu.hh"
-#include "gpu/trace.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
 #include "harness/experiment.hh"
@@ -97,8 +96,8 @@ struct Options
 
     bool wantsCollector() const
     {
-        return !traceJsonPath.empty() || !intervalsPath.empty() ||
-               !latencyPath.empty();
+        return !tracePath.empty() || !traceJsonPath.empty() ||
+               !intervalsPath.empty() || !latencyPath.empty();
     }
 };
 
@@ -438,9 +437,6 @@ main(int argc, char **argv)
         auto w = createWorkload(name);
         w->setup(opt.scale, opt.seed);
         Gpu gpu(opt.cfg);
-        std::unique_ptr<DispatchTrace> trace;
-        if (!opt.tracePath.empty())
-            trace = std::make_unique<DispatchTrace>(gpu);
         std::unique_ptr<obs::TraceCollector> collector;
         if (opt.wantsCollector()) {
             collector = std::make_unique<obs::TraceCollector>();
@@ -454,15 +450,18 @@ main(int argc, char **argv)
         }
         gpu.runWaves(w->waves());
         report(opt, *w, gpu.stats());
-        if (trace) {
-            std::string path = out_path(name, opt.tracePath);
-            if (!trace->writeCsv(path))
-                laperm_warn("could not write trace '%s'", path.c_str());
-            else
-                std::fprintf(stderr, "dispatch trace: %s (%zu events)\n",
-                             path.c_str(), trace->events().size());
-        }
         if (collector) {
+            if (!opt.tracePath.empty()) {
+                std::string path = out_path(name, opt.tracePath);
+                if (!collector->writeDispatchCsv(path))
+                    laperm_warn("could not write trace '%s'",
+                                path.c_str());
+                else
+                    std::fprintf(stderr,
+                                 "dispatch trace: %s (%zu events)\n",
+                                 path.c_str(),
+                                 collector->dispatches().size());
+            }
             if (!opt.traceJsonPath.empty()) {
                 std::string path = out_path(name, opt.traceJsonPath);
                 write_or_warn(collector->writeChromeTrace(path),

@@ -2,15 +2,14 @@
  * @file
  * Client for laperm_served (DESIGN.md §10): builds a canonical
  * simulation request from laperm_sim-style flags, submits it over the
- * daemon's Unix socket, and renders the returned record through the
- * same formatter laperm_sim --csv uses — served output is byte-
- * identical to a direct run.
+ * daemon's Unix or TCP endpoint, and renders the returned record
+ * through the same formatter laperm_sim --csv uses — served output is
+ * byte-identical to a direct run.
  *
  * Usage:
  *   laperm_submit [options]
  *     --connect ENDPOINT  unix:PATH | tcp:HOST:PORT | bare path
  *                         (default unix:laperm_served.sock)
- *     --socket PATH     legacy alias for --connect unix:PATH
  *     --workload NAME   bfs-citation, join-gaussian, ...
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
@@ -74,8 +73,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--connect ENDPOINT] [--socket PATH] "
-        "[--workload NAME] "
+        "usage: %s [--connect ENDPOINT] [--workload NAME] "
         "[--policy rr|tbpri|smxbind|adaptive] [--model cdp|dtbl] "
         "[--scale tiny|small|full|huge] [--seed N] [--preset NAME] "
         "[--config FILE] [--smx N] [--l1-kb N] "
@@ -213,12 +211,6 @@ runStats(Client &client)
         std::printf("%s\t%llu\n", name,
                     static_cast<unsigned long long>(v));
     }
-    // Cluster balancers append a worker count; single daemons do not.
-    std::uint64_t workers = 0;
-    if (getU64(response, "workers", workers)) {
-        std::printf("workers\t%llu\n",
-                    static_cast<unsigned long long>(workers));
-    }
     return 0;
 }
 
@@ -292,19 +284,12 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--connect") ||
-            !std::strcmp(a, "--socket")) {
-            const bool legacy = !std::strcmp(a, "--socket");
-            const char *text = next_arg(i);
-            if (legacy) {
-                copts.endpoint = Endpoint::unixAt(text);
-            } else {
-                std::string ep_err;
-                if (!parseEndpoint(text, copts.endpoint, ep_err)) {
-                    std::fprintf(stderr, "laperm_submit: %s\n",
-                                 ep_err.c_str());
-                    return 2;
-                }
+        if (!std::strcmp(a, "--connect")) {
+            std::string ep_err;
+            if (!parseEndpoint(next_arg(i), copts.endpoint, ep_err)) {
+                std::fprintf(stderr, "laperm_submit: %s\n",
+                             ep_err.c_str());
+                return 2;
             }
         } else if (!std::strcmp(a, "--workload")) {
             req.workload = next_arg(i);

@@ -92,9 +92,9 @@ TEST(Rng, ZipfDegenerate)
 
 TEST(Rng, ZipfDeterministicAcrossInstances)
 {
-    // Two generators with one seed emit identical Zipf streams (the
-    // serve-cluster bench replays a Zipf request mix and depends on
-    // this); a different seed diverges quickly.
+    // Two generators with one seed emit identical Zipf streams
+    // (perfbench's serve-mixed workload replays a Zipf request mix and
+    // depends on this); a different seed diverges quickly.
     Rng a(123), b(123), c(124);
     int same = 0;
     for (int i = 0; i < 1000; ++i) {
@@ -130,9 +130,10 @@ TEST(Rng, ZipfRankFrequencyShape)
 TEST(Rng, ZipfRegressionPin)
 {
     // Exact first 16 draws of the (seed 42, n=1000, s=1.1) stream.
-    // These bytes feed cache keys in bench_serve_cluster's request
-    // mix; an implementation change that reshuffles them silently
-    // invalidates recorded benchmarks, so it must fail here first.
+    // perfbench's serve-mixed workload picks its requests with
+    // nextZipf; an implementation change that reshuffles the draws
+    // silently changes the recorded benchmark, so it must fail here
+    // first.
     const std::uint64_t expected[16] = {0,   7,  62, 484, 920, 126,
                                         84,  247, 117, 30, 63,  3,
                                         163, 4,   78,  316};

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "gpu/trace.hh"
 #include "harness/experiment.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
@@ -117,9 +116,8 @@ TEST(Observability, MultipleObserversCoexist)
     cfg.dynParModel = DynParModel::CDP;
     Gpu gpu(cfg);
 
-    // Legacy CSV trace, the test recorder, and the structured collector
-    // all attached to one Gpu.
-    DispatchTrace trace(gpu);
+    // The test recorder and the structured collector attached to one
+    // Gpu.
     DispatchRecorder recorder(gpu);
     obs::TraceCollector collector;
     gpu.observers().attach(&collector);
@@ -129,22 +127,20 @@ TEST(Observability, MultipleObserversCoexist)
     gpu.runToIdle();
 
     // 6 parents + 3 children * 2 TBs.
-    ASSERT_EQ(trace.events().size(), 12u);
-    EXPECT_EQ(recorder.records.size(), 12u);
-    EXPECT_EQ(collector.dispatches().size(), 12u);
+    ASSERT_EQ(recorder.records.size(), 12u);
+    ASSERT_EQ(collector.dispatches().size(), 12u);
     EXPECT_EQ(collector.retires().size(), 12u);
 
-    // All observers saw the same dispatch stream.
-    for (std::size_t i = 0; i < trace.events().size(); ++i) {
-        EXPECT_EQ(trace.events()[i].uid, recorder.records[i].uid);
-        EXPECT_EQ(trace.events()[i].uid, collector.dispatches()[i].uid);
-        EXPECT_EQ(trace.events()[i].cycle,
+    // Both observers saw the same dispatch stream.
+    for (std::size_t i = 0; i < recorder.records.size(); ++i) {
+        EXPECT_EQ(recorder.records[i].uid, collector.dispatches()[i].uid);
+        EXPECT_EQ(recorder.records[i].cycle,
                   collector.dispatches()[i].cycle);
     }
 
-    // The legacy CSV format is unchanged.
+    // The flat dispatch CSV (laperm_sim --trace) keeps its format.
     const std::string path = "obs_multi_tmp.csv";
-    ASSERT_TRUE(trace.writeCsv(path));
+    ASSERT_TRUE(collector.writeDispatchCsv(path));
     std::ifstream in(path);
     std::string header;
     std::getline(in, header);

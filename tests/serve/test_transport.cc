@@ -2,8 +2,9 @@
  * @file
  * Transport-layer tests (DESIGN.md §15.1): endpoint parsing, UDS and
  * TCP round trips through listenOn/connectTo, framing across partial
- * reads, ephemeral-port reporting, stale-socket recovery, and the
- * wake() contract the session layer's shutdown path relies on.
+ * reads, the frame-size cap, ephemeral-port reporting, stale-socket
+ * recovery, and the wake() contract the session layer's shutdown path
+ * relies on.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +15,13 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/service/protocol.hh"
+#include "serve/service/service_handler.hh"
+#include "serve/session/server.hh"
 #include "serve/transport/transport.hh"
 
 using namespace laperm;
@@ -73,7 +78,7 @@ TEST(Endpoint, ParsesSchemesAndBarePaths)
     EXPECT_EQ(ep.port, 9000);
     EXPECT_EQ(ep.toString(), "tcp:127.0.0.1:9000");
 
-    // A bare string keeps the pre-cluster --socket semantics.
+    // A bare string is a Unix socket path.
     ASSERT_TRUE(parseEndpoint("laperm_served.sock", ep, err)) << err;
     EXPECT_EQ(ep.kind, Endpoint::Kind::Unix);
     EXPECT_EQ(ep.path, "laperm_served.sock");
@@ -149,6 +154,49 @@ TEST(Transport, FramingSurvivesCoalescedAndSplitWrites)
     // EOF with no buffered frame: readLine reports failure.
     serverSide.join();
     EXPECT_FALSE(client->readLine(line));
+}
+
+TEST(Transport, OversizedFrameGetsOneErrorLineThenClose)
+{
+    // 2 MiB with no terminator: the daemon must answer with one
+    // structured error and hang up, not buffer the stream forever.
+    const std::string unterminated(std::size_t{2} << 20, 'x');
+    const std::string cacheDir = ::testing::TempDir() + "laperm_tx_cache";
+    for (const Endpoint &ep : {Endpoint::unixAt(sockPath("big.sock")),
+                               Endpoint::tcpAt("127.0.0.1", 0)}) {
+        ServiceOptions sopts;
+        sopts.jobs = 1;
+        sopts.cacheDir = cacheDir;
+        ServiceHandler handler(sopts);
+        SessionOptions opts;
+        opts.endpoint = ep;
+        Server server(opts, handler);
+        std::string err;
+        ASSERT_TRUE(server.start(err)) << err;
+
+        auto client = connectTo(server.boundEndpoint(), err);
+        ASSERT_NE(client, nullptr) << err;
+        // Bounded waits both ways: a server that keeps reading fails
+        // the test instead of hanging it.
+        ASSERT_TRUE(client->setRecvTimeout(5000));
+        timeval tv{};
+        tv.tv_sec = 5;
+        ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_SNDTIMEO, &tv,
+                               sizeof(tv)),
+                  0);
+        // The write may fail part-way: the server closes mid-stream.
+        client->writeAll(unterminated);
+
+        std::string reply;
+        ASSERT_TRUE(client->readLine(reply)) << ep.toString();
+        JsonObject obj;
+        ASSERT_TRUE(parseJsonObject(reply, obj, err)) << reply;
+        std::string status;
+        EXPECT_TRUE(getString(obj, "status", status));
+        EXPECT_EQ(status, kStatusError) << reply;
+        EXPECT_FALSE(client->readLine(reply))
+            << ep.toString() << ": connection left open";
+    }
 }
 
 TEST(Transport, StaleUnixSocketFileIsRecovered)

@@ -15,6 +15,7 @@
 #include "gpu/gpu.hh"
 #include "kernels/lambda_program.hh"
 #include "sim/config.hh"
+#include "sim/observer.hh"
 
 namespace laperm::test {
 
@@ -50,22 +51,20 @@ struct DispatchRecord
     std::uint32_t priority;
 };
 
-/** Captures every dispatch of a Gpu run via the dispatch hook. */
-class DispatchRecorder
+/** Captures every dispatch of a Gpu run as an attached observer. */
+class DispatchRecorder : public obs::SimObserver
 {
   public:
-    explicit DispatchRecorder(Gpu &gpu)
-    {
-        gpu.setDispatchHook(&DispatchRecorder::hook, this);
-    }
+    explicit DispatchRecorder(Gpu &gpu) { gpu.observers().attach(this); }
 
-    static void
-    hook(void *ctx, const ThreadBlock &tb)
+    DispatchRecorder(const DispatchRecorder &) = delete;
+    DispatchRecorder &operator=(const DispatchRecorder &) = delete;
+
+    void
+    onTbDispatch(const obs::TbEvent &e) override
     {
-        auto *self = static_cast<DispatchRecorder *>(ctx);
-        self->records.push_back({tb.uid, tb.tbIndex, tb.isDynamic,
-                                 tb.directParent, tb.smx,
-                                 tb.dispatchCycle, tb.priority});
+        records.push_back({e.uid, e.tbIndex, e.isDynamic, e.directParent,
+                           e.smx, e.cycle, e.priority});
     }
 
     const DispatchRecord *
