@@ -5,6 +5,11 @@
 #   docs-check   scripts/docs_check.sh (docs <-> binaries/flags in sync)
 #   build-werror strict warning set promoted to errors (LAPERM_WERROR)
 #   ctest        Release build + full test suite
+#   perfbench-smoke
+#                one short traced run of each driven benchmark workload
+#                (perfbench/run.py): the benchmark still builds against
+#                the simulator, its records match the reference, and its
+#                front-end replay counts equal GpuStats
 #   tick-diff    scripts/tick_diff.sh (dense/event artifacts identical,
 #                DESIGN.md §11)
 #   serve-smoke  scripts/serve_smoke.sh (daemon end-to-end plus a
@@ -62,6 +67,16 @@ stage_ctest() {
         ctest --test-dir build --output-on-failure -j"$JOBS"
 }
 
+stage_perfbench_smoke() {
+    # Stale records from an earlier build would be compared too; start
+    # from the checked-in reference alone.
+    rm -rf .bench_build/records &&
+        python3 perfbench/run.py --workload sweep --seed 1 --seconds 1 \
+            --trace 1 &&
+        python3 perfbench/run.py --workload serve-mixed --seed 1 \
+            --seconds 1 --trace 1
+}
+
 stage_tick_diff() {
     # Reuses the Release tree the ctest stage just built.
     cmake --build build -j"$JOBS" --target laperm_sim &&
@@ -104,6 +119,7 @@ run_stage lint stage_lint
 run_stage docs-check stage_docs
 run_stage build-werror stage_werror
 run_stage ctest stage_ctest
+run_stage perfbench-smoke stage_perfbench_smoke
 run_stage tick-diff stage_tick_diff
 run_stage serve-smoke stage_serve_smoke
 run_stage tenant-smoke stage_tenant_smoke

@@ -77,23 +77,34 @@ Rng::nextGaussian()
     return r * std::cos(theta);
 }
 
+Zipf::Zipf(std::uint64_t n, double s)
+    : n_(n), unitExponent_(s == 1.0),
+      scale_(unitExponent_
+                 ? std::log(static_cast<double>(n))
+                 : std::pow(static_cast<double>(n), 1.0 - s) - 1.0),
+      power_(unitExponent_ ? 1.0 : 1.0 / (1.0 - s))
+{
+}
+
 std::uint64_t
 Rng::nextZipf(std::uint64_t n, double s)
 {
+    return nextZipf(Zipf(n, s));
+}
+
+std::uint64_t
+Rng::nextZipf(const Zipf &law)
+{
     // Inverse-CDF on the bounded Pareto approximation of the Zipf law,
     // then clamp into range. Accurate enough for workload skew modeling.
-    if (n <= 1)
+    if (law.n_ <= 1)
         return 0;
-    double u = nextDouble();
-    double v;
-    if (s == 1.0) {
-        v = std::exp(u * std::log(static_cast<double>(n)));
-    } else {
-        double t = std::pow(static_cast<double>(n), 1.0 - s);
-        v = std::pow(u * (t - 1.0) + 1.0, 1.0 / (1.0 - s));
-    }
+    const double u = nextDouble();
+    const double v = law.unitExponent_
+                         ? std::exp(u * law.scale_)
+                         : std::pow(u * law.scale_ + 1.0, law.power_);
     std::uint64_t k = static_cast<std::uint64_t>(v) - (v >= 1.0 ? 1 : 0);
-    return k >= n ? n - 1 : k;
+    return k >= law.n_ ? law.n_ - 1 : k;
 }
 
 } // namespace laperm

@@ -11,6 +11,8 @@
 
 namespace laperm {
 
+class Zipf;
+
 /**
  * xoshiro256** generator. Small, fast, and fully deterministic across
  * platforms (unlike std::mt19937 distributions, whose mapping to ranges
@@ -34,15 +36,38 @@ class Rng
     double nextGaussian();
 
     /**
-     * Zipf-distributed integer in [0, n) with exponent @p s.
-     * Uses the rejection method of Jason Crease / W. Hormann; O(1).
+     * Zipf-distributed integer in [0, n) with exponent @p s: the
+     * inverse CDF of the bounded Pareto approximation of the Zipf law,
+     * clamped into range. O(1); one nextDouble() per draw, none when
+     * n <= 1. A caller drawing often from one law should hold a Zipf,
+     * which computes the law's constants once.
      */
     std::uint64_t nextZipf(std::uint64_t n, double s);
+
+    /** A draw from @p law: the value nextZipf(n, s) would return. */
+    std::uint64_t nextZipf(const Zipf &law);
 
   private:
     std::uint64_t s_[4];
     bool haveGauss_ = false;
     double gauss_ = 0.0;
+};
+
+/** The Zipf law over [0, n) with exponent s, for Rng::nextZipf. */
+class Zipf
+{
+  public:
+    Zipf(std::uint64_t n, double s);
+
+  private:
+    friend class Rng;
+
+    std::uint64_t n_;
+    bool unitExponent_; ///< s == 1
+    /** s == 1: log(n); otherwise pow(n, 1 - s) - 1. */
+    double scale_;
+    /** s != 1: 1 / (1 - s). */
+    double power_;
 };
 
 } // namespace laperm

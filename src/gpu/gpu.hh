@@ -178,7 +178,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
      */
     bool feOnNextEvent_ = false;
 
-    /** Per-thread trace contexts reused across TB builds. */
+    /** One warp's thread trace contexts, reused across TB builds. */
     std::vector<ThreadCtx> ctxScratch_;
 
     GpuStats stats_;

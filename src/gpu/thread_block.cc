@@ -1,5 +1,8 @@
 #include "gpu/thread_block.hh"
 
+#include <algorithm>
+#include <span>
+
 #include "common/log.hh"
 #include "kernels/thread_ctx.hh"
 #include "kernels/warp_trace.hh"
@@ -29,24 +32,26 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
     tb.warpsAtBarrier = 0;
     tb.warpsDone = 0;
 
-    for (std::uint32_t t = 0; t < threads_per_tb; ++t) {
-        if (t < thread_scratch.size())
-            thread_scratch[t].reset(tb_index, t, threads_per_tb, num_tbs);
-        else
-            thread_scratch.emplace_back(tb_index, t, threads_per_tb,
-                                        num_tbs);
-        program.emitThread(thread_scratch[t]);
-    }
-
     const std::uint32_t num_warps =
         (threads_per_tb + kWarpSize - 1) / kWarpSize;
     tb.warps.resize(num_warps);
     for (std::uint32_t w = 0; w < num_warps; ++w) {
-        std::uint32_t first = w * kWarpSize;
-        std::uint32_t count =
+        const std::uint32_t first = w * kWarpSize;
+        const std::uint32_t count =
             std::min(kWarpSize, threads_per_tb - first);
+        // Emit this warp's threads (still in thread order across the
+        // TB), then zip them while their traces are hot.
+        for (std::uint32_t l = 0; l < count; ++l) {
+            if (l < thread_scratch.size())
+                thread_scratch[l].reset(tb_index, first + l,
+                                        threads_per_tb, num_tbs);
+            else
+                thread_scratch.emplace_back(tb_index, first + l,
+                                            threads_per_tb, num_tbs);
+            program.emitThread(thread_scratch[l]);
+        }
         Warp &warp = tb.warps[w];
-        buildWarpOpsInto(warp.ops, thread_scratch, first, count);
+        zipWarp(warp, std::span(thread_scratch).first(count));
         warp.pc = 0;
         warp.readyAt = 0;
         warp.atBarrier = false;
@@ -67,7 +72,6 @@ buildThreadBlock(const KernelProgram &program, std::uint32_t tb_index,
 {
     auto tb = std::make_unique<ThreadBlock>();
     std::vector<ThreadCtx> threads;
-    threads.reserve(threads_per_tb);
     buildThreadBlockInto(*tb, program, tb_index, threads_per_tb, num_tbs,
                          threads);
     return tb;

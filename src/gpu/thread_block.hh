@@ -64,10 +64,11 @@ std::unique_ptr<ThreadBlock> buildThreadBlock(
 
 /**
  * As buildThreadBlock, but (re)builds into @p tb — typically a recycled
- * block from an SMX arena — reusing its warps' op buffers and the
- * caller-provided @p thread_scratch contexts. Every ThreadBlock and
- * Warp field is reinitialized, so a recycled block is indistinguishable
- * from a freshly allocated one.
+ * block from an SMX arena — reusing its warps' arrays and the
+ * caller-provided @p thread_scratch contexts (one warp's worth: each
+ * warp's threads are emitted and zipped before the next warp's).
+ * Every ThreadBlock and Warp field is reinitialized, so a recycled
+ * block is indistinguishable from a freshly allocated one.
  */
 void buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
                           std::uint32_t tb_index,

@@ -7,7 +7,6 @@
 #define LAPERM_GPU_WARP_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "kernels/warp_trace.hh"
@@ -24,11 +23,14 @@ enum class WarpLoc : std::uint8_t
     Pending, ///< in its slot's pending heap, keyed by readyAt
 };
 
-/** A warp: instruction stream plus scheduling state. */
-class Warp
+/**
+ * A warp: its instruction stream (the WarpTrace base, whose ops point
+ * into the arrays it owns) plus scheduling state. Move-only, like its
+ * trace.
+ */
+class Warp : public WarpTrace
 {
   public:
-    std::vector<WarpOp> ops;
     std::size_t pc = 0;
 
     /** Earliest cycle the next op may issue. */

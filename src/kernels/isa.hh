@@ -27,14 +27,20 @@ enum class OpKind : std::uint8_t
     Launch, ///< device-side kernel / TB-group launch
 };
 
-/** One per-thread operation. */
+/**
+ * One per-thread operation. A Launch op carries no index: its request
+ * is the thread's next one in ThreadCtx::launches(), which holds them
+ * in op order.
+ */
 struct ThreadOp
 {
+    Addr addr = 0;               ///< Load/Store: line address
+    std::uint32_t aluCycles = 0; ///< Alu: busy cycles
     OpKind kind;
-    std::uint32_t aluCycles = 0;  ///< Alu: busy cycles
-    Addr addr = 0;                ///< Load/Store: byte address
-    std::uint32_t launchIx = 0;   ///< Launch: index into thread launches
 };
+
+// Traces are the front end's largest buffers: keep an op at 16 bytes.
+static_assert(sizeof(ThreadOp) == 16);
 
 /**
  * A device-side launch request: the child grid (CDP) or TB group (DTBL).

@@ -24,51 +24,13 @@ ThreadCtx::reset(std::uint32_t tb_index, std::uint32_t thread_index,
 }
 
 void
-ThreadCtx::ld(Addr addr, std::uint32_t bytes)
-{
-    Addr first = lineAddr(addr);
-    Addr last = lineAddr(addr + (bytes ? bytes - 1 : 0));
-    for (Addr line = first; line <= last; line += kLineBytes)
-        ops_.push_back({OpKind::Load, 0, line, 0});
-}
-
-void
-ThreadCtx::st(Addr addr, std::uint32_t bytes)
-{
-    Addr first = lineAddr(addr);
-    Addr last = lineAddr(addr + (bytes ? bytes - 1 : 0));
-    for (Addr line = first; line <= last; line += kLineBytes)
-        ops_.push_back({OpKind::Store, 0, line, 0});
-}
-
-void
-ThreadCtx::alu(std::uint32_t cycles)
-{
-    if (cycles == 0)
-        return;
-    // Merge back-to-back compute into one op to keep traces compact.
-    if (!ops_.empty() && ops_.back().kind == OpKind::Alu) {
-        ops_.back().aluCycles += cycles;
-        return;
-    }
-    ops_.push_back({OpKind::Alu, cycles, 0, 0});
-}
-
-void
-ThreadCtx::bar()
-{
-    ops_.push_back({OpKind::Bar, 0, 0, 0});
-}
-
-void
 ThreadCtx::launch(LaunchRequest req)
 {
     laperm_assert(req.program != nullptr, "launch without a program");
     laperm_assert(req.numTbs > 0 && req.threadsPerTb > 0,
                   "degenerate launch %ux%u", req.numTbs, req.threadsPerTb);
-    std::uint32_t ix = static_cast<std::uint32_t>(launches_.size());
     launches_.push_back(std::move(req));
-    ops_.push_back({OpKind::Launch, 0, 0, ix});
+    ops_.push_back({.kind = OpKind::Launch});
 }
 
 } // namespace laperm

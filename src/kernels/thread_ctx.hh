@@ -58,6 +58,8 @@ class ThreadCtx
 
     const std::vector<ThreadOp> &ops() const { return ops_; }
     const std::vector<LaunchRequest> &launches() const { return launches_; }
+    /** Mutable requests: the warp zip moves them out (zipWarp). */
+    std::vector<LaunchRequest> &launches() { return launches_; }
 
   private:
     std::uint32_t tbIndex_;
@@ -67,6 +69,46 @@ class ThreadCtx
     std::vector<ThreadOp> ops_;
     std::vector<LaunchRequest> launches_;
 };
+
+// The emitters below run once per thread op; defining them here lets
+// every kernel's emitThread inline them.
+
+inline void
+ThreadCtx::ld(Addr addr, std::uint32_t bytes)
+{
+    Addr first = lineAddr(addr);
+    Addr last = lineAddr(addr + (bytes ? bytes - 1 : 0));
+    for (Addr line = first; line <= last; line += kLineBytes)
+        ops_.push_back({.addr = line, .kind = OpKind::Load});
+}
+
+inline void
+ThreadCtx::st(Addr addr, std::uint32_t bytes)
+{
+    Addr first = lineAddr(addr);
+    Addr last = lineAddr(addr + (bytes ? bytes - 1 : 0));
+    for (Addr line = first; line <= last; line += kLineBytes)
+        ops_.push_back({.addr = line, .kind = OpKind::Store});
+}
+
+inline void
+ThreadCtx::alu(std::uint32_t cycles)
+{
+    if (cycles == 0)
+        return;
+    // Merge back-to-back compute into one op to keep traces compact.
+    if (!ops_.empty() && ops_.back().kind == OpKind::Alu) {
+        ops_.back().aluCycles += cycles;
+        return;
+    }
+    ops_.push_back({.aluCycles = cycles, .kind = OpKind::Alu});
+}
+
+inline void
+ThreadCtx::bar()
+{
+    ops_.push_back({.kind = OpKind::Bar});
+}
 
 } // namespace laperm
 

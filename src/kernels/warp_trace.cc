@@ -2,75 +2,80 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/log.hh"
 
 namespace laperm {
 
 void
-buildWarpOpsInto(std::vector<WarpOp> &out,
-                 const std::vector<ThreadCtx> &threads,
-                 std::uint32_t first_thread, std::uint32_t count)
+zipWarp(WarpTrace &out, std::span<ThreadCtx> lanes)
 {
-    laperm_assert(count > 0 && count <= kWarpSize,
-                  "warp with %u threads", count);
-    laperm_assert(first_thread + count <= threads.size(),
-                  "warp range out of bounds");
+    const std::size_t count = lanes.size();
+    laperm_assert(count > 0 && count <= kWarpSize, "warp with %zu threads",
+                  count);
 
-    // Worst case (full serialization) emits one warp op per thread op;
-    // reserving it makes the build realloc-free. The resize(used) at
-    // the end keeps the capacity for the next build into this vector.
-    std::size_t bound = 0;
-    for (std::uint32_t l = 0; l < count; ++l)
-        bound += threads[first_thread + l].ops().size();
-    out.reserve(bound);
+    // Per lane: its next op, the end of its trace, and its next launch
+    // request (requests are in Launch-op order). Bit l of `live` is set
+    // while lane l has ops left, so the loops below skip finished lanes.
+    std::array<const ThreadOp *, kWarpSize> cur{};
+    std::array<const ThreadOp *, kWarpSize> end{};
+    std::array<LaunchRequest *, kWarpSize> launch{};
+    std::uint32_t live = 0;
+    std::size_t thread_ops = 0;
+    std::size_t launches = 0;
+    for (std::size_t l = 0; l < count; ++l) {
+        const std::vector<ThreadOp> &ops = lanes[l].ops();
+        cur[l] = ops.data();
+        end[l] = ops.data() + ops.size();
+        launch[l] = lanes[l].launches().data();
+        if (!ops.empty())
+            live |= 1u << l;
+        thread_ops += ops.size();
+        launches += lanes[l].launches().size();
+    }
 
-    std::array<std::uint32_t, kWarpSize> pc{};
-    std::size_t used = 0;
+    // Ops take spans into lines and launches as they go, so those two
+    // arrays must not reallocate during the zip: reserve their worst
+    // case (one line per thread op, every launch) up front.
+    out.ops.clear();
+    out.lines.clear();
+    out.launches.clear();
+    out.lines.reserve(thread_ops);
+    out.launches.reserve(launches);
 
-    auto remaining = [&](std::uint32_t lane) {
-        return pc[lane] < threads[first_thread + lane].ops().size();
+    auto lowest = [](std::uint32_t mask) {
+        return static_cast<std::uint32_t>(std::countr_zero(mask));
     };
-    auto cur = [&](std::uint32_t lane) -> const ThreadOp & {
-        return threads[first_thread + lane].ops()[pc[lane]];
-    };
-
-    for (;;) {
-        // Find the leader: the first lane with ops left that is not
-        // waiting at a barrier. A barrier only issues when every live
-        // lane has reached it (reconvergence), so a TB-wide barrier is
-        // counted exactly once per warp.
-        std::uint32_t leader = count;
-        std::uint32_t first_live = count;
-        for (std::uint32_t l = 0; l < count; ++l) {
-            if (!remaining(l))
-                continue;
-            if (first_live == count)
-                first_live = l;
-            if (cur(l).kind != OpKind::Bar) {
+    while (live != 0) {
+        // Find the leader: the first live lane that is not waiting at a
+        // barrier. A barrier only issues when every live lane has
+        // reached it (reconvergence), so a TB-wide barrier is counted
+        // exactly once per warp.
+        std::uint32_t leader = lowest(live); // all live lanes at a bar
+        for (std::uint32_t m = live; m != 0; m &= m - 1) {
+            const std::uint32_t l = lowest(m);
+            if (cur[l]->kind != OpKind::Bar) {
                 leader = l;
                 break;
             }
         }
-        if (first_live == count)
-            break;
-        if (leader == count)
-            leader = first_live; // all live lanes at the barrier
 
-        if (used == out.size())
-            out.emplace_back();
-        WarpOp &op = out[used++];
-        const OpKind kind = cur(leader).kind;
+        const OpKind kind = cur[leader]->kind;
+        WarpOp &op = out.ops.emplace_back();
         op.kind = kind;
-        op.activeLanes = 0;
-        op.aluCycles = 0;
-        op.lines.clear();
-        op.launches.clear();
+        const std::size_t first_line = out.lines.size();
+        const std::size_t first_launch = out.launches.size();
+        bool ascending = true;
 
-        for (std::uint32_t l = leader; l < count; ++l) {
-            if (!remaining(l) || cur(l).kind != kind)
+        for (std::uint32_t m = live >> leader << leader; m != 0;
+             m &= m - 1) {
+            const std::uint32_t l = lowest(m);
+            if (cur[l]->kind != kind)
                 continue;
-            const ThreadOp &top = cur(l);
+            const ThreadOp &top = *cur[l]++;
+            if (cur[l] == end[l])
+                live &= ~(1u << l);
             ++op.activeLanes;
             switch (kind) {
               case OpKind::Alu:
@@ -78,34 +83,35 @@ buildWarpOpsInto(std::vector<WarpOp> &out,
                 break;
               case OpKind::Load:
               case OpKind::Store:
-                op.lines.push_back(top.addr);
+                // Lanes mostly walk memory upward: append in lane order
+                // and drop a repeat of the previous line; only a lane
+                // that goes backwards costs a sort below.
+                if (out.lines.size() == first_line ||
+                    top.addr > out.lines.back()) {
+                    out.lines.push_back(top.addr);
+                } else if (top.addr < out.lines.back()) {
+                    ascending = false;
+                    out.lines.push_back(top.addr);
+                }
                 break;
               case OpKind::Launch:
-                op.launches.push_back(
-                    threads[first_thread + l].launches()[top.launchIx]);
+                out.launches.push_back(std::move(*launch[l]++));
                 break;
               case OpKind::Bar:
                 break;
             }
-            ++pc[l];
         }
 
-        if (kind == OpKind::Load || kind == OpKind::Store) {
-            std::sort(op.lines.begin(), op.lines.end());
-            op.lines.erase(std::unique(op.lines.begin(), op.lines.end()),
-                           op.lines.end());
+        if (!ascending) {
+            const auto first = out.lines.begin() +
+                               static_cast<std::ptrdiff_t>(first_line);
+            std::sort(first, out.lines.end());
+            out.lines.erase(std::unique(first, out.lines.end()),
+                            out.lines.end());
         }
+        op.lines = std::span(out.lines).subspan(first_line);
+        op.launches = std::span(out.launches).subspan(first_launch);
     }
-    out.resize(used);
-}
-
-std::vector<WarpOp>
-buildWarpOps(const std::vector<ThreadCtx> &threads,
-             std::uint32_t first_thread, std::uint32_t count)
-{
-    std::vector<WarpOp> out;
-    buildWarpOpsInto(out, threads, first_thread, count);
-    return out;
 }
 
 } // namespace laperm

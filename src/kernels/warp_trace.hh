@@ -8,6 +8,7 @@
 #ifndef LAPERM_KERNELS_WARP_TRACE_HH
 #define LAPERM_KERNELS_WARP_TRACE_HH
 
+#include <span>
 #include <vector>
 
 #include "kernels/isa.hh"
@@ -15,37 +16,53 @@
 
 namespace laperm {
 
-/** One warp instruction. */
+/**
+ * One warp instruction. Its lines and launches are views into the
+ * WarpTrace that built it, valid while that trace lives and is not
+ * rebuilt.
+ */
 struct WarpOp
 {
     OpKind kind;
     std::uint32_t activeLanes = 0; ///< threads participating
     std::uint32_t aluCycles = 0;   ///< Alu: max over active lanes
-    std::vector<Addr> lines;       ///< Load/Store: coalesced unique lines
-    std::vector<LaunchRequest> launches; ///< Launch: one per active lane
+    /** Load/Store: coalesced unique lines, ascending. */
+    std::span<const Addr> lines;
+    /** Launch: one per active lane, in lane order. */
+    std::span<const LaunchRequest> launches;
 };
 
 /**
- * Build the warp instruction stream for one warp from the traces of its
- * (up to 32) threads.
- *
- * At each step the earliest thread with remaining ops leads; all threads
- * whose next op has the same kind execute together (the active mask);
- * other kinds execute in later steps — a simple serialization model of
- * SIMT branch divergence.
+ * One warp's instruction stream plus the arrays its ops' spans point
+ * into. Move-only: moving keeps the arrays' buffers, so the spans stay
+ * valid, while a copy's spans would still point into the original.
  */
-std::vector<WarpOp> buildWarpOps(const std::vector<ThreadCtx> &threads,
-                                 std::uint32_t first_thread,
-                                 std::uint32_t count);
+struct WarpTrace
+{
+    std::vector<WarpOp> ops;
+    std::vector<Addr> lines;
+    std::vector<LaunchRequest> launches;
+
+    WarpTrace() = default;
+    WarpTrace(WarpTrace &&) = default;
+    WarpTrace &operator=(WarpTrace &&) = default;
+    WarpTrace(const WarpTrace &) = delete;
+    WarpTrace &operator=(const WarpTrace &) = delete;
+};
 
 /**
- * As buildWarpOps, but rebuilds into @p out, reusing its elements'
- * line/launch buffers (arena reuse in the TB build hot path). @p threads
- * may hold more than first_thread + count contexts; extras are ignored.
+ * Rebuild @p out from the traces of one warp's threads (1 to 32
+ * @p lanes), reusing the capacity of its arrays. Each lane's launch
+ * requests are moved into out.launches, so the lanes' launches() are
+ * left moved-from.
+ *
+ * At each step the earliest lane with remaining ops leads; all lanes
+ * whose next op has the same kind execute together (the active mask);
+ * other kinds execute in later steps — a simple serialization model of
+ * SIMT branch divergence. A barrier issues only once every live lane
+ * has reached it.
  */
-void buildWarpOpsInto(std::vector<WarpOp> &out,
-                      const std::vector<ThreadCtx> &threads,
-                      std::uint32_t first_thread, std::uint32_t count);
+void zipWarp(WarpTrace &out, std::span<ThreadCtx> lanes);
 
 } // namespace laperm
 

@@ -12,62 +12,60 @@ ServiceHandler::ServiceHandler(ServiceOptions opts)
 {
 }
 
-std::string
+Reply
 ServiceHandler::handleLine(const std::string &line)
 {
     JsonObject obj;
     std::string err;
     if (!parseJsonObject(line, obj, err))
-        return errorResponse(kStatusError, "bad request: " + err);
+        return {errorResponse(kStatusError, "bad request: " + err)};
 
     std::string op;
     if (!getString(obj, "op", op))
-        return errorResponse(kStatusError, "missing 'op'");
+        return {errorResponse(kStatusError, "missing 'op'")};
 
     if (op == kVerbPing) {
-        return logFormat(
+        return {logFormat(
             "{\"status\":\"ok\",\"op\":\"ping\",\"fingerprint\":\"%s\","
             "\"protocol\":%d}",
-            service_->fingerprint().c_str(), kProtocolVersion);
+            service_->fingerprint().c_str(), kProtocolVersion)};
     }
     if (op == kVerbStats) {
-        return "{\"status\":\"ok\",\"op\":\"stats\",\"fingerprint\":\"" +
-               service_->fingerprint() + "\"," +
-               service_->metrics().jsonFields() + "}";
+        return {"{\"status\":\"ok\",\"op\":\"stats\",\"fingerprint\":\"" +
+                service_->fingerprint() + "\"," +
+                service_->metrics().jsonFields() + "}"};
     }
-    if (op == kVerbShutdown) {
-        requestShutdown();
-        return "{\"status\":\"ok\",\"op\":\"shutdown\"}";
-    }
+    if (op == kVerbShutdown)
+        return {"{\"status\":\"ok\",\"op\":\"shutdown\"}", true};
     if (op != kVerbRun)
-        return errorResponse(kStatusError, "unknown op '" + op + "'");
+        return {errorResponse(kStatusError, "unknown op '" + op + "'")};
 
     SimRequest req;
     if (!SimRequest::fromJson(obj, req, err))
-        return errorResponse(kStatusError, err);
+        return {errorResponse(kStatusError, err)};
 
     const RunOutcome outcome = service_->run(req);
     switch (outcome.status) {
     case RunStatus::Ok:
-        return logFormat(
+        return {logFormat(
             "{\"status\":\"ok\",\"cached\":%s,\"deduped\":%s,"
             "\"key\":\"%s\",\"result\":\"%s\"}",
             outcome.cached ? "true" : "false",
             outcome.deduped ? "true" : "false", outcome.key.c_str(),
-            jsonEscape(outcome.payload).c_str());
+            jsonEscape(outcome.payload).c_str())};
     case RunStatus::Shed:
         // Structured load-shed: the client backs off and retries
         // (serve/client.cc honors retry_ms).
-        return logFormat(
+        return {logFormat(
             "{\"status\":\"overloaded\",\"key\":\"%s\",\"retry_ms\":100}",
-            outcome.key.c_str());
+            outcome.key.c_str())};
     case RunStatus::Timeout:
-        return logFormat("{\"status\":\"timeout\",\"key\":\"%s\"}",
-                         outcome.key.c_str());
+        return {logFormat("{\"status\":\"timeout\",\"key\":\"%s\"}",
+                          outcome.key.c_str())};
     case RunStatus::Error:
         break;
     }
-    return errorResponse(kStatusError, outcome.error);
+    return {errorResponse(kStatusError, outcome.error)};
 }
 
 std::string

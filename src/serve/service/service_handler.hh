@@ -28,7 +28,7 @@ class ServiceHandler : public LineHandler
     explicit ServiceHandler(ServiceOptions opts);
 
     /** Dispatch one protocol line; also usable directly in tests. */
-    std::string handleLine(const std::string &line) override;
+    Reply handleLine(const std::string &line) override;
 
     /** A structured `error` response naming the frame limit. */
     std::string oversizedFrame(std::size_t limitBytes) override;

@@ -17,17 +17,28 @@
 namespace laperm {
 namespace serve {
 
+/** A handler's answer to one request frame. */
+struct Reply
+{
+    std::string frame; ///< response frame (no terminator)
+    /**
+     * The request asked the process to stop. The session fires the
+     * shutdown hook only after it has written @c frame, so the stop
+     * the hook starts cannot cut the reply off.
+     */
+    bool shutdown = false;
+};
+
 class LineHandler
 {
   public:
     virtual ~LineHandler() = default;
 
     /**
-     * Handle one request frame (no terminator) and return the
-     * response frame (no terminator). Must be callable from multiple
-     * session threads concurrently.
+     * Handle one request frame (no terminator). Must be callable from
+     * multiple session threads concurrently.
      */
-    virtual std::string handleLine(const std::string &line) = 0;
+    virtual Reply handleLine(const std::string &line) = 0;
 
     /**
      * The response frame (no terminator) for a request frame that
@@ -37,19 +48,19 @@ class LineHandler
     virtual std::string oversizedFrame(std::size_t limitBytes) = 0;
 
     /**
-     * Invoked (at most once) when the handler wants the process to
-     * stop accepting work — e.g. it dispatched a `shutdown` verb. The
-     * embedder (a Server-owning main, or a test) installs the hook;
-     * an unset hook makes shutdown requests a no-op beyond the
-     * response, which is what in-process protocol tests want.
+     * Invoked when a reply asked the process to stop accepting work —
+     * e.g. the handler dispatched a `shutdown` verb. The embedder (a
+     * Server-owning main, or a test) installs the hook; an unset hook
+     * makes shutdown requests a no-op beyond the response, which is
+     * what in-process protocol tests want.
      */
     void setShutdownHook(std::function<void()> hook)
     {
         shutdownHook_ = std::move(hook);
     }
 
-  protected:
-    void requestShutdown()
+    /** The session calls this once a Reply::shutdown reply is sent. */
+    void fireShutdownHook()
     {
         if (shutdownHook_)
             shutdownHook_();

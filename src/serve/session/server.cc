@@ -137,8 +137,13 @@ Server::handleConnection(Connection &conn,
 {
     std::string line;
     while (conn.readLine(line)) {
-        const std::string response = handler_.handleLine(line);
-        if (!conn.writeAll(response + "\n"))
+        const Reply reply = handler_.handleLine(line);
+        const bool sent = conn.writeAll(reply.frame + "\n");
+        // Only now may the stop begin: it shuts every connection down,
+        // this one included, and would cut off an unsent reply.
+        if (reply.shutdown)
+            handler_.fireShutdownHook();
+        if (!sent)
             break;
     }
     // The rest of an oversized frame may never end, so the session

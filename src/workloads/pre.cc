@@ -188,12 +188,14 @@ PreWorkload::setup(Scale scale, std::uint64_t seed)
     // MovieLens-like skew: user activity and item popularity are both
     // heavy-tailed.
     Rng rng(seed);
+    const Zipf boost_law(100, 1.3);
+    const Zipf item_law(d->numItems, 1.3);
     d->userOff.assign(d->numUsers + 1, 0);
     std::vector<std::uint32_t> counts(d->numUsers);
     for (std::uint32_t u = 0; u < d->numUsers; ++u) {
         double boost =
             1.0 + 8.0 * static_cast<double>(
-                            rng.nextZipf(100, 1.3)) / 100.0;
+                            rng.nextZipf(boost_law)) / 100.0;
         counts[u] = 2 + static_cast<std::uint32_t>(
                             rng.nextBounded(
                                 static_cast<std::uint64_t>(
@@ -203,8 +205,7 @@ PreWorkload::setup(Scale scale, std::uint64_t seed)
         d->userOff[u + 1] = d->userOff[u] + counts[u];
     d->items.resize(d->userOff[d->numUsers]);
     for (auto &item : d->items)
-        item = static_cast<std::uint32_t>(
-            rng.nextZipf(d->numItems, 1.3));
+        item = static_cast<std::uint32_t>(rng.nextZipf(item_law));
 
     std::uint64_t m = d->items.size();
     d->userOffA = mem_.allocArray(d->numUsers + 1, 8, "userOff");

@@ -23,6 +23,8 @@ struct RegxData
     std::vector<bool> prefilterHit;
     /** Per packet: pseudo-random but deterministic table walk seed. */
     std::vector<std::uint32_t> walkSeed;
+    /** The walk's skew: most transitions stay in a few states. */
+    Zipf walkLaw{kTableLines, 1.2};
 
     Addr headersA = 0, payloadA = 0, tableA = 0, paramsA = 0,
          resultsA = 0;
@@ -63,7 +65,7 @@ class RegxScanProgram : public KernelProgram
              pos += stride) {
             ctx.ld(d.payloadA + d.payloadOff[pkt_] + pos, 4);
             std::uint32_t state =
-                static_cast<std::uint32_t>(walk.nextZipf(kTableLines, 1.2));
+                static_cast<std::uint32_t>(walk.nextZipf(d.walkLaw));
             ctx.ld(d.tableLine(state), 4);
             ctx.alu(4);
         }

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "common/log.hh"
 #include "graph/algorithms.hh"
@@ -28,15 +27,19 @@ struct SsspData
     GraphLayout layout;
     SsspResult result;
     std::vector<std::uint64_t> roundStart;
-    /** Per round: edges (u<<32|v) that performed a relaxation. */
-    std::vector<std::unordered_set<std::uint64_t>> relaxed;
+    /**
+     * Per round, one bit per edge index, set when that edge relaxed its
+     * target in that round. Csr::fromEdges drops duplicate edges, so an
+     * index names exactly one (u, v).
+     */
+    std::vector<std::vector<std::uint64_t>> relaxed;
     std::uint32_t childFuncId = 0;
     std::uint32_t topFuncId = 0;
 };
 
 void
 emitRelax(ThreadCtx &ctx, const SsspData &d, std::uint32_t round,
-          std::uint32_t u, std::uint64_t edge)
+          std::uint64_t edge)
 {
     const GraphLayout &l = d.layout;
     ctx.ld(l.colAddr(edge), 4);
@@ -44,8 +47,8 @@ emitRelax(ThreadCtx &ctx, const SsspData &d, std::uint32_t round,
     std::uint32_t v = d.csr.cols()[edge];
     ctx.ld(l.vdataAddr(v), 4); // dist[v]
     ctx.alu(3);
-    std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-    if (round < d.relaxed.size() && d.relaxed[round].count(key)) {
+    if (round < d.relaxed.size() &&
+        ((d.relaxed[round][edge / 64] >> (edge % 64)) & 1)) {
         ctx.st(l.vdataAddr(v), 4); // new distance
         // Worklist dedup flag (dense shared mask), then append to the
         // next round's worklist (ring over the buffer).
@@ -87,7 +90,7 @@ class SsspChildProgram : public KernelProgram
         ctx.alu(4);
         for (std::uint64_t e = ctx.globalThreadIndex(); e < deg;
              e += stride) {
-            emitRelax(ctx, d, round_, u_, base + e);
+            emitRelax(ctx, d, round_, base + e);
         }
     }
 
@@ -135,7 +138,7 @@ class SsspTopProgram : public KernelProgram
         } else {
             const std::uint64_t base = d.csr.offset(u);
             for (std::uint32_t j = 0; j < deg; ++j)
-                emitRelax(ctx, d, round_, u, base + j);
+                emitRelax(ctx, d, round_, base + j);
         }
     }
 
@@ -186,7 +189,9 @@ SsspWorkload::setup(Scale scale, std::uint64_t seed)
         std::vector<std::uint32_t> dist(data->csr.numVertices(),
                                         kUnreached);
         dist[pickSource(data->csr)] = 0;
-        data->relaxed.resize(data->result.rounds.size());
+        data->relaxed.assign(
+            data->result.rounds.size(),
+            std::vector<std::uint64_t>((data->csr.numEdges() + 63) / 64));
         for (std::size_t r = 0; r < data->result.rounds.size(); ++r) {
             for (std::uint32_t u : data->result.rounds[r]) {
                 std::uint64_t base = data->csr.offset(u);
@@ -196,8 +201,8 @@ SsspWorkload::setup(Scale scale, std::uint64_t seed)
                     std::uint32_t w = data->weights[base + i];
                     if (dist[u] != kUnreached && dist[u] + w < dist[v]) {
                         dist[v] = dist[u] + w;
-                        data->relaxed[r].insert(
-                            (static_cast<std::uint64_t>(u) << 32) | v);
+                        const std::uint64_t edge = base + i;
+                        data->relaxed[r][edge / 64] |= 1ull << (edge % 64);
                     }
                 }
             }

@@ -602,15 +602,16 @@ TEST(ServeServer, HandleLineDispatchesAndSurvivesBadInput)
          {"garbage", "{\"seed\":1}", R"({"op":"fly"})",
           R"({"op":"run","bogus_field":1})",
           R"({"op":"run","workload":"no-such-workload"})"}) {
-        ASSERT_TRUE(parseJsonObject(handler.handleLine(bad), resp, err))
+        ASSERT_TRUE(
+            parseJsonObject(handler.handleLine(bad).frame, resp, err))
             << err;
         ASSERT_TRUE(getString(resp, "status", s));
         EXPECT_EQ(s, kStatusError) << bad;
     }
 
     // ...and the very same handler still answers real requests.
-    ASSERT_TRUE(parseJsonObject(handler.handleLine(R"({"op":"ping"})"),
-                                resp, err))
+    ASSERT_TRUE(parseJsonObject(
+                    handler.handleLine(R"({"op":"ping"})").frame, resp, err))
         << err;
     ASSERT_TRUE(getString(resp, "status", s));
     EXPECT_EQ(s, kStatusOk);
@@ -620,8 +621,8 @@ TEST(ServeServer, HandleLineDispatchesAndSurvivesBadInput)
     ASSERT_TRUE(getU64(resp, "protocol", proto));
     EXPECT_EQ(proto, static_cast<std::uint64_t>(kProtocolVersion));
 
-    ASSERT_TRUE(parseJsonObject(handler.handleLine(R"({"op":"stats"})"),
-                                resp, err))
+    ASSERT_TRUE(parseJsonObject(
+                    handler.handleLine(R"({"op":"stats"})").frame, resp, err))
         << err;
     std::uint64_t n = 0;
     ASSERT_TRUE(getU64(resp, "errors", n));
@@ -704,6 +705,47 @@ TEST(ServeServer, EightConcurrentClientsAllGetByteIdenticalResults)
     EXPECT_TRUE(server.waitShutdown(10000));
     server.stop();
     EXPECT_FALSE(std::filesystem::exists(sockPath));
+}
+
+TEST(ServeServer, ShutdownReplyIsSentBeforeTheServerStops)
+{
+    // The embedder stops the server as soon as the hook signals, and
+    // stop() shuts every connection down. This hook then sleeps, so the
+    // sockets are shut before it returns: the reply to the shutdown
+    // must already be on the wire by the time the hook fires.
+    SessionOptions opts;
+    opts.endpoint =
+        Endpoint::unixAt(::testing::TempDir() + "laperm_shutdown.sock");
+    ServiceHandler handler(testServiceOptions(tempDir("shutdown")));
+    Server server(opts, handler);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+    handler.setShutdownHook([&server] {
+        server.requestShutdown();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    });
+    std::thread embedder([&server] {
+        server.waitShutdown();
+        server.stop();
+    });
+
+    ClientOptions copts;
+    copts.endpoint = opts.endpoint;
+    Client client(copts);
+    const bool connected = client.connect(err);
+    JsonObject resp;
+    const bool answered =
+        connected && client.call(R"({"op":"shutdown"})", resp, err);
+    if (!connected)
+        server.requestShutdown();
+    embedder.join();
+
+    ASSERT_TRUE(answered) << err;
+    std::string status, op;
+    ASSERT_TRUE(getString(resp, "status", status));
+    EXPECT_EQ(status, kStatusOk);
+    ASSERT_TRUE(getString(resp, "op", op));
+    EXPECT_EQ(op, "shutdown");
 }
 
 TEST(ServeServer, OverloadIsStructuredAndRetryRecovers)
