@@ -13,7 +13,7 @@
  * tooling.
  *
  * Environment: LAPERM_SCALE (tiny|small|full, default small); argv[1]
- * overrides. Sweeps cache per (preset, scale, seed), so reruns are
+ * overrides. Every cell is a record in the result store, so reruns are
  * free.
  */
 

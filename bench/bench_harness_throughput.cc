@@ -2,9 +2,10 @@
  * @file
  * Wall-clock self-benchmark of the parallel sweep executor: runs the
  * full workload matrix serially (1 worker) and in parallel (LAPERM_JOBS
- * or 4 workers), verifies that both produce identical results and a
- * byte-identical TSV cache, and writes BENCH_sweep.json with cells/sec
- * for each setting so the speedup is tracked across PRs.
+ * or 4 workers), each into its own fresh result store, verifies that
+ * both produce identical results and byte-identical stored records,
+ * and writes BENCH_sweep.json with cells/sec for each setting so the
+ * speedup is tracked across PRs.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE  tiny | small | full (default tiny)
@@ -16,7 +17,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,8 +33,10 @@ using namespace laperm;
 
 namespace {
 
+namespace fs = std::filesystem;
+
 std::string
-readFile(const std::string &path)
+readFile(const fs::path &path)
 {
     std::ifstream in(path, std::ios::binary);
     std::ostringstream ss;
@@ -39,36 +44,30 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-bool
-sameResults(const std::vector<RunResult> &a,
-            const std::vector<RunResult> &b)
+/** Record file name -> bytes for every record in the store @p dir. */
+std::map<std::string, std::string>
+storeContents(const fs::path &dir)
 {
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const RunResult &x = a[i];
-        const RunResult &y = b[i];
-        if (x.workload != y.workload || x.model != y.model ||
-            x.policy != y.policy || x.ipc != y.ipc ||
-            x.l1HitRate != y.l1HitRate || x.l2HitRate != y.l2HitRate ||
-            x.cycles != y.cycles ||
-            x.smxUtilization != y.smxUtilization ||
-            x.smxImbalance != y.smxImbalance ||
-            x.boundFraction != y.boundFraction ||
-            x.queueOverflows != y.queueOverflows ||
-            x.kduFullStalls != y.kduFullStalls) {
-            return false;
-        }
-    }
-    return true;
+    std::map<std::string, std::string> out;
+    std::error_code ec;
+    for (const auto &e : fs::directory_iterator(dir / "results", ec))
+        out[e.path().filename().string()] = readFile(e.path());
+    return out;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
+/** Sweep into a fresh store at @p dir; returns the results. */
+std::vector<RunResult>
+sweepInto(const fs::path &dir, Scale scale, std::uint64_t seed,
+          unsigned jobs, double &seconds)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    fs::remove_all(dir);
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto results = runMatrix(workloadNames(), scale, seed, true, jobs);
+    seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    return results;
 }
 
 } // namespace
@@ -77,8 +76,8 @@ int
 main()
 {
     setVerbose(false);
-    // The sweep must actually simulate (and write a fresh cache), not
-    // read a previous run's TSV.
+    // Each sweep gets its own fresh store, so both actually simulate:
+    // in a shared one the parallel sweep would read every serial record.
     unsetenv("LAPERM_NO_CACHE");
 
     const Scale scale = [] {
@@ -95,25 +94,18 @@ main()
     }
 
     const std::vector<std::string> &names = workloadNames();
-    const std::string cache = sweepCachePath(scale, seed);
-    const std::string serialCopy = cache + ".serial";
+    const fs::path base = fs::path(cacheRootDir()) / "bench_sweep";
+    double serialSec = 0.0, parallelSec = 0.0;
+    auto serial = sweepInto(base / "serial", scale, seed, 1, serialSec);
+    auto parallel =
+        sweepInto(base / "parallel", scale, seed, jobs, parallelSec);
 
-    // Serial reference sweep.
-    std::remove(cache.c_str());
-    auto t0 = std::chrono::steady_clock::now();
-    auto serial = runMatrix(names, scale, seed, true, 1);
-    const double serialSec = secondsSince(t0);
-    std::rename(cache.c_str(), serialCopy.c_str());
-
-    // Parallel sweep into a fresh cache file.
-    t0 = std::chrono::steady_clock::now();
-    auto parallel = runMatrix(names, scale, seed, true, jobs);
-    const double parallelSec = secondsSince(t0);
-
-    const bool resultsIdentical = sameResults(serial, parallel);
-    const bool tsvIdentical =
-        !readFile(cache).empty() && readFile(cache) == readFile(serialCopy);
-    std::remove(serialCopy.c_str());
+    const bool resultsIdentical = serial == parallel;
+    const auto serialStore = storeContents(base / "serial");
+    const bool recordsIdentical =
+        serialStore.size() == serial.size() &&
+        serialStore == storeContents(base / "parallel");
+    fs::remove_all(base);
 
     const double cells = static_cast<double>(serial.size());
     const double speedup =
@@ -138,8 +130,8 @@ main()
          << "  \"speedup\": " << speedup << ",\n"
          << "  \"results_identical\": "
          << (resultsIdentical ? "true" : "false") << ",\n"
-         << "  \"tsv_identical\": " << (tsvIdentical ? "true" : "false")
-         << "\n"
+         << "  \"records_identical\": "
+         << (recordsIdentical ? "true" : "false") << "\n"
          << "}\n";
     json.close();
 
@@ -149,12 +141,12 @@ main()
                 cells / serialSec);
     std::printf("  %u jobs: %.3f s  (%.1f cells/s)  speedup %.2fx\n",
                 jobs, parallelSec, cells / parallelSec, speedup);
-    std::printf("  results identical: %s, TSV byte-identical: %s\n",
+    std::printf("  results identical: %s, records byte-identical: %s\n",
                 resultsIdentical ? "yes" : "NO",
-                tsvIdentical ? "yes" : "NO");
+                recordsIdentical ? "yes" : "NO");
     std::printf("  wrote BENCH_sweep.json\n");
 
-    if (!resultsIdentical || !tsvIdentical) {
+    if (!resultsIdentical || !recordsIdentical) {
         std::fprintf(stderr,
                      "FAIL: parallel sweep diverged from serial\n");
         return 1;

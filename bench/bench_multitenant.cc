@@ -12,7 +12,8 @@
  *   LAPERM_TENANT_PRESETS  comma-separated preset subset
  *   LAPERM_JOBS            sweep worker threads (results identical)
  *
- * Sweeps cache per (mix, preset, seed) TSV, so reruns are free.
+ * Every (mix, preset, policy) cell is a record in the result store, so
+ * reruns are free.
  */
 
 #include <cstdio>

@@ -6,7 +6,8 @@
 #   1. laperm_sim --tenants duo, dense vs event: stdout and the
 #      --tenants-tsv artifact byte-compare.
 #   2. bench_multitenant, LAPERM_JOBS=1/event vs LAPERM_JOBS=8/dense:
-#      BENCH_multitenant.json and the sweep cache TSVs byte-compare.
+#      BENCH_multitenant.json and every stored cell record
+#      byte-compare.
 #
 # Usage: scripts/tenant_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -64,13 +65,14 @@ if ! cmp -s "$TMP/bench-a/BENCH_multitenant.json" \
         "LAPERM_JOBS=1/event and LAPERM_JOBS=8/dense" >&2
     fail=1
 fi
-for a in "$TMP/bench-a/cache"/laperm_tenants_*.tsv; do
-    b="$TMP/bench-b/cache/$(basename "$a")"
-    if ! cmp -s "$a" "$b"; then
-        echo "tenant_smoke.sh: cache $(basename "$a") differs" >&2
-        fail=1
-    fi
-done
+# Every stored cell record: the two stores must hold the same,
+# non-empty set of keys, each record byte-identical.
+recs="$TMP/bench-a/cache/results"
+if [ -z "$(ls -A "$recs" 2>/dev/null)" ] ||
+    ! diff -r -q "$recs" "$TMP/bench-b/cache/results" >&2; then
+    echo "tenant_smoke.sh: stored records are missing or differ" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
 
 echo "tenant_smoke.sh: multi-tenant artifacts byte-identical across" \

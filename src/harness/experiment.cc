@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
 #include "common/log.hh"
 #include "gpu/gpu.hh"
@@ -49,9 +50,9 @@ namespace {
 
 /**
  * Per-cell trace opt-in for sweeps: when LAPERM_TRACE_DIR is set, every
- * runOne writes its observability artifacts into that directory under a
- * deterministic name derived from the cell coordinates. Purely
- * additive: RunResult (and therefore the TSV cache) is unaffected, and
+ * simulated cell writes its observability artifacts into that directory
+ * under a deterministic name derived from the cell coordinates. Purely
+ * additive: the record (and therefore the store) is unaffected, and
  * each cell owns its collector, so the parallel sweep stays
  * byte-deterministic at any worker count.
  */
@@ -109,76 +110,7 @@ constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
                                   TbPolicy::AdaptiveBind};
 constexpr DynParModel kModels[] = {DynParModel::CDP, DynParModel::DTBL};
 
-bool
-loadCache(const std::string &path, const std::string &preset,
-          const std::vector<std::string> &names,
-          std::vector<RunResult> &out)
-{
-    // Fingerprint-gated load (harness/result_cache.hh): a TSV written
-    // by a different simulator build fails here and is regenerated.
-    ResultCache cache;
-    std::string payload;
-    if (!cache.loadFile(path, payload))
-        return false;
-    std::vector<RunResult> rows;
-    if (!decodeSweepTsv(payload, rows))
-        return false;
-    // A cached row must belong to the requested preset (legacy-format
-    // rows decode with the "k20c" default, which is exactly right for
-    // the legacy cache file they live in).
-    for (const auto &r : rows) {
-        if (r.preset != preset)
-            return false;
-    }
-    // The cache is usable only if it covers the full request.
-    for (const auto &name : names) {
-        for (DynParModel m : kModels) {
-            for (TbPolicy p : kPolicies) {
-                bool found = false;
-                for (const auto &r : rows) {
-                    if (r.workload == name && r.model == m &&
-                        r.policy == p) {
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found)
-                    return false;
-            }
-        }
-    }
-    out = std::move(rows);
-    return true;
-}
-
-void
-saveCache(const std::string &path, const std::vector<RunResult> &rows)
-{
-    ResultCache cache;
-    cache.storeFile(path, encodeSweepTsv(rows));
-}
-
 } // namespace
-
-std::string
-sweepCachePath(Scale scale, std::uint64_t seed)
-{
-    return logFormat("%s/laperm_results_%s_%llu.tsv",
-                     cacheRootDir().c_str(), toString(scale),
-                     static_cast<unsigned long long>(seed));
-}
-
-std::string
-sweepCachePath(const std::string &preset, Scale scale,
-               std::uint64_t seed)
-{
-    if (preset == "k20c")
-        return sweepCachePath(scale, seed);
-    return logFormat("%s/laperm_results_%s_%s_%llu.tsv",
-                     cacheRootDir().c_str(), preset.c_str(),
-                     toString(scale),
-                     static_cast<unsigned long long>(seed));
-}
 
 std::vector<RunResult>
 runMatrix(const std::vector<std::string> &names, Scale scale,
@@ -202,7 +134,8 @@ runMatrixPreset(const std::vector<std::string> &names,
     // the machine geometry below is presetConfig(preset) with the
     // harness-level tick-mode override layered on top (paperConfig()
     // handles LAPERM_TICK_MODE; the preset must not undo it).
-    const GpuConfig base_machine = presetConfig(preset);
+    GpuConfig base_machine = presetConfig(preset);
+    base_machine.tickMode = paperConfig().tickMode;
 
     // Same early-fatal discipline for the workload axis: an unknown
     // name (e.g. a typo in a tenant/mix spec routed here) dies with
@@ -214,17 +147,48 @@ runMatrixPreset(const std::vector<std::string> &names,
         }
     }
 
-    const std::string path = sweepCachePath(preset, scale, seed);
-    std::vector<RunResult> results;
-    if (use_cache && loadCache(path, preset, names, results))
-        return results;
-    results.clear();
-
+    // Slots are workload-major, then model, then policy: the serial
+    // loop order. Every job writes only its own slots, so the results
+    // are the same no matter how many workers raced to fill them.
     constexpr std::size_t kNumModels = std::size(kModels);
     constexpr std::size_t kNumPolicies = std::size(kPolicies);
     const std::size_t cellsPerWorkload = kNumModels * kNumPolicies;
+    const std::size_t numCells = names.size() * cellsPerWorkload;
+    auto cellConfig = [&](std::size_t slot) {
+        GpuConfig cfg = base_machine;
+        cfg.dynParModel = kModels[slot / kNumPolicies % kNumModels];
+        cfg.tbPolicy = kPolicies[slot % kNumPolicies];
+        cfg.seed = seed;
+        return cfg;
+    };
 
-    // Phase 1: input generation, one job per workload. Workloads are
+    std::vector<RunResult> results(numCells);
+    std::vector<std::string> keys(numCells);
+    std::vector<char> missing(numCells, 1);
+    std::optional<ResultCache> store;
+    if (use_cache)
+        store.emplace();
+    // Fills the slot from the store; false on a miss or without one.
+    auto loadCell = [&](std::size_t slot) {
+        if (!store)
+            return false;
+        const GpuConfig cfg = cellConfig(slot);
+        keys[slot] = contentKey(appCellCanonical(
+            names[slot / cellsPerWorkload], cfg.dynParModel, cfg.tbPolicy,
+            scale, seed, cfg));
+        std::string payload;
+        ResultRecord rec;
+        if (store->probe(keys[slot], payload) == ResultCache::Tier::Miss ||
+            !ResultRecord::decode(payload, rec)) {
+            return false;
+        }
+        results[slot] = rec.toRunResult();
+        missing[slot] = 0;
+        return true;
+    };
+
+    // Phase 1: one job per workload. It probes the workload's cells and
+    // generates inputs only if one of them is missing. Workloads are
     // immutable after setup() (traces const, programs const), so the
     // cell jobs below const-borrow them concurrently.
     std::vector<std::unique_ptr<Workload>> workloads(names.size());
@@ -234,6 +198,12 @@ runMatrixPreset(const std::vector<std::string> &names,
                                             names.size(), 1))));
         for (std::size_t i = 0; i < names.size(); ++i) {
             pool.submit([&, i] {
+                bool needInputs = false;
+                for (std::size_t c = 0; c < cellsPerWorkload; ++c)
+                    needInputs = !loadCell(i * cellsPerWorkload + c) ||
+                                 needInputs;
+                if (!needInputs)
+                    return;
                 auto w = createWorkload(names[i]);
                 w->setup(scale, seed);
                 workloads[i] = std::move(w);
@@ -242,42 +212,34 @@ runMatrixPreset(const std::vector<std::string> &names,
         pool.wait();
     }
 
-    // Phase 2: one job per (workload x model x policy) cell. Every
-    // cell owns its own Gpu instance and writes to a preassigned slot,
-    // so the result vector — and therefore the TSV cache — is
-    // byte-identical no matter how many workers raced to fill it.
-    results.resize(names.size() * cellsPerWorkload);
+    // Phase 2: one job per missing cell, each owning its own Gpu and
+    // storing its own record.
+    const auto numMissing = static_cast<std::size_t>(
+        std::count(missing.begin(), missing.end(), 1));
+    if (numMissing == 0)
+        return results;
     {
         ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, results.size())));
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            for (std::size_t mi = 0; mi < kNumModels; ++mi) {
-                for (std::size_t pi = 0; pi < kNumPolicies; ++pi) {
-                    const std::size_t slot =
-                        i * cellsPerWorkload + mi * kNumPolicies + pi;
-                    pool.submit([&, i, mi, pi, slot] {
-                        GpuConfig cfg = base_machine;
-                        cfg.tickMode = paperConfig().tickMode;
-                        cfg.dynParModel = kModels[mi];
-                        cfg.tbPolicy = kPolicies[pi];
-                        cfg.seed = seed;
-                        results[slot] = runOne(*workloads[i], cfg);
-                        results[slot].preset = preset;
-                        laperm_inform(
-                            "%s %s/%s: ipc=%.2f l1=%.3f l2=%.3f",
-                            names[i].c_str(), toString(kModels[mi]),
-                            toString(kPolicies[pi]), results[slot].ipc,
-                            results[slot].l1HitRate,
-                            results[slot].l2HitRate);
-                    });
-                }
-            }
+            std::min<std::size_t>(jobs, numMissing)));
+        for (std::size_t slot = 0; slot < numCells; ++slot) {
+            if (!missing[slot])
+                continue;
+            pool.submit([&, slot] {
+                const GpuConfig cfg = cellConfig(slot);
+                const std::size_t i = slot / cellsPerWorkload;
+                const ResultRecord rec =
+                    runOneRecord(*workloads[i], cfg, traceDir());
+                if (store)
+                    store->store(keys[slot], rec.encode());
+                results[slot] = rec.toRunResult();
+                laperm_inform("%s %s/%s: ipc=%.2f l1=%.3f l2=%.3f",
+                              names[i].c_str(), toString(cfg.dynParModel),
+                              toString(cfg.tbPolicy), rec.ipc, rec.l1,
+                              rec.l2);
+            });
         }
         pool.wait();
     }
-
-    if (use_cache)
-        saveCache(path, results);
     return results;
 }
 

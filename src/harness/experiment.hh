@@ -1,9 +1,9 @@
 /**
  * @file
  * Experiment driver: runs workload x model x policy configurations on
- * the Table I device and collects the metrics the paper plots. Results
- * are cached on disk (per scale/seed) so the per-figure bench binaries
- * can share one simulation sweep.
+ * the Table I device and collects the metrics the paper plots. Every
+ * cell is one record in the result store (harness/result_cache.hh), so
+ * the per-figure bench binaries share one simulation sweep.
  */
 
 #ifndef LAPERM_HARNESS_EXPERIMENT_HH
@@ -28,8 +28,6 @@ struct RunResult
     std::string workload;
     DynParModel model = DynParModel::CDP;
     TbPolicy policy = TbPolicy::RR;
-    /** Hardware preset the cell ran on (sim/presets.hh). */
-    std::string preset = "k20c";
 
     double ipc = 0.0;
     double l1HitRate = 0.0;
@@ -40,6 +38,9 @@ struct RunResult
     double boundFraction = 0.0; ///< bound / dynamic TB dispatches
     double queueOverflows = 0.0;
     double kduFullStalls = 0.0;
+
+    /** Every field equal: what a reload from the store must give. */
+    bool operator==(const RunResult &) const = default;
 };
 
 /** Run one configuration (workload must be set up). */
@@ -47,7 +48,7 @@ RunResult runOne(const Workload &workload, const GpuConfig &cfg);
 
 /**
  * Run one configuration and return the full canonical record (every
- * counter the CSV report and sweep TSV derive from). When @p trace_dir
+ * counter the CSV report and RunResult derive from). When @p trace_dir
  * is non-empty, the observability artifacts of DESIGN.md §8 are
  * written there under "<workload>_<model>_<policy>.*". This is the
  * execution path the serving subsystem (src/serve) uses; runOne is a
@@ -57,19 +58,20 @@ ResultRecord runOneRecord(const Workload &workload, const GpuConfig &cfg,
                           const std::string &trace_dir);
 
 /**
- * Full sweep: every workload in @p names under every model x policy.
+ * Full sweep: every workload in @p names under every model x policy,
+ * returned workload-major, then model, then policy, exactly the
+ * requested cells in argument order.
  *
  * Cells are independent simulations and execute on a thread pool, one
- * job per cell; results (and the TSV cache) are emitted in the same
- * deterministic order regardless of worker count.
+ * job per cell; the results are the same at any worker count.
  *
- * @param use_cache read/write "laperm_results_<scale>_<seed>.tsv"
- *        under the cache directory — $LAPERM_CACHE_DIR, default
- *        "cache/" in the working directory — so the figure benches
- *        share one sweep (disable with LAPERM_NO_CACHE=1). Entries
- *        embed the simulator fingerprint (harness/result_cache.hh);
- *        a TSV written by a different simulator build is ignored and
- *        regenerated rather than served stale.
+ * @param use_cache probe and store each cell as one record in the
+ *        result store under $LAPERM_CACHE_DIR (default "cache/" in the
+ *        working directory), keyed like the served request for the
+ *        same simulation, so the figure benches and the daemon share
+ *        results. Only workloads with a missing cell are set up.
+ *        LAPERM_NO_CACHE=1 disables it; when disabled no key is
+ *        computed and the store is not touched.
  * @param jobs worker threads; 0 selects LAPERM_JOBS from the
  *        environment, falling back to hardware_concurrency().
  */
@@ -80,31 +82,13 @@ std::vector<RunResult> runMatrix(const std::vector<std::string> &names,
 
 /**
  * runMatrix on a named hardware preset (sim/presets.hh): the preset is
- * a fourth sweep axis with its own TSV cache cell per (preset, scale,
- * seed). "k20c" is exactly runMatrix — same cache file, same bytes.
+ * a fourth sweep axis. "k20c" is exactly runMatrix, the same records.
  * The cross-generation study (EXPERIMENTS.md) drives this per preset.
  */
 std::vector<RunResult> runMatrixPreset(
     const std::vector<std::string> &names, const std::string &preset,
     Scale scale, std::uint64_t seed, bool use_cache = true,
     unsigned jobs = 0);
-
-/**
- * Path of the TSV sweep cache runMatrix reads/writes for this
- * (scale, seed): "$LAPERM_CACHE_DIR/laperm_results_<scale>_<seed>.tsv",
- * default cache dir "cache". Exposed so tests and benches address the
- * cache without duplicating the layout.
- */
-std::string sweepCachePath(Scale scale, std::uint64_t seed);
-
-/**
- * Per-preset sweep cache path. The "k20c" preset maps to the legacy
- * sweepCachePath(scale, seed) file; other presets get
- * "laperm_results_<preset>_<scale>_<seed>.tsv" so preset sweeps never
- * collide with (or invalidate) the default matrix.
- */
-std::string sweepCachePath(const std::string &preset, Scale scale,
-                           std::uint64_t seed);
 
 /** Find a result in a sweep; fatal if missing. */
 const RunResult &findResult(const std::vector<RunResult> &results,

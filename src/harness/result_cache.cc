@@ -1,5 +1,6 @@
 #include "harness/result_cache.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -19,6 +20,13 @@ namespace laperm {
 namespace {
 
 constexpr const char kHeaderPrefix[] = "# laperm-cache fingerprint=";
+
+/** File backing a content key: "<dir>/results/<key>.rec". */
+std::string
+entryPath(const std::string &dir, const std::string &key)
+{
+    return dir + "/results/" + key + ".rec";
+}
 
 } // namespace
 
@@ -231,20 +239,10 @@ statsCsvHeaderWithConfig()
 std::string
 encodeSweepTsv(const std::vector<RunResult> &rows)
 {
-    // The preset column only appears when some row actually needs it,
-    // so an all-default sweep stays byte-identical to older releases
-    // (and to the caches those releases wrote).
-    bool extended = false;
-    for (const auto &r : rows)
-        extended = extended || r.preset != "k20c";
-
     std::ostringstream out;
-    out << (extended ? "# preset workload" : "# workload")
-        << " model policy ipc l1 l2 cycles util imbalance "
+    out << "# workload model policy ipc l1 l2 cycles util imbalance "
            "bound overflows kduStalls\n";
     for (const auto &r : rows) {
-        if (extended)
-            out << r.preset << ' ';
         out << r.workload << ' ' << static_cast<int>(r.model) << ' '
             << static_cast<int>(r.policy) << ' ' << r.ipc << ' '
             << r.l1HitRate << ' ' << r.l2HitRate << ' ' << r.cycles
@@ -255,36 +253,29 @@ encodeSweepTsv(const std::vector<RunResult> &rows)
     return out.str();
 }
 
-bool
-decodeSweepTsv(const std::string &tsv, std::vector<RunResult> &out)
+std::string
+appCellCanonical(const std::string &workload, DynParModel model,
+                 TbPolicy policy, Scale scale, std::uint64_t seed,
+                 const GpuConfig &cfg)
 {
-    std::istringstream in(tsv);
-    std::vector<RunResult> rows;
-    std::string line;
-    bool extended = false;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#') {
-            if (line.rfind("# preset ", 0) == 0)
-                extended = true;
-            continue;
-        }
-        std::istringstream ls(line);
-        RunResult r;
-        int mi, pi;
-        if (extended && !(ls >> r.preset))
-            return false;
-        if (!(ls >> r.workload >> mi >> pi >> r.ipc >> r.l1HitRate >>
-              r.l2HitRate >> r.cycles >> r.smxUtilization >>
-              r.smxImbalance >> r.boundFraction >> r.queueOverflows >>
-              r.kduFullStalls)) {
-            return false;
-        }
-        r.model = static_cast<DynParModel>(mi);
-        r.policy = static_cast<TbPolicy>(pi);
-        rows.push_back(std::move(r));
-    }
-    out = std::move(rows);
-    return true;
+    return logFormat("w=%s m=%d p=%d sc=%d seed=%llu ", workload.c_str(),
+                     static_cast<int>(model), static_cast<int>(policy),
+                     static_cast<int>(scale),
+                     static_cast<unsigned long long>(seed)) +
+           canonicalMachine(cfg);
+}
+
+std::string
+mixCellCanonical(const std::string &mix, const std::string &preset,
+                 DynParModel model, TbPolicy policy, std::uint64_t seed,
+                 const GpuConfig &cfg)
+{
+    return logFormat("m=%d p=%d seed=%llu ", static_cast<int>(model),
+                     static_cast<int>(policy),
+                     static_cast<unsigned long long>(seed)) +
+           canonicalMachine(cfg) +
+           logFormat(" tenants=%s tpreset=%s", mix.c_str(),
+                     preset.c_str());
 }
 
 ResultCache::ResultCache(std::string dir, std::string fingerprint)
@@ -294,83 +285,8 @@ ResultCache::ResultCache(std::string dir, std::string fingerprint)
 {
 }
 
-std::string
-ResultCache::entryPath(const std::string &key) const
-{
-    return dir_ + "/results/" + key + ".rec";
-}
-
-bool
-ResultCache::load(const std::string &key, std::string &payload) const
-{
-    return loadFile(entryPath(key), payload);
-}
-
-bool
-ResultCache::store(const std::string &key, const std::string &payload) const
-{
-    return storeFile(entryPath(key), payload);
-}
-
-bool
-ResultCache::loadFile(const std::string &path, std::string &payload) const
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string header;
-    if (!std::getline(in, header))
-        return false;
-    if (header.rfind(kHeaderPrefix, 0) != 0)
-        return false;
-    if (header.substr(sizeof(kHeaderPrefix) - 1) != fingerprint_)
-        return false; // written by a different simulator: stale
-    std::ostringstream body;
-    body << in.rdbuf();
-    payload = body.str();
-    return true;
-}
-
-bool
-ResultCache::storeFile(const std::string &path,
-                       const std::string &payload) const
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    const fs::path p(path);
-    if (p.has_parent_path())
-        fs::create_directories(p.parent_path(), ec);
-    // Write-then-rename so a concurrent reader (another bench process
-    // sharing the sweep cache) never sees a truncated file. The temp
-    // name carries the pid: a daemon and a sweep may share one cache
-    // directory, and two processes storing the same key must not
-    // interleave writes into one temp file.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out << kHeaderPrefix << fingerprint_ << '\n' << payload;
-        if (!out.good())
-            return false;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
-TieredResultCache::TieredResultCache(std::string dir,
-                                     std::string fingerprint)
-    : disk_(std::move(dir), std::move(fingerprint))
-{
-}
-
-TieredResultCache::Tier
-TieredResultCache::probe(const std::string &key, std::string &payload)
+ResultCache::Tier
+ResultCache::probe(const std::string &key, std::string &payload)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -380,8 +296,15 @@ TieredResultCache::probe(const std::string &key, std::string &payload)
             return Tier::Memory;
         }
     }
-    if (!disk_.load(key, payload))
-        return Tier::Miss;
+    std::ifstream in(entryPath(dir_, key), std::ios::binary);
+    std::string header;
+    if (!in || !std::getline(in, header) ||
+        header != kHeaderPrefix + fingerprint_) {
+        return Tier::Miss; // absent, or written by another simulator
+    }
+    std::ostringstream body;
+    body << in.rdbuf();
+    payload = body.str();
     // Promote: the next probe of this key is a memory hit, and the
     // Shared tier is only ever credited once per key per incarnation.
     std::lock_guard<std::mutex> lock(mu_);
@@ -390,24 +313,44 @@ TieredResultCache::probe(const std::string &key, std::string &payload)
 }
 
 bool
-TieredResultCache::store(const std::string &key,
-                         const std::string &payload)
+ResultCache::store(const std::string &key, const std::string &payload)
 {
-    const bool ok = disk_.store(key, payload);
+    namespace fs = std::filesystem;
+    const std::string path = entryPath(dir_, key);
+    std::error_code ec;
+    fs::create_directories(fs::path(path).parent_path(), ec);
+    // Write-then-rename so a concurrent reader never sees a truncated
+    // file. The temp name carries the pid and a per-process sequence
+    // number: a daemon and a sweep may share one directory, and a sweep
+    // stores from several threads at once.
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string tmp = logFormat(
+        "%s.tmp.%ld.%llu", path.c_str(), static_cast<long>(::getpid()),
+        static_cast<unsigned long long>(seq.fetch_add(1)));
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out << kHeaderPrefix << fingerprint_ << '\n' << payload;
+    out.close();
+    bool ok = !out.fail();
+    if (ok)
+        fs::rename(tmp, path, ec);
+    if (!ok || ec) {
+        fs::remove(tmp, ec);
+        ok = false;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     mem_[key] = payload;
     return ok;
 }
 
 void
-TieredResultCache::dropMemory()
+ResultCache::dropMemory()
 {
     std::lock_guard<std::mutex> lock(mu_);
     mem_.clear();
 }
 
 std::size_t
-TieredResultCache::memorySize() const
+ResultCache::memorySize() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return mem_.size();

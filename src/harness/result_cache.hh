@@ -1,24 +1,29 @@
 /**
  * @file
- * Content-addressed, fingerprint-versioned result cache shared by the
- * sweep harness (harness/experiment.cc) and the serving subsystem
- * (src/serve).
+ * The one result store (DESIGN.md §15.3), shared by the sweep harness
+ * (harness/experiment.cc, harness/tenant_sweep.cc) and the serving
+ * subsystem (src/serve). Every sweep cell, tenant-sweep cell and
+ * served request is one record under one content key.
  *
- * Three pieces:
+ * Four pieces:
  *
  *  - ResultRecord: the canonical single-line encoding of one
  *    simulation's statistics. Doubles are stored with %.17g so they
  *    round-trip bit-exactly; every consumer-facing rendering (the
- *    laperm_sim --csv row, the sweep-harness TSV row) regenerated from
- *    a record is byte-identical to one produced directly from the
- *    simulation. This is the determinism contract of the serve layer.
+ *    laperm_sim --csv row, the sweep-harness RunResult) regenerated
+ *    from a record is byte-identical to one produced directly from the
+ *    simulation. This is the determinism contract of the store.
  *
- *  - ResultCache: payload files keyed either by an explicit path (the
- *    sweep TSV) or by a content key (served requests). Every file
- *    starts with a "# laperm-cache fingerprint=<hex>" line; a load
- *    whose fingerprint differs from the current simulator fingerprint
- *    is treated as a miss, so entries written by an older binary
- *    self-invalidate instead of silently serving stale results.
+ *  - appCellCanonical() / mixCellCanonical(): the canonical strings of
+ *    the two kinds of cell, hashed by contentKey(). A sweep cell and
+ *    the served request that means the same simulation share a key.
+ *
+ *  - ResultCache: a per-process memory tier over payload files
+ *    "<dir>/results/<key>.rec". Every file starts with a
+ *    "# laperm-cache fingerprint=<hex>" line; a file whose fingerprint
+ *    differs from the current simulator fingerprint is a miss, so
+ *    entries written by an older binary self-invalidate instead of
+ *    silently serving stale results.
  *
  *  - simFingerprint(): build-time content hash over the simulator
  *    sources (cmake/GenFingerprint.cmake), overridable through the
@@ -37,6 +42,7 @@
 #include "common/hash.hh" // fnv1a64 / contentKey, re-exported for callers
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "workloads/workload.hh"
 
 namespace laperm {
 
@@ -50,7 +56,7 @@ std::string cacheRootDir();
 
 /**
  * Canonical record of one simulation run: every counter both the
- * laperm_sim CSV report and the sweep harness TSV derive from.
+ * laperm_sim CSV report and the sweep harness RunResult derive from.
  */
 struct ResultRecord
 {
@@ -114,25 +120,48 @@ const char *statsCsvHeader();
 const char *statsCsvHeaderWithConfig();
 
 /**
- * Serialize sweep results in the harness TSV format (header comment +
- * one row per cell, ostream default float formatting — the format
- * cached under sweepCachePath() and printed by laperm_submit --batch).
- *
- * When every row's preset is "k20c" the legacy 12-column format is
- * emitted byte-identically to pre-preset releases; any other preset
- * switches the whole table to the extended format with a leading
- * "preset" column. decodeSweepTsv() accepts both.
+ * Render sweep results as the legacy harness TSV (header comment + one
+ * row per cell, ostream default float formatting), the table
+ * laperm_submit --batch prints.
  */
 std::string encodeSweepTsv(const std::vector<RunResult> &rows);
 
-/** Parse encodeSweepTsv output (either format); false on a bad row. */
-bool decodeSweepTsv(const std::string &tsv, std::vector<RunResult> &out);
+/**
+ * Canonical string of one single-app cell: the run coordinates in
+ * fixed order, then canonicalMachine(cfg), so every spelling of one
+ * machine (preset name, TOML, shortcut fields) gives one string. The
+ * model, policy and seed come from the arguments, not from @p cfg.
+ */
+std::string appCellCanonical(const std::string &workload,
+                             DynParModel model, TbPolicy policy,
+                             Scale scale, std::uint64_t seed,
+                             const GpuConfig &cfg);
 
 /**
- * Fingerprint-gated payload storage. Not itself thread-safe per entry;
- * writers use a write-temp-then-rename so readers never observe a
- * partial file (the serve layer additionally single-flights identical
- * keys, see serve/service.hh).
+ * Canonical string of one multi-tenant mix cell. The mix names its own
+ * workloads and scales, so neither is part of the string; the preset
+ * label is, because the tenant TSV payload carries it as a column.
+ */
+std::string mixCellCanonical(const std::string &mix,
+                             const std::string &preset, DynParModel model,
+                             TbPolicy policy, std::uint64_t seed,
+                             const GpuConfig &cfg);
+
+/**
+ * The result store: a per-process memory tier over the
+ * fingerprint-gated disk tier "<dir>/results/<key>.rec". The disk tier
+ * is SHARED: every process pointed at the same directory sees it, so a
+ * result computed by a sweep, another daemon or a previous incarnation
+ * of this one is a (promoted) hit.
+ *
+ * probe() distinguishes where a hit came from: Memory means this
+ * object stored or already promoted the entry; Shared means the bytes
+ * came off disk. The serve layer counts the two as cache_mem_hits and
+ * cache_shared_hits.
+ *
+ * Thread-safe. Disk writes go to a unique temp file that is renamed
+ * into place, so concurrent writers of one key are last-writer-wins
+ * and readers never see a torn entry.
  */
 class ResultCache
 {
@@ -141,87 +170,33 @@ class ResultCache
     explicit ResultCache(std::string dir = std::string(),
                          std::string fingerprint = std::string());
 
-    const std::string &dir() const { return dir_; }
-    const std::string &fingerprint() const { return fingerprint_; }
-
-    /** File backing a content key: "<dir>/results/<key>.rec". */
-    std::string entryPath(const std::string &key) const;
-
-    /** Load a content-keyed payload; false on miss or stale entry. */
-    bool load(const std::string &key, std::string &payload) const;
-
-    /** Store a content-keyed payload (creates directories). */
-    bool store(const std::string &key, const std::string &payload) const;
-
-    /**
-     * Load a payload from an explicit path, validating the embedded
-     * fingerprint; false on miss, stale fingerprint, or bad header.
-     */
-    bool loadFile(const std::string &path, std::string &payload) const;
-
-    /** Atomically write fingerprint header + payload to @p path. */
-    bool storeFile(const std::string &path,
-                   const std::string &payload) const;
-
-  private:
-    std::string dir_;
-    std::string fingerprint_;
-};
-
-/**
- * Two-tier cache for the serve layer (DESIGN.md §15.3): a per-process
- * in-memory map (L1) in front of the fingerprint-gated on-disk
- * ResultCache (L2). The disk tier is SHARED — every process pointed at
- * the same directory sees it, so a result computed before a daemon
- * restart is a (promoted) hit afterwards.
- *
- * probe() distinguishes where a hit came from: Memory means this
- * process stored or already promoted the entry; Shared means the bytes
- * came off disk — i.e. another process (or a previous incarnation of
- * this one) paid for the run. That distinction is what the
- * cache_mem_hits / cache_shared_hits service metrics count.
- *
- * Thread-safe; disk writes go through ResultCache's unique-temp
- * rename, so concurrent writers of one key are last-writer-wins with
- * no torn reads.
- */
-class TieredResultCache
-{
-  public:
-    /** Empty dir/fingerprint select cacheRootDir()/simFingerprint(). */
-    explicit TieredResultCache(std::string dir = std::string(),
-                               std::string fingerprint = std::string());
-
     enum class Tier
     {
         Miss,
-        Memory, ///< in-process L1
-        Shared, ///< on-disk L2; entry was promoted to L1
+        Memory, ///< stored or promoted by this object
+        Shared, ///< read off disk; the entry was promoted to memory
     };
 
     /** Look up @p key; fills @p payload unless Miss. */
     Tier probe(const std::string &key, std::string &payload);
 
-    /** Write through: disk first, then the in-memory tier. */
+    /** Write through: disk first, then the memory tier. */
     bool store(const std::string &key, const std::string &payload);
 
     /**
-     * Drop the in-memory tier (what a daemon restart does to L1). The
-     * shared tier is untouched; the next probe of a stored key reports
-     * Shared. Tests use this to measure cross-incarnation hits without
+     * Drop the memory tier (what a daemon restart does to it). The disk
+     * tier is untouched; the next probe of a stored key reports Shared.
+     * Tests use this to measure cross-incarnation hits without
      * restarting a process.
      */
     void dropMemory();
 
     std::size_t memorySize() const;
-    const std::string &fingerprint() const
-    {
-        return disk_.fingerprint();
-    }
-    const ResultCache &shared() const { return disk_; }
+    const std::string &fingerprint() const { return fingerprint_; }
 
   private:
-    ResultCache disk_;
+    std::string dir_;
+    std::string fingerprint_;
     mutable std::mutex mu_;
     std::map<std::string, std::string> mem_;
 };

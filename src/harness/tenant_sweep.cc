@@ -1,6 +1,7 @@
 #include "harness/tenant_sweep.hh"
 
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "common/log.hh"
@@ -20,14 +21,16 @@ constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
                                   TbPolicy::AdaptiveBind};
 constexpr std::size_t kNumPolicies = std::size(kPolicies);
 
+} // namespace
+
 std::vector<TenantSweepRow>
-cellRows(const std::string &mix_name, const std::string &preset,
-         TbPolicy policy, const tenant::MixStudy &study)
+tenantSweepRows(const std::string &mix, const std::string &preset,
+                TbPolicy policy, const tenant::MixMetrics &m)
 {
     std::vector<TenantSweepRow> rows;
-    for (const tenant::TenantMetrics &tm : study.metrics.perTenant) {
+    for (const tenant::TenantMetrics &tm : m.perTenant) {
         TenantSweepRow r;
-        r.mix = mix_name;
+        r.mix = mix;
         r.preset = preset;
         r.policy = policy;
         r.tenant = tm.name;
@@ -38,47 +41,14 @@ cellRows(const std::string &mix_name, const std::string &preset,
         r.p95 = tm.p95;
         r.p99 = tm.p99;
         r.retiredTbs = tm.retiredTbs;
-        r.mixAntt = study.metrics.antt;
-        r.mixStp = study.metrics.stp;
-        r.mixJain = study.metrics.jain;
-        r.makespan = study.metrics.makespan;
+        r.mixAntt = m.antt;
+        r.mixStp = m.stp;
+        r.mixJain = m.jain;
+        r.makespan = m.makespan;
         rows.push_back(std::move(r));
     }
     return rows;
 }
-
-bool
-loadGroup(const std::string &path, const std::string &mix_name,
-          const std::string &preset, std::size_t tenants,
-          std::vector<TenantSweepRow> &out)
-{
-    ResultCache cache;
-    std::string payload;
-    if (!cache.loadFile(path, payload))
-        return false;
-    std::vector<TenantSweepRow> rows;
-    if (!decodeTenantSweepTsv(payload, rows))
-        return false;
-    // The group file must hold exactly this (mix, preset) under every
-    // policy with the expected tenant count; anything else (e.g. a mix
-    // definition that changed shape) regenerates.
-    if (rows.size() != kNumPolicies * tenants)
-        return false;
-    std::size_t ix = 0;
-    for (TbPolicy p : kPolicies) {
-        for (std::size_t t = 0; t < tenants; ++t, ++ix) {
-            const TenantSweepRow &r = rows[ix];
-            if (r.mix != mix_name || r.preset != preset ||
-                r.policy != p || r.tenantId != t) {
-                return false;
-            }
-        }
-    }
-    out = std::move(rows);
-    return true;
-}
-
-} // namespace
 
 std::string
 encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows)
@@ -126,15 +96,6 @@ decodeTenantSweepTsv(const std::string &tsv,
     return true;
 }
 
-std::string
-tenantSweepCachePath(const std::string &mix, const std::string &preset,
-                     std::uint64_t seed)
-{
-    return logFormat("%s/laperm_tenants_%s_%s_%llu.tsv",
-                     cacheRootDir().c_str(), mix.c_str(), preset.c_str(),
-                     static_cast<unsigned long long>(seed));
-}
-
 std::vector<TenantSweepRow>
 runTenantSweep(const std::vector<std::string> &mixes,
                const std::vector<std::string> &presets,
@@ -152,78 +113,64 @@ runTenantSweep(const std::vector<std::string> &mixes,
     {
         tenant::MixSpec mix;
         std::string preset;
-        std::string path;
-        std::vector<TenantSweepRow> rows; ///< filled from cache or run
-        bool cached = false;
     };
     std::vector<Group> groups;
     for (const std::string &mix_name : mixes) {
         const tenant::MixSpec mix = tenant::builtinMix(mix_name);
         for (const std::string &preset : presets) {
             presetConfig(preset); // fatal on unknown preset
-            Group g;
-            g.mix = mix;
-            g.preset = preset;
-            g.path = tenantSweepCachePath(mix_name, preset, seed);
-            groups.push_back(std::move(g));
-        }
-    }
-
-    for (Group &g : groups) {
-        if (use_cache && loadGroup(g.path, g.mix.name, g.preset,
-                                   g.mix.tenants.size(), g.rows)) {
-            g.cached = true;
+            groups.push_back({mix, preset});
         }
     }
 
     // One job per (group x policy) cell, each owning its device and
-    // workload instances and writing a preassigned slot — the output
-    // (and the cache TSVs) are byte-identical at any worker count.
+    // workload instances and writing a preassigned slot, so the output
+    // is byte-identical at any worker count.
     std::vector<std::vector<TenantSweepRow>> cells(groups.size() *
                                                    kNumPolicies);
+    std::optional<ResultCache> store;
+    if (use_cache)
+        store.emplace();
     {
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(jobs, cells.size())));
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            if (groups[gi].cached)
-                continue;
-            for (std::size_t pi = 0; pi < kNumPolicies; ++pi) {
-                const std::size_t slot = gi * kNumPolicies + pi;
-                pool.submit([&, gi, pi, slot] {
-                    const Group &g = groups[gi];
-                    GpuConfig cfg = presetConfig(g.preset);
-                    cfg.tickMode = paperConfig().tickMode;
-                    cfg.tbPolicy = kPolicies[pi];
-                    cfg.seed = seed;
-                    tenant::MixStudy study =
-                        tenant::runMixStudy(g.mix, cfg);
-                    cells[slot] = cellRows(g.mix.name, g.preset,
-                                           kPolicies[pi], study);
-                    laperm_inform(
-                        "mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
-                        g.mix.name.c_str(), g.preset.c_str(),
-                        toString(kPolicies[pi]), study.metrics.antt,
-                        study.metrics.stp, study.metrics.jain);
-                });
-            }
+        for (std::size_t slot = 0; slot < cells.size(); ++slot) {
+            pool.submit([&, slot] {
+                const Group &g = groups[slot / kNumPolicies];
+                GpuConfig cfg = presetConfig(g.preset);
+                cfg.tickMode = paperConfig().tickMode;
+                cfg.tbPolicy = kPolicies[slot % kNumPolicies];
+                cfg.seed = seed;
+                std::string key, payload;
+                if (store) {
+                    key = contentKey(mixCellCanonical(
+                        g.mix.name, g.preset, cfg.dynParModel,
+                        cfg.tbPolicy, seed, cfg));
+                    if (store->probe(key, payload) !=
+                            ResultCache::Tier::Miss &&
+                        decodeTenantSweepTsv(payload, cells[slot])) {
+                        return;
+                    }
+                }
+                const tenant::MixStudy study =
+                    tenant::runMixStudy(g.mix, cfg);
+                cells[slot] = tenantSweepRows(g.mix.name, g.preset,
+                                              cfg.tbPolicy, study.metrics);
+                if (store)
+                    store->store(key, encodeTenantSweepTsv(cells[slot]));
+                laperm_inform(
+                    "mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
+                    g.mix.name.c_str(), g.preset.c_str(),
+                    toString(cfg.tbPolicy), study.metrics.antt,
+                    study.metrics.stp, study.metrics.jain);
+            });
         }
         pool.wait();
     }
 
     std::vector<TenantSweepRow> out;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        Group &g = groups[gi];
-        if (!g.cached) {
-            for (std::size_t pi = 0; pi < kNumPolicies; ++pi) {
-                for (TenantSweepRow &r : cells[gi * kNumPolicies + pi])
-                    g.rows.push_back(std::move(r));
-            }
-            if (use_cache) {
-                ResultCache cache;
-                cache.storeFile(g.path, encodeTenantSweepTsv(g.rows));
-            }
-        }
-        for (TenantSweepRow &r : g.rows)
+    for (std::vector<TenantSweepRow> &rows : cells) {
+        for (TenantSweepRow &r : rows)
             out.push_back(std::move(r));
     }
     return out;

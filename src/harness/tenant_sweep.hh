@@ -3,10 +3,11 @@
  * Multi-tenant contention sweep: mix x hardware preset x TB policy,
  * one MixStudy (shared run + solo baselines, src/tenant/) per cell.
  * Like the single-app sweep (harness/experiment.hh) it executes cells
- * on a thread pool with preassigned result slots and caches per
- * (mix, preset, seed) TSVs under the shared fingerprint-gated cache,
- * so bench_multitenant and the EXPERIMENTS.md contention study share
- * one set of simulations.
+ * on a thread pool with preassigned result slots and keeps each cell
+ * as one record in the result store (harness/result_cache.hh): the
+ * same record a served `tenants` request reads and writes, so
+ * bench_multitenant, the EXPERIMENTS.md contention study and the
+ * daemon share one set of simulations.
  */
 
 #ifndef LAPERM_HARNESS_TENANT_SWEEP_HH
@@ -53,13 +54,14 @@ bool decodeTenantSweepTsv(const std::string &tsv,
                           std::vector<TenantSweepRow> &out);
 
 /**
- * Cache file for one (mix, preset, seed) cell group:
- * "$LAPERM_CACHE_DIR/laperm_tenants_<mix>_<preset>_<seed>.tsv". The
- * group holds all four TB policies for that mix/preset.
+ * The rows of one (mix, preset, policy) cell, one per tenant, from the
+ * cell's mix metrics: what laperm_sim --tenants-tsv writes, a served
+ * `tenants` request returns and the tenant sweep stores.
  */
-std::string tenantSweepCachePath(const std::string &mix,
-                                 const std::string &preset,
-                                 std::uint64_t seed);
+std::vector<TenantSweepRow> tenantSweepRows(const std::string &mix,
+                                            const std::string &preset,
+                                            TbPolicy policy,
+                                            const tenant::MixMetrics &m);
 
 /**
  * Run every builtin mix in @p mixes on every preset in @p presets under
@@ -68,8 +70,9 @@ std::string tenantSweepCachePath(const std::string &mix,
  * then policy in enum order, then tenant id — byte-identical at any
  * worker count and in both tick modes.
  *
- * @param use_cache per-(mix, preset) TSV cache, fingerprint-gated like
- *        the single-app sweep; disable with LAPERM_NO_CACHE=1.
+ * @param use_cache probe and store each (mix, preset, policy) cell as
+ *        one record, like the single-app sweep; disable with
+ *        LAPERM_NO_CACHE=1.
  * @param jobs worker threads; 0 selects LAPERM_JOBS, falling back to
  *        hardware_concurrency().
  */

@@ -126,11 +126,10 @@ SimService::run(const SimRequest &req)
     // Cache probe. Skipped for trace requests: a hit would return the
     // right stats but produce none of the requested artifacts.
     if (req.traceDir.empty()) {
-        const TieredResultCache::Tier tier =
-            cache_.probe(out.key, out.payload);
-        if (tier != TieredResultCache::Tier::Miss) {
+        const ResultCache::Tier tier = cache_.probe(out.key, out.payload);
+        if (tier != ResultCache::Tier::Miss) {
             cacheHits_.fetch_add(1, std::memory_order_relaxed);
-            if (tier == TieredResultCache::Tier::Memory)
+            if (tier == ResultCache::Tier::Memory)
                 cacheMemHits_.fetch_add(1, std::memory_order_relaxed);
             else
                 cacheSharedHits_.fetch_add(1,
@@ -221,28 +220,8 @@ SimService::execute(const SimRequest &req, const std::string &key,
             const tenant::MixSpec mix = tenant::builtinMix(req.tenants);
             const tenant::MixStudy study =
                 tenant::runMixStudy(mix, req.cfg);
-            std::vector<TenantSweepRow> rows;
-            for (const tenant::TenantMetrics &tm :
-                 study.metrics.perTenant) {
-                TenantSweepRow r;
-                r.mix = mix.name;
-                r.preset = req.presetName;
-                r.policy = req.cfg.tbPolicy;
-                r.tenant = tm.name;
-                r.tenantId = tm.tenant;
-                r.jobs = tm.jobs;
-                r.antt = tm.antt;
-                r.p50 = tm.p50;
-                r.p95 = tm.p95;
-                r.p99 = tm.p99;
-                r.retiredTbs = tm.retiredTbs;
-                r.mixAntt = study.metrics.antt;
-                r.mixStp = study.metrics.stp;
-                r.mixJain = study.metrics.jain;
-                r.makespan = study.metrics.makespan;
-                rows.push_back(std::move(r));
-            }
-            payload = encodeTenantSweepTsv(rows);
+            payload = encodeTenantSweepTsv(tenantSweepRows(
+                mix.name, req.presetName, req.cfg.tbPolicy, study.metrics));
         } else {
             auto w = createWorkload(req.workload);
             w->setup(req.scale, req.seed);

@@ -7,8 +7,8 @@
  *
  * Lifecycle of a request:
  *   1. validate — bad requests get an error, never a dead daemon;
- *   2. cache probe — fingerprint-gated ResultCache, byte-identical
- *      payload on a hit;
+ *   2. cache probe — the result store (harness/result_cache.hh) the
+ *      sweep harness shares, byte-identical payload on a hit;
  *   3. single-flight — an identical request already executing is
  *      joined, not re-run;
  *   4. admission — at most queueCapacity requests queued or running;
@@ -68,11 +68,12 @@ struct ServiceMetrics
     std::uint64_t cacheHits = 0;  ///< total = memory + shared tier
     std::uint64_t cacheMisses = 0; ///< executions triggered by a miss
     /**
-     * Tier breakdown of cacheHits (harness TieredResultCache): memory
-     * hits were stored or promoted by this process; shared hits came
-     * off the shared disk tier — i.e. another process (or a previous
-     * incarnation of this daemon) executed the simulation. Non-zero
-     * shared hits after a restart are the disk tier surviving it.
+     * Tier breakdown of cacheHits (harness ResultCache): memory hits
+     * were stored or promoted by this process; shared hits came off
+     * the shared disk tier — i.e. a sweep, another process or a
+     * previous incarnation of this daemon executed the simulation.
+     * Non-zero shared hits after a restart are the disk tier surviving
+     * it.
      */
     std::uint64_t cacheMemHits = 0;
     std::uint64_t cacheSharedHits = 0;
@@ -153,7 +154,7 @@ class SimService
                  std::uint64_t enqueuedUs);
 
     ServiceOptions opts_;
-    TieredResultCache cache_;
+    ResultCache cache_;
     std::unique_ptr<ThreadPool> pool_;
 
     mutable std::mutex mu_; ///< guards flights_ and pending_

@@ -301,24 +301,12 @@ SimRequest::validate(std::string &err) const
 std::string
 SimRequest::canonical() const
 {
-    // Run coordinates in fixed order, then the full canonical machine
-    // string — every machine field, not just the ones the legacy
-    // shortcuts could reach. Two requests meaning the same simulation
-    // canonicalize identically however the machine was spelled.
-    std::string out =
-        logFormat("w=%s m=%d p=%d sc=%d seed=%llu ", workload.c_str(),
-                  static_cast<int>(model), static_cast<int>(policy),
-                  static_cast<int>(scale),
-                  static_cast<unsigned long long>(seed)) +
-        canonicalMachine(cfg);
-    // Appended only for tenant requests so every pre-existing
-    // single-app key is unchanged. The preset label joins because the
-    // tenant TSV payload carries it as a column — two requests may
-    // only share a cache entry if their payloads are byte-identical.
+    // The same strings the sweep harness keys its cells by, so a sweep
+    // cell and the served request for it are one store entry.
     if (!tenants.empty())
-        out += logFormat(" tenants=%s tpreset=%s", tenants.c_str(),
-                         presetName.c_str());
-    return out;
+        return mixCellCanonical(tenants, presetName, model, policy, seed,
+                                cfg);
+    return appCellCanonical(workload, model, policy, scale, seed, cfg);
 }
 
 std::string

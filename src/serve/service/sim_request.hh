@@ -84,9 +84,10 @@ struct SimRequest
 
     /**
      * Deterministic canonical string covering every knob in the key:
-     * the run coordinates plus canonicalMachine(cfg), so any two
-     * spellings of the same machine (preset name, TOML, shortcuts)
-     * share one cache entry.
+     * appCellCanonical() for a single-app run, mixCellCanonical() for a
+     * tenants request (harness/result_cache.hh). Any two spellings of
+     * the same machine (preset name, TOML, shortcuts) share one cache
+     * entry, and so do a sweep cell and the request for it.
      */
     std::string canonical() const;
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Simulation-serving daemon (DESIGN.md §10, §15): listens on a Unix or
- * TCP endpoint, runs simulation requests on a thread pool behind a
- * tiered (memory + shared disk) fingerprint-gated result cache, and
- * answers with canonical result records. Pair with laperm_submit.
+ * TCP endpoint, runs simulation requests on a thread pool behind the
+ * result store the sweep harness shares (a memory tier over the
+ * fingerprint-gated disk tier), and answers with canonical result
+ * records. Pair with laperm_submit.
  *
  * Usage:
  *   laperm_served [options]

@@ -259,32 +259,13 @@ runTenants(const Options &opt)
                 static_cast<unsigned long long>(study.metrics.makespan));
 
     if (!opt.tenantsTsvPath.empty()) {
-        std::vector<TenantSweepRow> rows;
-        for (const tenant::TenantMetrics &tm : study.metrics.perTenant) {
-            TenantSweepRow r;
-            r.mix = mix.name;
-            r.preset = opt.preset;
-            r.policy = opt.cfg.tbPolicy;
-            r.tenant = tm.name;
-            r.tenantId = tm.tenant;
-            r.jobs = tm.jobs;
-            r.antt = tm.antt;
-            r.p50 = tm.p50;
-            r.p95 = tm.p95;
-            r.p99 = tm.p99;
-            r.retiredTbs = tm.retiredTbs;
-            r.mixAntt = study.metrics.antt;
-            r.mixStp = study.metrics.stp;
-            r.mixJain = study.metrics.jain;
-            r.makespan = study.metrics.makespan;
-            rows.push_back(std::move(r));
-        }
         std::FILE *f = std::fopen(opt.tenantsTsvPath.c_str(), "wb");
         if (!f) {
             laperm_warn("could not write tenants TSV '%s'",
                         opt.tenantsTsvPath.c_str());
         } else {
-            const std::string tsv = encodeTenantSweepTsv(rows);
+            const std::string tsv = encodeTenantSweepTsv(tenantSweepRows(
+                mix.name, opt.preset, opt.cfg.tbPolicy, study.metrics));
             std::fwrite(tsv.data(), 1, tsv.size(), f);
             std::fclose(f);
             std::fprintf(stderr, "tenant metrics: %s\n",

@@ -176,8 +176,7 @@ runBatch(Client &client, const std::string &path)
         }
         rows.push_back(rec.toRunResult());
     }
-    // Same serializer — and therefore the same bytes — as the sweep
-    // harness TSV cache.
+    // The legacy sweep-harness table, rendered from the records.
     std::fputs(encodeSweepTsv(rows).c_str(), stdout);
     return 0;
 }

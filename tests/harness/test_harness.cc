@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <iterator>
 
 #include "harness/experiment.hh"
 #include "harness/table.hh"
@@ -38,20 +40,23 @@ TEST(Harness, RunOneProducesMetrics)
 
 TEST(Harness, MatrixCacheRoundTrip)
 {
+    // A fresh store, so the first sweep simulates every cell.
+    const std::string dir = ::testing::TempDir() + "laperm_harness_store";
+    std::filesystem::remove_all(dir);
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
     setenv("LAPERM_NO_CACHE", "0", 1);
-    const std::string cache = sweepCachePath(Scale::Tiny, 99);
-    std::remove(cache.c_str());
     std::vector<std::string> names = {"bfs-cage"};
     auto first = runMatrix(names, Scale::Tiny, 99, true);
     ASSERT_EQ(first.size(), 8u); // 2 models x 4 policies
     auto second = runMatrix(names, Scale::Tiny, 99, true);
-    ASSERT_EQ(second.size(), 8u);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].workload, second[i].workload);
-        EXPECT_NEAR(first[i].ipc, second[i].ipc, 1e-3);
-        EXPECT_NEAR(first[i].cycles, second[i].cycles, 1.0);
-    }
-    std::remove(cache.c_str());
+    unsetenv("LAPERM_CACHE_DIR");
+    // One record per cell, and the reload is exact in every field.
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(
+                                dir + "/results"),
+                            std::filesystem::directory_iterator()),
+              8);
+    EXPECT_EQ(first, second);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Harness, FindResultAndMean)

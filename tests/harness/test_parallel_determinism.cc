@@ -2,14 +2,18 @@
  * @file
  * The parallel sweep executor's determinism contract: for a given
  * (names, scale, seed), runMatrix returns the identical RunResult
- * vector — every metric bit-exact, same ordering — and writes a
- * byte-identical TSV cache no matter how many worker threads ran it.
+ * vector — every metric bit-exact, same ordering — and stores
+ * byte-identical records no matter how many worker threads ran it. A
+ * reload from the store is exact and returns exactly the requested
+ * cells.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,12 +52,34 @@ expectIdentical(const std::vector<RunResult> &a,
 }
 
 std::string
-slurp(const std::string &path)
+slurp(const std::filesystem::path &path)
 {
     std::ifstream in(path, std::ios::binary);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** Point LAPERM_CACHE_DIR at a fresh, empty store; returns its path. */
+std::string
+useFreshStore(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + "laperm_sweep_" + name;
+    std::filesystem::remove_all(dir);
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    return dir;
+}
+
+/** Record file name -> bytes for every record in the store @p dir. */
+std::map<std::string, std::string>
+storeContents(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/results"))
+        out[e.path().filename().string()] = slurp(e.path());
+    return out;
 }
 
 } // namespace
@@ -83,34 +109,50 @@ TEST(ParallelSweep, CellOrderIsWorkloadModelPolicyMajor)
 
 TEST(ParallelSweep, TsvCacheByteIdenticalAcrossJobCounts)
 {
-    setenv("LAPERM_NO_CACHE", "0", 1);
-    const std::string path = sweepCachePath(Scale::Tiny, 7);
-    std::remove(path.c_str());
+    // Each job count gets its own fresh store: in a shared one the
+    // jobs=8 sweep would only read the jobs=1 records.
+    const std::string serialDir = useFreshStore("jobs1");
+    const auto serial = runMatrix(kNames, Scale::Tiny, 7, true, 1);
+    const std::string parallelDir = useFreshStore("jobs8");
+    const auto parallel = runMatrix(kNames, Scale::Tiny, 7, true, 8);
+    unsetenv("LAPERM_CACHE_DIR");
 
-    runMatrix(kNames, Scale::Tiny, 7, true, 1);
-    const std::string serialBytes = slurp(path);
-    ASSERT_FALSE(serialBytes.empty());
-    std::remove(path.c_str());
-
-    runMatrix(kNames, Scale::Tiny, 7, true, 8);
-    const std::string parallelBytes = slurp(path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(serialBytes, parallelBytes);
+    const auto serialStore = storeContents(serialDir);
+    EXPECT_EQ(serialStore.size(), serial.size()); // one record per cell
+    EXPECT_EQ(serialStore, storeContents(parallelDir));
+    EXPECT_EQ(encodeSweepTsv(serial), encodeSweepTsv(parallel));
 }
 
 TEST(ParallelSweep, CacheReloadMatchesFreshRun)
 {
-    setenv("LAPERM_NO_CACHE", "0", 1);
-    const std::string path = sweepCachePath(Scale::Tiny, 11);
-    std::remove(path.c_str());
+    useFreshStore("reload");
     auto fresh = runMatrix({"bfs-cage"}, Scale::Tiny, 11, true, 4);
     auto cached = runMatrix({"bfs-cage"}, Scale::Tiny, 11, true, 4);
-    std::remove(path.c_str());
-    ASSERT_EQ(fresh.size(), cached.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ(fresh[i].workload, cached[i].workload);
-        EXPECT_NEAR(fresh[i].ipc, cached[i].ipc, 1e-3);
-        EXPECT_NEAR(fresh[i].cycles, cached[i].cycles, 1.0);
-    }
+    unsetenv("LAPERM_CACHE_DIR");
+    ASSERT_EQ(fresh.size(), 8u);
+    expectIdentical(fresh, cached);
+}
+
+TEST(ParallelSweep, StoredSweepReturnsExactlyTheRequestedCells)
+{
+    useFreshStore("requested");
+    const auto both = runMatrix(kNames, Scale::Tiny, 13, true, 4);
+    ASSERT_EQ(both.size(), 16u);
+
+    // A subset of a stored sweep is exactly that subset, bit-equal to
+    // a fresh run...
+    const auto join = runMatrix({"join-uniform"}, Scale::Tiny, 13, true, 4);
+    ASSERT_EQ(join.size(), 8u);
+    for (const RunResult &r : join)
+        EXPECT_EQ(r.workload, "join-uniform");
+    expectIdentical(join,
+                    runMatrix({"join-uniform"}, Scale::Tiny, 13, false, 4));
+
+    // ...and a reordered request comes back in argument order.
+    const auto swapped =
+        runMatrix({"join-uniform", "bfs-cage"}, Scale::Tiny, 13, true, 4);
+    unsetenv("LAPERM_CACHE_DIR");
+    std::vector<RunResult> expected(both.begin() + 8, both.end());
+    expected.insert(expected.end(), both.begin(), both.begin() + 8);
+    expectIdentical(swapped, expected);
 }

@@ -128,9 +128,9 @@ TEST(ResultCacheTest, StoreLoadByContentKey)
     const std::string payload = sampleRecord().encode();
 
     std::string out;
-    EXPECT_FALSE(cache.load(key, out)); // miss before store
+    EXPECT_EQ(cache.probe(key, out), ResultCache::Tier::Miss);
     ASSERT_TRUE(cache.store(key, payload));
-    ASSERT_TRUE(cache.load(key, out));
+    ASSERT_NE(cache.probe(key, out), ResultCache::Tier::Miss);
     EXPECT_EQ(out, payload);
 }
 
@@ -146,29 +146,13 @@ TEST(ResultCacheTest, FingerprintMismatchIsAMiss)
     // Same directory, different simulator build: must self-invalidate.
     ResultCache reader(dir, "fp-new");
     std::string out;
-    EXPECT_FALSE(reader.load(key, out));
+    EXPECT_EQ(reader.probe(key, out), ResultCache::Tier::Miss);
 
-    // The original build still hits.
+    // The original build still hits, off disk too.
     std::string again;
-    ASSERT_TRUE(writer.load(key, again));
+    ResultCache sameBuild(dir, "fp-old");
+    ASSERT_EQ(sameBuild.probe(key, again), ResultCache::Tier::Shared);
     EXPECT_EQ(again, payload);
-}
-
-TEST(ResultCacheTest, FileStoreLoadValidatesFingerprint)
-{
-    const std::string dir = tempDir("file");
-    const std::string path = dir + "/sweep.tsv";
-
-    ResultCache writer(dir, "fp-a");
-    ASSERT_TRUE(writer.storeFile(path, "payload line\n"));
-
-    std::string out;
-    ASSERT_TRUE(writer.loadFile(path, out));
-    EXPECT_EQ(out, "payload line\n");
-
-    ResultCache other(dir, "fp-b");
-    EXPECT_FALSE(other.loadFile(path, out));
-    EXPECT_FALSE(writer.loadFile(dir + "/missing.tsv", out));
 }
 
 TEST(ResultCacheTest, SweepTsvRoundTrip)
@@ -192,61 +176,14 @@ TEST(ResultCacheTest, SweepTsvRoundTrip)
     rows[1].policy = TbPolicy::AdaptiveBind;
     rows[1].ipc = 0.87654321987654321;
 
-    const std::string tsv = encodeSweepTsv(rows);
-    std::vector<RunResult> back;
-    ASSERT_TRUE(decodeSweepTsv(tsv, back));
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(back[i].workload, rows[i].workload);
-        EXPECT_EQ(back[i].model, rows[i].model);
-        EXPECT_EQ(back[i].policy, rows[i].policy);
-        // Legacy ostream-default formatting (6 significant digits):
-        // values survive to that precision, the bytes exactly.
-        EXPECT_NEAR(back[i].ipc, rows[i].ipc, 1e-6);
-        EXPECT_EQ(back[i].cycles, rows[i].cycles);
-        EXPECT_EQ(back[i].kduFullStalls, rows[i].kduFullStalls);
-    }
-    // Re-encoding the decoded rows reproduces the bytes.
-    EXPECT_EQ(encodeSweepTsv(back), tsv);
-
-    std::vector<RunResult> bad;
-    EXPECT_FALSE(decodeSweepTsv("not a sweep\n", bad));
-}
-
-TEST(ResultCacheTest, SweepTsvExtendsOnlyForNonDefaultPresets)
-{
-    std::vector<RunResult> rows(2);
-    rows[0].workload = std::string("bfs-cage");
-    rows[0].model = DynParModel::CDP;
-    rows[0].policy = TbPolicy::RR;
-    rows[0].ipc = 0.5;
-    rows[0].cycles = 1e6;
-    rows[1] = rows[0];
-    rows[1].workload = std::string("bfs-citation");
-
-    // All-k20c matrices keep the legacy bytes: no preset column.
-    const std::string legacy = encodeSweepTsv(rows);
-    EXPECT_EQ(legacy.find("# preset"), std::string::npos);
-
-    // One non-default preset switches the whole file to the extended
-    // format, and the round trip preserves both bytes and presets.
-    rows[1].preset = "v100";
-    const std::string extended = encodeSweepTsv(rows);
-    EXPECT_EQ(extended.rfind("# preset ", 0), 0u);
-    std::vector<RunResult> back;
-    ASSERT_TRUE(decodeSweepTsv(extended, back));
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].preset, "k20c");
-    EXPECT_EQ(back[1].preset, "v100");
-    EXPECT_EQ(back[1].workload, "bfs-citation");
-    EXPECT_EQ(encodeSweepTsv(back), extended);
-
-    // Legacy files still decode, defaulting every row to k20c.
-    std::vector<RunResult> legacyBack;
-    ASSERT_TRUE(decodeSweepTsv(legacy, legacyBack));
-    ASSERT_EQ(legacyBack.size(), 2u);
-    EXPECT_EQ(legacyBack[0].preset, "k20c");
-    EXPECT_EQ(encodeSweepTsv(legacyBack), legacy);
+    // The laperm_submit --batch table: legacy header, ostream default
+    // float formatting (6 significant digits), one row per cell.
+    EXPECT_EQ(encodeSweepTsv(rows),
+              "# workload model policy ipc l1 l2 cycles util imbalance "
+              "bound overflows kduStalls\n"
+              "bfs-cage 0 0 0.333333 0.5 0.25 1e+06 0.75 0.125 0.5 2 3\n"
+              "bfs-citation 1 3 0.876543 0.5 0.25 1e+06 0.75 0.125 0.5 "
+              "2 3\n");
 }
 
 TEST(ResultCacheTest, EnvOverridesFingerprintAndDir)
@@ -263,61 +200,56 @@ TEST(ResultCacheTest, EnvOverridesFingerprintAndDir)
     EXPECT_EQ(cacheRootDir(), "cache");
 }
 
-// ------------------------------------------------------------- tiered
+// -------------------------------------------------------- memory tier
 
-TEST(TieredResultCacheTest, ProbeDistinguishesMemoryAndSharedTiers)
+TEST(ResultCacheTest, ProbeDistinguishesMemoryAndSharedTiers)
 {
     const std::string dir = tempDir("tiered_probe");
-    TieredResultCache cache(dir, "fp-tier");
+    ResultCache cache(dir, "fp-tier");
 
     std::string payload;
-    EXPECT_EQ(cache.probe("k1", payload), TieredResultCache::Tier::Miss);
+    EXPECT_EQ(cache.probe("k1", payload), ResultCache::Tier::Miss);
 
     // A store in THIS process lands in both tiers: hits are Memory.
     ASSERT_TRUE(cache.store("k1", "bytes-1"));
-    EXPECT_EQ(cache.probe("k1", payload),
-              TieredResultCache::Tier::Memory);
+    EXPECT_EQ(cache.probe("k1", payload), ResultCache::Tier::Memory);
     EXPECT_EQ(payload, "bytes-1");
     EXPECT_EQ(cache.memorySize(), 1u);
 
     // A second cache on the same directory simulates another worker:
-    // its first probe comes off disk (Shared) and promotes to L1...
-    TieredResultCache other(dir, "fp-tier");
+    // its first probe comes off disk (Shared) and promotes to memory...
+    ResultCache other(dir, "fp-tier");
     payload.clear();
-    EXPECT_EQ(other.probe("k1", payload),
-              TieredResultCache::Tier::Shared);
+    EXPECT_EQ(other.probe("k1", payload), ResultCache::Tier::Shared);
     EXPECT_EQ(payload, "bytes-1");
     // ...so the SECOND probe is a Memory hit.
-    EXPECT_EQ(other.probe("k1", payload),
-              TieredResultCache::Tier::Memory);
+    EXPECT_EQ(other.probe("k1", payload), ResultCache::Tier::Memory);
 }
 
-TEST(TieredResultCacheTest, DropMemoryExposesTheSharedTier)
+TEST(ResultCacheTest, DropMemoryExposesTheSharedTier)
 {
-    TieredResultCache cache(tempDir("tiered_drop"), "fp-tier");
+    ResultCache cache(tempDir("tiered_drop"), "fp-tier");
     ASSERT_TRUE(cache.store("k1", "payload"));
     ASSERT_EQ(cache.memorySize(), 1u);
 
-    // dropMemory models a worker restart: L1 gone, shared tier intact.
+    // dropMemory models a worker restart: memory gone, disk intact.
     cache.dropMemory();
     EXPECT_EQ(cache.memorySize(), 0u);
     std::string payload;
-    EXPECT_EQ(cache.probe("k1", payload),
-              TieredResultCache::Tier::Shared);
+    EXPECT_EQ(cache.probe("k1", payload), ResultCache::Tier::Shared);
     EXPECT_EQ(payload, "payload");
 }
 
-TEST(TieredResultCacheTest, FingerprintGatesTheSharedTierOnly)
+TEST(ResultCacheTest, FingerprintGatesTheSharedTierOnly)
 {
     const std::string dir = tempDir("tiered_fp");
     {
-        TieredResultCache oldBuild(dir, "fp-old");
+        ResultCache oldBuild(dir, "fp-old");
         ASSERT_TRUE(oldBuild.store("k1", "old-bytes"));
     }
     // A new build's probe must MISS the stale disk entry, not serve it
     // as a Shared hit.
-    TieredResultCache newBuild(dir, "fp-new");
+    ResultCache newBuild(dir, "fp-new");
     std::string payload;
-    EXPECT_EQ(newBuild.probe("k1", payload),
-              TieredResultCache::Tier::Miss);
+    EXPECT_EQ(newBuild.probe("k1", payload), ResultCache::Tier::Miss);
 }

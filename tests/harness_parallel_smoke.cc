@@ -6,13 +6,18 @@
  * object is TSan-instrumented, keeping the race report clean.
  *
  * Exercises: parallel workload setup, concurrent cells sharing one
- * workload, logging from workers, and pool exception propagation.
+ * workload, logging from workers, pool exception propagation, and the
+ * result store written and read from pool threads.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "harness/experiment.hh"
@@ -51,17 +56,25 @@ main()
     const std::vector<std::string> names = {"bfs-cage", "join-uniform"};
     auto serial = runMatrix(names, Scale::Tiny, 3, false, 1);
     auto parallel = runMatrix(names, Scale::Tiny, 3, false, 8);
-    if (serial.size() != parallel.size()) {
-        std::fprintf(stderr, "FAIL: sweep size mismatch\n");
+    if (serial != parallel) {
+        std::fprintf(stderr, "FAIL: parallel sweep diverged\n");
         return 1;
     }
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (serial[i].cycles != parallel[i].cycles ||
-            serial[i].ipc != parallel[i].ipc ||
-            serial[i].workload != parallel[i].workload) {
-            std::fprintf(stderr, "FAIL: cell %zu diverged\n", i);
-            return 1;
-        }
+
+    // One cached sweep twice on a fresh store: the first stores every
+    // cell from the pool, the second probes them from the pool.
+    const std::filesystem::path store =
+        std::filesystem::temp_directory_path() /
+        ("laperm_parallel_smoke_store." + std::to_string(::getpid()));
+    std::filesystem::remove_all(store);
+    setenv("LAPERM_CACHE_DIR", store.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    auto stored = runMatrix(names, Scale::Tiny, 3, true, 8);
+    auto reloaded = runMatrix(names, Scale::Tiny, 3, true, 8);
+    std::filesystem::remove_all(store);
+    if (stored != serial || reloaded != serial) {
+        std::fprintf(stderr, "FAIL: stored sweep diverged\n");
+        return 1;
     }
     std::printf("harness_parallel_smoke: ok (%zu cells)\n",
                 serial.size());

@@ -4,8 +4,8 @@
  * event-driven loop must be an *observably invisible* optimization of
  * the dense reference loop. Every artifact — the canonical result
  * record behind the CSV report, the observability trace files, and the
- * sweep TSV cache — must be byte-identical between --tick-mode dense
- * and event, at any worker count.
+ * sweep's stored records — must be byte-identical between --tick-mode
+ * dense and event, at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -148,8 +148,11 @@ TEST(TickModeDifferential, SweepTsvMatchesAcrossModesAndJobCounts)
     const std::vector<std::string> names = {"bfs-citation"};
     const std::uint64_t seed = 3;
     std::vector<std::string> tsvs;
+    std::vector<std::map<std::string, std::string>> stores;
     for (const char *mode : {"dense", "event"}) {
         for (unsigned jobs : {1u, 8u}) {
+            // A fresh store per variant: in a shared one every variant
+            // after the first would only read the first one's records.
             const std::string cacheDir = freshDir(
                 std::string("sweep_") + mode + "_" + std::to_string(jobs));
             ScopedEnv cache("LAPERM_CACHE_DIR", cacheDir.c_str());
@@ -158,11 +161,15 @@ TEST(TickModeDifferential, SweepTsvMatchesAcrossModesAndJobCounts)
             const auto results =
                 runMatrix(names, Scale::Tiny, seed, true, jobs);
             EXPECT_FALSE(results.empty());
-            tsvs.push_back(slurp(sweepCachePath(Scale::Tiny, seed)));
+            tsvs.push_back(encodeSweepTsv(results));
+            stores.push_back(dirContents(cacheDir + "/results"));
         }
     }
     ASSERT_EQ(tsvs.size(), 4u);
-    for (std::size_t i = 1; i < tsvs.size(); ++i)
+    for (std::size_t i = 1; i < tsvs.size(); ++i) {
         EXPECT_EQ(tsvs[0], tsvs[i]) << "variant " << i;
+        EXPECT_EQ(stores[0], stores[i]) << "variant " << i;
+    }
     EXPECT_FALSE(tsvs[0].empty());
+    EXPECT_EQ(stores[0].size(), 8u); // one record per cell
 }

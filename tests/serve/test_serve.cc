@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -346,6 +347,28 @@ TEST(ServeRequest, TenantsValidationRejectsUnknownMixAndTraceDir)
     EXPECT_NE(err.find("trace_dir"), std::string::npos) << err;
 }
 
+TEST(ServeRequest, TenantKeyIgnoresWorkloadAndScale)
+{
+    // A mix names its own workloads and scales, so tenant requests
+    // that differ only there are one simulation and one store entry.
+    JsonObject obj;
+    std::string err;
+    SimRequest plain, otherWorkload, otherScale;
+    ASSERT_TRUE(parseJsonObject(R"({"op":"run","tenants":"duo"})", obj,
+                                err));
+    ASSERT_TRUE(SimRequest::fromJson(obj, plain, err)) << err;
+    ASSERT_TRUE(parseJsonObject(
+        R"({"op":"run","tenants":"duo","workload":"join-uniform"})", obj,
+        err));
+    ASSERT_TRUE(SimRequest::fromJson(obj, otherWorkload, err)) << err;
+    ASSERT_TRUE(parseJsonObject(
+        R"({"op":"run","tenants":"duo","scale":"tiny"})", obj, err));
+    ASSERT_TRUE(SimRequest::fromJson(obj, otherScale, err)) << err;
+
+    EXPECT_EQ(plain.key(), otherWorkload.key());
+    EXPECT_EQ(plain.key(), otherScale.key());
+}
+
 // ---------------------------------------------------------------- service
 
 TEST(ServeService, ColdCachedAndDirectResultsAreByteIdentical)
@@ -462,6 +485,64 @@ TEST(ServeService, CacheHitMetricsDistinguishMemoryAndSharedTiers)
         EXPECT_EQ(m.cacheSharedHits, 2u);
         EXPECT_EQ(m.cacheMemHits, 1u);
     }
+}
+
+TEST(ServeService, SweepCellIsASharedHitForTheMatchingRequest)
+{
+    // The sweep and the daemon share one store: a cell the sweep
+    // simulated is the served request's entry.
+    const std::string dir = tempDir("sweep_cell");
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    ASSERT_EQ(runMatrix({"bfs-cage"}, Scale::Tiny, 3).size(), 8u);
+    unsetenv("LAPERM_CACHE_DIR");
+
+    ServiceOptions opts = testServiceOptions(dir);
+    opts.fingerprint.clear(); // the sweep stored under the real one
+    SimService svc(opts);
+    const SimRequest req = tinyRequest(3);
+    const RunOutcome hit = svc.run(req);
+    ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
+    EXPECT_TRUE(hit.cached);
+    EXPECT_EQ(hit.payload, directPayload(req));
+    const ServiceMetrics m = svc.metrics();
+    EXPECT_EQ(m.executed, 0u);
+    EXPECT_EQ(m.cacheSharedHits, 1u);
+}
+
+TEST(ServeService, TenantSweepCellIsASharedHitForTheMatchingRequest)
+{
+    const std::string dir = tempDir("tenant_cell");
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    const std::vector<TenantSweepRow> swept =
+        runTenantSweep({"duo"}, {"k20c"}, 1);
+    unsetenv("LAPERM_CACHE_DIR");
+    std::vector<TenantSweepRow> rr;
+    for (const TenantSweepRow &r : swept) {
+        if (r.policy == TbPolicy::RR)
+            rr.push_back(r);
+    }
+    ASSERT_FALSE(rr.empty());
+
+    JsonObject obj;
+    std::string err;
+    ASSERT_TRUE(parseJsonObject(
+        R"({"op":"run","tenants":"duo","policy":"rr","seed":1})", obj,
+        err));
+    SimRequest req;
+    ASSERT_TRUE(SimRequest::fromJson(obj, req, err)) << err;
+
+    ServiceOptions opts = testServiceOptions(dir);
+    opts.fingerprint.clear(); // the sweep stored under the real one
+    SimService svc(opts);
+    const RunOutcome hit = svc.run(req);
+    ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
+    EXPECT_TRUE(hit.cached);
+    EXPECT_EQ(hit.payload, encodeTenantSweepTsv(rr));
+    const ServiceMetrics m = svc.metrics();
+    EXPECT_EQ(m.executed, 0u);
+    EXPECT_EQ(m.cacheSharedHits, 1u);
 }
 
 TEST(ServeService, IdenticalInFlightRequestsAreSingleFlighted)
