@@ -7,6 +7,7 @@
 #ifndef LAPERM_COMMON_RNG_HH
 #define LAPERM_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace laperm {
@@ -24,13 +25,32 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @p bound must be > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t nextBounded(std::uint64_t bound)
+    {
+        // Lemire's nearly-divisionless bounded generation.
+        const __uint128_t m = static_cast<__uint128_t>(next()) * bound;
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Standard normal via Box-Muller. */
     double nextGaussian();

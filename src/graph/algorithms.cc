@@ -83,51 +83,54 @@ jpColoring(const Csr &csr, std::uint64_t seed, std::uint32_t max_rounds)
     for (std::uint32_t v = 0; v < n; ++v)
         prio[v] = (rng.next() << 20) | v;
 
-    std::uint32_t uncolored = n;
-    while (uncolored > 0 && res.rounds.size() < max_rounds) {
-        std::vector<std::uint32_t> this_round;
-        for (std::uint32_t v = 0; v < n; ++v) {
-            if (res.color[v] != kUnreached)
-                continue;
-            bool local_max = true;
-            for (std::uint32_t u : csr.neighbors(v)) {
-                if (res.color[u] == kUnreached && prio[u] > prio[v]) {
-                    local_max = false;
-                    break;
-                }
-            }
-            if (local_max)
-                this_round.push_back(v);
+    // A vertex joins the round after its last higher-priority neighbour
+    // is colored: blockers[v] counts those still uncolored. That is the
+    // round a scan for uncolored local maxima would find it in.
+    std::vector<std::uint32_t> blockers(n, 0);
+    std::vector<std::uint32_t> round;
+    for (std::uint32_t v = 0; v < n; ++v) {
+        for (std::uint32_t u : csr.neighbors(v)) {
+            if (prio[u] > prio[v])
+                ++blockers[v];
         }
-        if (this_round.empty()) {
-            // Remaining vertices (possible only when max_rounds was hit
-            // by a pathological priority tie) get sequential colors.
-            break;
-        }
-        for (std::uint32_t v : this_round) {
-            // Smallest color unused by colored neighbors.
-            std::vector<std::uint32_t> used;
-            for (std::uint32_t u : csr.neighbors(v)) {
-                if (res.color[u] != kUnreached)
-                    used.push_back(res.color[u]);
-            }
-            std::sort(used.begin(), used.end());
-            std::uint32_t c = 0;
-            for (std::uint32_t uc : used) {
-                if (uc == c)
-                    ++c;
-                else if (uc > c)
-                    break;
-            }
-            res.color[v] = c;
-        }
-        uncolored -= static_cast<std::uint32_t>(this_round.size());
-        res.rounds.push_back(std::move(this_round));
+        if (blockers[v] == 0)
+            round.push_back(v);
     }
-    // Color any leftovers greedily (never triggers in practice).
+
+    // Smallest color no colored neighbour holds. A vertex's color never
+    // exceeds its degree, so markers up to the max degree suffice;
+    // stamping them with the vertex id saves clearing them.
+    std::vector<std::uint32_t> marker(csr.maxDegree() + 1, kUnreached);
+    auto smallestFreeColor = [&](std::uint32_t v) {
+        for (std::uint32_t u : csr.neighbors(v)) {
+            if (res.color[u] != kUnreached)
+                marker[res.color[u]] = v;
+        }
+        std::uint32_t c = 0;
+        while (marker[c] == v)
+            ++c;
+        return c;
+    };
+
+    while (!round.empty() && res.rounds.size() < max_rounds) {
+        // A round is an independent set, so its colors are
+        // independent of the order they are picked in.
+        std::vector<std::uint32_t> next;
+        for (std::uint32_t v : round) {
+            res.color[v] = smallestFreeColor(v);
+            for (std::uint32_t u : csr.neighbors(v)) {
+                if (prio[u] < prio[v] && --blockers[u] == 0)
+                    next.push_back(u);
+            }
+        }
+        std::sort(next.begin(), next.end());
+        res.rounds.push_back(std::move(round));
+        round = std::move(next);
+    }
+    // Vertices the round cap left uncolored, in vertex order.
     for (std::uint32_t v = 0; v < n; ++v) {
         if (res.color[v] == kUnreached)
-            res.color[v] = csr.degree(v) + 1;
+            res.color[v] = smallestFreeColor(v);
     }
     return res;
 }

@@ -46,6 +46,19 @@ struct ColoringResult
     std::vector<std::vector<std::uint32_t>> rounds;  ///< colored per round
 };
 
+/**
+ * Jones-Plassmann coloring under seeded random priorities. Round r
+ * holds, in ascending id order, the uncolored vertices whose every
+ * higher-priority neighbour was colored in an earlier round; each
+ * takes the smallest color no colored neighbour holds. Vertices still
+ * uncolored after @p max_rounds rounds appear in no round and are
+ * colored by the same rule in vertex order, so the coloring is valid
+ * either way. O(n + m + n log n) for n vertices and m edges.
+ *
+ * @pre @p csr is symmetric (every generator builds one): a vertex
+ *      waits for the higher-priority vertices it lists and is released
+ *      by the ones that list it, which agree only in a symmetric graph.
+ */
 ColoringResult jpColoring(const Csr &csr, std::uint64_t seed,
                           std::uint32_t max_rounds = 128);
 

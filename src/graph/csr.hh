@@ -22,7 +22,10 @@ class Csr
     Csr() = default;
 
     /**
-     * Build from an edge list; duplicates and self-loops are removed.
+     * Build from an edge list; duplicates and self-loops are removed,
+     * and every adjacency list is sorted ascending. A counting sort by
+     * source, then a sort of each list: O(n + m + sum of d log d) for
+     * n vertices, m edges and per-vertex list lengths d.
      * @param symmetric also insert the reverse of every edge.
      */
     static Csr fromEdges(std::uint32_t num_vertices,

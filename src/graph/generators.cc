@@ -50,20 +50,17 @@ genRmat(std::uint32_t scale_log2, std::uint32_t avg_degree,
     edges.reserve(m);
 
     const double a = 0.57, b = 0.19, c = 0.19; // Graph500 parameters
+    const double ab = a + b, abc = a + b + c;
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint32_t u = 0, v = 0;
         for (std::uint32_t bit = 0; bit < scale_log2; ++bit) {
-            double p = rng.nextDouble();
-            if (p < a) {
-                // top-left: nothing set
-            } else if (p < a + b) {
-                v |= 1u << bit;
-            } else if (p < a + b + c) {
-                u |= 1u << bit;
-            } else {
-                u |= 1u << bit;
-                v |= 1u << bit;
-            }
+            // Quadrant by p: [0,a) neither bit, [a,ab) v's, [ab,abc)
+            // u's, [abc,1) both. The thresholds ascend, so v's bit is
+            // the parity of the thresholds p reaches.
+            const double p = rng.nextDouble();
+            const bool pa = p >= a, pab = p >= ab, pabc = p >= abc;
+            u |= static_cast<std::uint32_t>(pab) << bit;
+            v |= static_cast<std::uint32_t>(pa ^ pab ^ pabc) << bit;
         }
         edges.emplace_back(u, v);
     }
