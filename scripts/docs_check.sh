@@ -116,12 +116,18 @@ done
 
 # --- Reverse: documented CLI flags exist --------------------------------
 # Every fenced code block is classified by which laperm CLI binaries it
-# mentions; each `--flag` in the block must be a string literal in at
-# least one of those binaries' sources.
-sim_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_sim.cc |
-    tr -d '"' | sort -u)
-submit_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_submit.cc |
-    tr -d '"' | sort -u)
+# mentions; each `--flag` in the block must be a flag of at least one of
+# those binaries: a string literal in its source, or, for laperm_sim and
+# laperm_submit, a row of the shared run-field table (one `{"key",` row
+# per field in src/harness/run_spec.cc; the flag is the key with
+# '_' -> '-').
+run_flags=$(grep -oE '^\s*\{"[a-z0-9_]+",' src/harness/run_spec.cc |
+    grep -oE '[a-z0-9_]+' | tr '_' '-' | sed 's/^/--/' | sort -u)
+[ -n "$run_flags" ] || err "could not extract run flags from run_spec.cc"
+sim_flags=$( (grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_sim.cc |
+    tr -d '"'; echo "$run_flags") | sort -u)
+submit_flags=$( (grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_submit.cc |
+    tr -d '"'; echo "$run_flags") | sort -u)
 served_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_served.cc |
     tr -d '"' | sort -u)
 lint_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/sim_lint_main.cc |

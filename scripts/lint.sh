@@ -4,9 +4,8 @@
 # .clang-tidy. Exits nonzero on any finding.
 #
 # sim-lint runs all four passes (token, layering, cycle-safety,
-# event-discipline) with per-pass timing, fails fast before the tidy
-# stage, and leaves a SARIF artifact at $BUILD_DIR/sim_lint.sarif for
-# CI annotation upload.
+# event-discipline) with per-pass timing and fails fast before the
+# tidy stage.
 #
 # clang-tidy is optional: images without LLVM (like the default build
 # container, which ships only gcc) skip that stage with a notice; the
@@ -22,9 +21,8 @@ if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
 cmake --build "$BUILD_DIR" --target sim_lint -j"$JOBS" >/dev/null
-"$BUILD_DIR"/src/sim_lint --root . --timings \
-    --sarif "$BUILD_DIR/sim_lint.sarif"
-echo "lint.sh: sim-lint clean (SARIF: $BUILD_DIR/sim_lint.sarif)"
+"$BUILD_DIR"/src/sim_lint --root . --timings
+echo "lint.sh: sim-lint clean"
 
 # --- Stage 2: clang-tidy ----------------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -7,15 +7,19 @@
 #   3. submit the same simulation directly (laperm_sim --csv), cold
 #      through the daemon, and again cached — all three must be
 #      byte-identical
-#   4. batch submission prints the sweep-format TSV
-#   5. --stats returns the metrics snapshot
-#   6. kill -9 the daemon and restart it on the same --cache-dir: the
+#   4. one grammar: the same run flags on both CLIs (a cut-down V100
+#      with the TB-aware warp scheduler) give byte-identical CSV, and a
+#      machine the simulator cannot build (--l1-kb 0) is a structured
+#      error that leaves the daemon answering
+#   5. batch submission prints the sweep-format TSV
+#   6. --stats returns the metrics snapshot
+#   7. kill -9 the daemon and restart it on the same --cache-dir: the
 #      replayed cold request must come back byte-identical off the
 #      shared disk tier (executed 0, cache_shared_hits >= 1)
-#   7. protocol shutdown; the daemon must exit cleanly and remove its
+#   8. protocol shutdown; the daemon must exit cleanly and remove its
 #      socket
 #
-# Step 6 is the tier distinction only a process restart can exercise:
+# Step 7 is the tier distinction only a process restart can exercise:
 # a live daemon answers repeats from memory (cache_mem_hits), so the
 # shared-tier counter stays zero until a process that did NOT execute
 # the run serves its bytes off disk.
@@ -80,6 +84,30 @@ req=(--workload bfs-cage --scale tiny --seed 1)
 cmp "$WORK/direct.csv" "$WORK/cold.csv"
 cmp "$WORK/direct.csv" "$WORK/cached.csv"
 echo "serve_smoke: direct/cold/cached outputs byte-identical"
+
+# One run-flag grammar: laperm_sim and laperm_submit parse these flags
+# with the same table, so they name the same simulation.
+machine=(--preset v100 --smx 40 --warp-sched tbaware --policy adaptive
+    --model cdp --scale tiny --seed 3)
+"$SIM" "${machine[@]}" --csv >"$WORK/machine_direct.csv"
+"$SUBMIT" --connect "$EP" "${machine[@]}" >"$WORK/machine_served.csv"
+cmp "$WORK/machine_direct.csv" "$WORK/machine_served.csv"
+echo "serve_smoke: same run flags, byte-identical on both CLIs"
+
+# A machine the simulator cannot build is a structured error, and the
+# daemon keeps answering.
+if "$SUBMIT" --connect "$EP" --workload bfs-cage --scale tiny --l1-kb 0 \
+    >"$WORK/zero_l1.out" 2>"$WORK/zero_l1.err"; then
+    echo "serve_smoke: --l1-kb 0 was accepted" >&2
+    exit 1
+fi
+if ! grep -q 'status=error' "$WORK/zero_l1.err"; then
+    echo "serve_smoke: --l1-kb 0 got no structured error:" >&2
+    cat "$WORK/zero_l1.err" "$WORK/daemon.log" >&2
+    exit 1
+fi
+"$SUBMIT" --connect "$EP" --ping >/dev/null
+echo "serve_smoke: --l1-kb 0 is a structured error; the daemon still answers"
 
 # Batch submission prints the sweep-harness TSV format.
 printf '%s\n' \

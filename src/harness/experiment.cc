@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 
@@ -36,12 +35,9 @@ paperConfig()
     // time-advance strategy for every harness run (used by the
     // differential determinism gate; results are byte-identical).
     if (const char *tm = std::getenv("LAPERM_TICK_MODE")) {
-        if (!std::strcmp(tm, "dense"))
-            cfg.tickMode = TickMode::Dense;
-        else if (!std::strcmp(tm, "event"))
-            cfg.tickMode = TickMode::Event;
-        else if (*tm)
-            laperm_fatal("bad LAPERM_TICK_MODE '%s'", tm);
+        if (*tm && !parseWireName(tm, cfg.tickMode))
+            laperm_fatal("bad LAPERM_TICK_MODE '%s' (want %s)", tm,
+                         wireNameList<TickMode>().c_str());
     }
     return cfg;
 }

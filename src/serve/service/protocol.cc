@@ -1,7 +1,8 @@
 #include "serve/service/protocol.hh"
 
 #include <cctype>
-#include <cstdlib>
+
+#include "common/parse_uint.hh"
 
 namespace laperm {
 namespace serve {
@@ -251,17 +252,7 @@ getU64(const JsonObject &obj, const std::string &key, std::uint64_t &out)
     auto it = obj.find(key);
     if (it == obj.end() || it->second.type != JsonValue::Type::Number)
         return false;
-    const std::string &raw = it->second.str;
-    if (raw.empty() || raw[0] == '-' ||
-        raw.find_first_of(".eE") != std::string::npos) {
-        return false;
-    }
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return parseUInt(it->second.str, UINT64_MAX, out);
 }
 
 std::string

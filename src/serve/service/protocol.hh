@@ -75,7 +75,10 @@ std::string jsonEscape(const std::string &s);
 bool getString(const JsonObject &obj, const std::string &key,
                std::string &out);
 
-/** Fetch an unsigned integer field; false if absent/negative/frac. */
+/**
+ * Fetch an unsigned 64-bit integer field; false if absent, not a
+ * number, negative, fractional or past 2^64-1 (never clamped).
+ */
 bool getU64(const JsonObject &obj, const std::string &key,
             std::uint64_t &out);
 

@@ -1,40 +1,32 @@
 /**
  * @file
  * Canonical simulation request (DESIGN.md §10.3): the serve-layer
- * equivalent of a laperm_sim invocation. Parsing materializes every
- * default (paper Table I config + driver defaults), so two requests
- * that mean the same simulation always canonicalize — and therefore
- * hash — identically, regardless of which fields the client spelled
- * out.
+ * equivalent of a laperm_sim invocation. The run coordinates and their
+ * parsing are the shared run-field table (harness/run_spec.hh), so a
+ * request field and the matching CLI flag parse alike by construction.
+ * Parsing materializes every default (paper Table I config + driver
+ * defaults), so two requests that mean the same simulation always
+ * canonicalize — and therefore hash — identically, regardless of
+ * which fields the client spelled out.
  */
 
 #ifndef LAPERM_SERVE_SERVICE_SIM_REQUEST_HH
 #define LAPERM_SERVE_SERVICE_SIM_REQUEST_HH
 
-#include <cstdint>
 #include <string>
 
+#include "harness/run_spec.hh"
 #include "serve/service/protocol.hh"
-#include "sim/config.hh"
-#include "workloads/workload.hh"
 
 namespace laperm {
 namespace serve {
 
 /**
- * One simulation request. `cfg` is fully materialized: paperConfig()
- * plus protocol overrides plus model/policy/seed, exactly what
- * laperm_sim would hand to Gpu.
+ * One simulation request: the run coordinates plus what only the
+ * service understands. canonical() and key() are RunSpec's.
  */
-struct SimRequest
+struct SimRequest : RunSpec
 {
-    std::string workload = "bfs-citation";
-    DynParModel model = DynParModel::DTBL;
-    TbPolicy policy = TbPolicy::RR;
-    Scale scale = Scale::Small;
-    std::uint64_t seed = 1;
-    GpuConfig cfg;
-
     /**
      * Server-side directory for observability artifacts (DESIGN.md
      * §8). Not part of the canonical key: tracing never changes stats.
@@ -44,55 +36,27 @@ struct SimRequest
     std::string traceDir;
 
     /**
-     * Builtin multi-tenant mix name (tenant/mixes.hh), empty for a
-     * single-app run. When set, the service routes the request through
-     * tenant::runMixStudy and the payload is the tenant-sweep TSV
-     * (harness/tenant_sweep.hh) instead of a ResultRecord line —
-     * byte-identical to `laperm_sim --tenants MIX --tenants-tsv`.
-     * Builtin names only: the daemon never reads client-named files.
-     */
-    std::string tenants;
-
-    /**
-     * Label of the last applied preset ("k20c" when none was named).
-     * Pure labeling — the machine itself is fully described by cfg —
-     * but tenant TSV rows carry a preset column, so for tenant
-     * requests it joins the canonical string.
-     */
-    std::string presetName = "k20c";
-
-    /**
-     * Build from a parsed protocol object. Accepted fields: workload,
-     * model, policy, scale, warp_sched, trace_dir, preset, config
-     * (strings); seed, smx, l1_kb, l2_kb, levels, cdp_latency,
-     * dtbl_latency (numbers). Unknown fields are rejected so a typo
-     * cannot silently run the default simulation. Does not validate
-     * semantics; see validate().
+     * Build from a parsed protocol object. Every field but `op` and
+     * `trace_dir` is a row of the run-field table: numbers for the
+     * numeric rows, strings for the rest. Unknown fields are rejected
+     * so a typo cannot silently run the default simulation. Does not
+     * validate semantics; see validate().
      *
      * Machine fields layer in a fixed precedence regardless of the
      * JSON field order: preset (named machine, sim/presets.hh), then
      * config (machine-TOML text, sim/config_loader.hh), then the
-     * legacy single-field shortcuts (smx, l1_kb, ...). A malformed
-     * preset or config is a parse error — the server answers with a
-     * structured error response, never a default simulation.
+     * single-field shortcuts (smx, l1_kb, ...). A malformed value is a
+     * parse error — the server answers with a structured error
+     * response, never a default simulation.
      */
     static bool fromJson(const JsonObject &obj, SimRequest &out,
                          std::string &err);
 
-    /** Semantic validation (workload exists, config sane); no fatal. */
-    bool validate(std::string &err) const;
-
     /**
-     * Deterministic canonical string covering every knob in the key:
-     * appCellCanonical() for a single-app run, mixCellCanonical() for a
-     * tenants request (harness/result_cache.hh). Any two spellings of
-     * the same machine (preset name, TOML, shortcuts) share one cache
-     * entry, and so do a sweep cell and the request for it.
+     * Semantic validation (workload exists, builtin mix, config sane);
+     * no fatal.
      */
-    std::string canonical() const;
-
-    /** Content key of canonical() (harness/result_cache.hh). */
-    std::string key() const;
+    bool validate(std::string &err) const;
 
     /** Full request line including "op":"run" (client side). */
     std::string toJson() const;

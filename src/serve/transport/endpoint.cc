@@ -1,29 +1,9 @@
 #include "serve/transport/endpoint.hh"
 
+#include "common/parse_uint.hh"
+
 namespace laperm {
 namespace serve {
-
-namespace {
-
-/** Strict base-10 port parse: `[0-9]+` within [0, 65535] only. */
-bool
-parsePort(const std::string &s, std::uint16_t &out)
-{
-    if (s.empty())
-        return false;
-    std::uint32_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint32_t>(c - '0');
-        if (v > 65535)
-            return false;
-    }
-    out = static_cast<std::uint16_t>(v);
-    return true;
-}
-
-} // namespace
 
 std::string
 Endpoint::toString() const
@@ -81,13 +61,13 @@ parseEndpoint(const std::string &text, Endpoint &out, std::string &err)
             err = "endpoint '" + text + "': empty host";
             return false;
         }
-        std::uint16_t port = 0;
-        if (!parsePort(portStr, port)) {
+        std::uint64_t port = 0;
+        if (!parseUInt(portStr, 65535, port)) {
             err = "endpoint '" + text + "': bad port '" + portStr +
                   "' (need 0-65535)";
             return false;
         }
-        out = Endpoint::tcpAt(host, port);
+        out = Endpoint::tcpAt(host, static_cast<std::uint16_t>(port));
         return true;
     }
     if (text.find(':') != std::string::npos &&

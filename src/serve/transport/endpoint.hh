@@ -9,7 +9,7 @@
  * A bare string with no scheme is accepted as a Unix path, so
  * `--listen laperm_served.sock` names a socket file. Parsing is
  * checked: a malformed endpoint is reported, never half-applied (same
- * stance as tools/cli_parse.hh).
+ * stance as common/parse_uint.hh).
  */
 
 #ifndef LAPERM_SERVE_TRANSPORT_ENDPOINT_HH

@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <cstddef>
+
 #include "common/log.hh"
 
 namespace laperm {
@@ -47,6 +49,94 @@ toString(TickMode mode)
     return "?";
 }
 
+namespace {
+
+template <typename E>
+struct Spelling
+{
+    E value;
+    const char *name;
+};
+
+// Canonical spelling first for each value; later rows are aliases.
+constexpr Spelling<DynParModel> kModelNames[] = {
+    {DynParModel::CDP, "cdp"},
+    {DynParModel::DTBL, "dtbl"},
+};
+constexpr Spelling<TbPolicy> kPolicyNames[] = {
+    {TbPolicy::RR, "rr"},
+    {TbPolicy::TbPri, "tbpri"},
+    {TbPolicy::SmxBind, "smxbind"},
+    {TbPolicy::AdaptiveBind, "adaptive"},
+    {TbPolicy::AdaptiveBind, "laperm"},
+};
+constexpr Spelling<WarpPolicy> kWarpNames[] = {
+    {WarpPolicy::GTO, "gto"},
+    {WarpPolicy::LRR, "lrr"},
+    {WarpPolicy::TbAware, "tbaware"},
+};
+constexpr Spelling<TickMode> kTickNames[] = {
+    {TickMode::Event, "event"},
+    {TickMode::Dense, "dense"},
+};
+
+template <typename E, std::size_t N>
+const char *
+nameOf(const Spelling<E> (&table)[N], E value)
+{
+    for (const Spelling<E> &s : table)
+        if (s.value == value)
+            return s.name;
+    return "?";
+}
+
+template <typename E, std::size_t N>
+bool
+valueOf(const Spelling<E> (&table)[N], const std::string &name, E &out)
+{
+    for (const Spelling<E> &s : table) {
+        if (name == s.name) {
+            out = s.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+template <typename E, std::size_t N>
+std::string
+listOf(const Spelling<E> (&table)[N])
+{
+    std::string out;
+    for (const Spelling<E> &s : table) {
+        if (nameOf(table, s.value) != s.name)
+            continue; // alias
+        if (!out.empty())
+            out += '|';
+        out += s.name;
+    }
+    return out;
+}
+
+} // namespace
+
+// wireName, parseWireName and wireNameList of one run enum, over its
+// table.
+#define LAPERM_WIRE_NAMES(ENUM, TABLE)                                       \
+    const char *wireName(ENUM value) { return nameOf(TABLE, value); }        \
+    bool parseWireName(const std::string &s, ENUM &out)                      \
+    {                                                                        \
+        return valueOf(TABLE, s, out);                                       \
+    }                                                                        \
+    template <> std::string wireNameList<ENUM>() { return listOf(TABLE); }
+
+LAPERM_WIRE_NAMES(DynParModel, kModelNames)
+LAPERM_WIRE_NAMES(TbPolicy, kPolicyNames)
+LAPERM_WIRE_NAMES(WarpPolicy, kWarpNames)
+LAPERM_WIRE_NAMES(TickMode, kTickNames)
+
+#undef LAPERM_WIRE_NAMES
+
 std::uint32_t
 GpuConfig::effectiveOnchipEntries() const
 {
@@ -68,6 +158,9 @@ GpuConfig::check() const
         return "maxTbsPerSmx must be > 0";
     if (warpSchedulersPerSmx == 0)
         return "warpSchedulersPerSmx must be > 0";
+    // A zero size divides evenly but leaves a cache with no sets.
+    if (l1Size == 0 || l2Size == 0)
+        return "L1 and L2 sizes must be > 0";
     if (l1Assoc == 0 || l1Size % (l1Assoc * kLineBytes) != 0)
         return logFormat("L1 size %u not divisible by assoc*line", l1Size);
     if (l2Assoc == 0 || l2Size % (l2Assoc * kLineBytes) != 0)

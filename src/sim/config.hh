@@ -69,6 +69,24 @@ const char *toString(WarpPolicy policy);
 const char *toString(TickMode mode);
 
 /**
+ * The one spelling of each run enum on the command line, on the wire
+ * and in machine TOML (cdp, tbpri, tbaware, dense, ...; the tables
+ * are in config.cc); toString() stays the display name that CSVs and
+ * tables print. parseWireName() accepts exactly these spellings plus
+ * TbPolicy's laperm alias for Adaptive-Bind; wireNameList<E>() joins
+ * the canonical ones as a|b|c for error messages.
+ */
+const char *wireName(DynParModel model);
+const char *wireName(TbPolicy policy);
+const char *wireName(WarpPolicy policy);
+const char *wireName(TickMode mode);
+bool parseWireName(const std::string &s, DynParModel &out);
+bool parseWireName(const std::string &s, TbPolicy &out);
+bool parseWireName(const std::string &s, WarpPolicy &out);
+bool parseWireName(const std::string &s, TickMode &out);
+template <typename E> std::string wireNameList();
+
+/**
  * Full device configuration. Defaults reproduce Table I.
  */
 struct GpuConfig

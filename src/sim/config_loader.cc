@@ -4,12 +4,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "common/hash.hh"
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 
 namespace laperm {
 namespace {
@@ -17,27 +17,9 @@ namespace {
 // ---------------------------------------------------------------------
 // Checked scalar parsers. The config surface is user-supplied (files,
 // service requests), so every conversion rejects junk and overflow
-// instead of truncating the way a bare strtoul would.
+// instead of truncating the way a bare strtoul would (integers go
+// through common/parse_uint.hh).
 // ---------------------------------------------------------------------
-
-bool
-parseUIntChecked(const std::string &raw, std::uint64_t max,
-                 std::uint64_t &out)
-{
-    if (raw.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : raw) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (max - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
 
 bool
 parseDoubleChecked(const std::string &raw, double &out)
@@ -96,7 +78,7 @@ struct FieldDef
     {KEY, DOC, false,                                                        \
      [](GpuConfig &c, const std::string &raw, std::string &err) {            \
          std::uint64_t v = 0;                                                \
-         if (!parseUIntChecked(raw, 0xffffffffull, v)) {                     \
+         if (!parseUInt(raw, UINT32_MAX, v)) {                               \
              err = badValue(KEY, "unsigned 32-bit integer", raw);            \
              return false;                                                   \
          }                                                                   \
@@ -109,7 +91,7 @@ struct FieldDef
     {KEY, DOC, false,                                                        \
      [](GpuConfig &c, const std::string &raw, std::string &err) {            \
          std::uint64_t v = 0;                                                \
-         if (!parseUIntChecked(raw, 0xffffffffffffffffull, v)) {             \
+         if (!parseUInt(raw, UINT64_MAX, v)) {                               \
              err = badValue(KEY, "unsigned 64-bit integer", raw);            \
              return false;                                                   \
          }                                                                   \
@@ -162,29 +144,13 @@ const FieldDef kFields[] = {
                      "warp schedulers per SMX"),
     {"warp_sched", "warp scheduling policy: gto|lrr|tbaware", true,
      [](GpuConfig &c, const std::string &raw, std::string &err) {
-         if (raw == "gto") {
-             c.warpPolicy = WarpPolicy::GTO;
+         if (parseWireName(raw, c.warpPolicy))
              return true;
-         }
-         if (raw == "lrr") {
-             c.warpPolicy = WarpPolicy::LRR;
-             return true;
-         }
-         if (raw == "tbaware") {
-             c.warpPolicy = WarpPolicy::TbAware;
-             return true;
-         }
-         err = badValue("warp_sched", "gto|lrr|tbaware", raw);
+         err = badValue("warp_sched", wireNameList<WarpPolicy>().c_str(),
+                        raw);
          return false;
      },
-     [](const GpuConfig &c) {
-         switch (c.warpPolicy) {
-           case WarpPolicy::GTO: return std::string("gto");
-           case WarpPolicy::LRR: return std::string("lrr");
-           case WarpPolicy::TbAware: return std::string("tbaware");
-         }
-         return std::string("gto");
-     }},
+     [](const GpuConfig &c) { return std::string(wireName(c.warpPolicy)); }},
     LAPERM_FIELD_U32("smx_per_cluster", smxPerCluster,
                      "SMXs sharing one L1 cluster"),
 
@@ -402,24 +368,6 @@ parseMachineToml(const std::string &text, GpuConfig &cfg, std::string &err)
         }
     }
     cfg = scratch;
-    return true;
-}
-
-bool
-loadMachineToml(const std::string &path, GpuConfig &cfg, std::string &err)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        err = logFormat("cannot read config file '%s'", path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string parse_err;
-    if (!parseMachineToml(text.str(), cfg, parse_err)) {
-        err = logFormat("%s: %s", path.c_str(), parse_err.c_str());
-        return false;
-    }
     return true;
 }
 

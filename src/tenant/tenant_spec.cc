@@ -1,11 +1,12 @@
 #include "tenant/tenant_spec.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 #include "workloads/registry.hh"
 
 namespace laperm {
@@ -48,45 +49,10 @@ validName(const std::string &s)
     return true;
 }
 
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
 std::string
 lineErr(int line, const std::string &msg)
 {
     return "line " + std::to_string(line) + ": " + msg;
-}
-
-bool
-parseScaleName(const std::string &s, Scale &out)
-{
-    if (s == "tiny") {
-        out = Scale::Tiny;
-        return true;
-    }
-    if (s == "small") {
-        out = Scale::Small;
-        return true;
-    }
-    if (s == "full") {
-        out = Scale::Full;
-        return true;
-    }
-    if (s == "huge") {
-        out = Scale::Huge;
-        return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -175,14 +141,14 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
             if (key == "name") {
                 mix.name = value;
             } else if (key == "quantum") {
-                if (!parseU64(value, v) || v == 0) {
+                if (!parseUInt(value, UINT64_MAX, v) || v == 0) {
                     err = lineErr(lineNo, "quantum must be a positive "
                                           "cycle count");
                     return false;
                 }
                 mix.quantum = v;
             } else if (key == "admission_threshold_pct") {
-                if (!parseU64(value, v) || v == 0 || v > 100) {
+                if (!parseUInt(value, 100, v) || v == 0) {
                     err = lineErr(lineNo, "admission_threshold_pct must "
                                           "be in 1..100");
                     return false;
@@ -190,7 +156,7 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
                 mix.admissionThresholdPct =
                     static_cast<std::uint32_t>(v);
             } else if (key == "ewma_shift") {
-                if (!parseU64(value, v) || v > 16) {
+                if (!parseUInt(value, 16, v)) {
                     err = lineErr(lineNo, "ewma_shift must be in 0..16");
                     return false;
                 }
@@ -210,26 +176,26 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
                 }
                 cur->workload = value;
             } else if (key == "scale") {
-                if (!parseScaleName(value, cur->scale)) {
-                    err = lineErr(lineNo, "scale must be "
-                                          "tiny|small|full|huge");
+                if (!parseScale(value, cur->scale)) {
+                    err = lineErr(lineNo, std::string("scale must be ") +
+                                              scaleNameList());
                     return false;
                 }
             } else if (key == "priority") {
-                if (!parseU64(value, v) || v > 255) {
+                if (!parseUInt(value, 255, v)) {
                     err = lineErr(lineNo, "priority must be in 0..255");
                     return false;
                 }
                 cur->priority = static_cast<std::uint32_t>(v);
             } else if (key == "arrival") {
-                if (!parseU64(value, v)) {
+                if (!parseUInt(value, UINT64_MAX, v)) {
                     err = lineErr(lineNo, "arrival must be a cycle "
                                           "count");
                     return false;
                 }
                 cur->firstArrival = v;
             } else if (key == "period") {
-                if (!parseU64(value, v)) {
+                if (!parseUInt(value, UINT64_MAX, v)) {
                     err = lineErr(lineNo, "period must be a cycle "
                                           "count");
                     return false;
@@ -237,8 +203,9 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
                 cur->period = v;
                 sawPeriod = true;
             } else if (key == "jobs") {
-                if (!parseU64(value, v) || v == 0) {
-                    err = lineErr(lineNo, "jobs must be positive");
+                if (!parseUInt(value, UINT32_MAX, v) || v == 0) {
+                    err = lineErr(lineNo, "jobs must be a positive "
+                                          "32-bit count");
                     return false;
                 }
                 cur->jobs = static_cast<std::uint32_t>(v);

@@ -25,9 +25,9 @@
 #include <string>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 #include "serve/service/service_handler.hh"
 #include "serve/session/server.hh"
-#include "tools/cli_parse.hh"
 
 using namespace laperm;
 using namespace laperm::serve;
@@ -67,18 +67,12 @@ main(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
-    auto parse_u32 = [&](const char *s, const char *what) {
-        std::uint32_t v = 0;
-        if (!cli::parseU32(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
-            std::exit(2);
-        }
-        return v;
-    };
-    auto parse_u64 = [&](const char *s, const char *what) {
+    auto parse_uint = [&](int &i, std::uint64_t max) {
+        const char *flag = argv[i];
+        const char *s = next_arg(i);
         std::uint64_t v = 0;
-        if (!cli::parseU64(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
+        if (!parseUInt(s, max, v)) {
+            std::fprintf(stderr, "bad %s value '%s'\n", flag, s);
             std::exit(2);
         }
         return v;
@@ -94,12 +88,12 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(a, "--jobs")) {
-            service.jobs = parse_u32(next_arg(i), "--jobs");
+            service.jobs = static_cast<unsigned>(parse_uint(i, UINT32_MAX));
         } else if (!std::strcmp(a, "--queue-capacity")) {
             service.queueCapacity =
-                parse_u32(next_arg(i), "--queue-capacity");
+                static_cast<std::size_t>(parse_uint(i, UINT32_MAX));
         } else if (!std::strcmp(a, "--timeout-ms")) {
-            service.timeoutMs = parse_u64(next_arg(i), "--timeout-ms");
+            service.timeoutMs = parse_uint(i, UINT64_MAX);
         } else if (!std::strcmp(a, "--cache-dir")) {
             service.cacheDir = next_arg(i);
         } else {

@@ -9,7 +9,7 @@
  *     --workload NAME   bfs-citation, join-gaussian, ... or "all"
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
- *     --scale S         tiny | small | full (default small)
+ *     --scale S         tiny | small | full | huge (default small)
  *     --seed N          input-generator seed (default 1)
  *     --preset NAME     hardware preset (k20c | gtx1080 | p100 | v100)
  *     --config FILE     machine TOML applied on top of the preset
@@ -20,7 +20,7 @@
  *     --levels N        max priority levels L
  *     --cdp-latency N   CDP launch latency in cycles
  *     --dtbl-latency N  DTBL launch latency in cycles
- *     --warp-sched W    gto | lrr
+ *     --warp-sched W    gto | lrr | tbaware
  *     --tick-mode T     event | dense (default event; dense is the
  *                       reference loop, byte-identical results)
  *     --csv             one CSV row per run instead of the report
@@ -37,9 +37,12 @@
  *                       --model, --seed and the machine flags do.
  *     --tenants-tsv FILE  also write the per-tenant rows as a TSV
  *
- * Machine flags apply in command-line order, later flags overriding
- * earlier ones: put --preset (whole-machine) first, then --config
- * (file of overrides), then single-field flags like --smx.
+ * The run flags, --workload through --tenants, are the run-field table
+ * shared with laperm_submit and the wire (harness/run_spec.hh); a bad
+ * value exits 2. Machine flags apply in command-line order, later
+ * flags overriding earlier ones: put --preset (whole-machine) first,
+ * then --config (file of overrides), then single-field flags like
+ * --smx.
  *
  * Observability outputs (DESIGN.md §8; any combination may be given):
  *     --trace FILE          dispatch-event CSV (legacy flat format)
@@ -57,18 +60,18 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 #include "gpu/gpu.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
-#include "harness/experiment.hh"
 #include "harness/result_cache.hh"
+#include "harness/run_spec.hh"
 #include "harness/table.hh"
 #include "harness/tenant_sweep.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
 #include "tenant/mixes.hh"
 #include "tenant/tenant_manager.hh"
-#include "tools/cli_parse.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -77,12 +80,7 @@ namespace {
 
 struct Options
 {
-    std::string workload = "bfs-citation";
-    TbPolicy policy = TbPolicy::RR;
-    DynParModel model = DynParModel::DTBL;
-    Scale scale = Scale::Small;
-    std::uint64_t seed = 1;
-    GpuConfig cfg;
+    RunSpec run;
     bool csv = false;
     std::string tracePath;     ///< --trace FILE: dispatch-event CSV
     std::string traceJsonPath; ///< --trace-json FILE
@@ -90,9 +88,7 @@ struct Options
     Cycle interval = 1000;     ///< --interval N
     std::string latencyPath;   ///< --latency-hist FILE
     std::string localityPath;  ///< --locality FILE
-    std::string tenantsSpec;   ///< --tenants SPEC (mix name or .toml)
     std::string tenantsTsvPath; ///< --tenants-tsv FILE
-    std::string preset = "k20c"; ///< last --preset name (TSV label)
 
     bool wantsCollector() const
     {
@@ -112,7 +108,7 @@ usage(const char *argv0)
                  "[--smx N] "
                  "[--l1-kb N] [--l2-kb N] [--levels N] "
                  "[--cdp-latency N] [--dtbl-latency N] "
-                 "[--warp-sched gto|lrr] [--tick-mode event|dense] "
+                 "[--warp-sched gto|lrr|tbaware] [--tick-mode event|dense] "
                  "[--csv] [--list] "
                  "[--trace FILE] [--trace-json FILE] "
                  "[--trace-intervals FILE] [--interval N] "
@@ -122,63 +118,31 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::uint32_t
-parseU32(const char *s, const char *what)
-{
-    std::uint32_t v = 0;
-    if (!cli::parseU32(s, v))
-        laperm_fatal("bad %s value '%s'", what, s);
-    return v;
-}
-
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    std::uint64_t v = 0;
-    if (!cli::parseU64(s, v))
-        laperm_fatal("bad %s value '%s'", what, s);
-    return v;
-}
-
-TbPolicy
-parsePolicy(const std::string &s)
-{
-    if (s == "rr")
-        return TbPolicy::RR;
-    if (s == "tbpri")
-        return TbPolicy::TbPri;
-    if (s == "smxbind")
-        return TbPolicy::SmxBind;
-    if (s == "adaptive" || s == "laperm")
-        return TbPolicy::AdaptiveBind;
-    laperm_fatal("unknown policy '%s'", s.c_str());
-}
-
 void
 report(const Options &opt, const Workload &w, const GpuStats &s)
 {
+    const RunSpec &run = opt.run;
     if (opt.csv) {
         // Shared with the serving subsystem: laperm_submit renders the
         // same record through the same formatter, which is what makes
         // served results byte-identical to a direct run. Only a
         // non-default machine appends the config column, keeping the
         // default-machine CSV byte-identical across releases.
-        const ResultRecord rec =
-            ResultRecord::fromStats(w.fullName(), opt.model, opt.policy,
-                                    s, machineHash(opt.cfg));
+        const ResultRecord rec = ResultRecord::fromStats(
+            w.fullName(), run.model, run.policy, s, machineHash(run.cfg));
         std::printf("%s\n", rec.customMachine()
                                 ? rec.csvRowWithConfig().c_str()
                                 : rec.csvRow().c_str());
         return;
     }
     std::printf("=== %s  (%s, %s, scale %s, seed %llu)\n",
-                w.fullName().c_str(), toString(opt.model),
-                toString(opt.policy), toString(opt.scale),
-                static_cast<unsigned long long>(opt.seed));
-    if (machineHash(opt.cfg) != defaultMachineHash())
+                w.fullName().c_str(), toString(run.model),
+                toString(run.policy), toString(run.scale),
+                static_cast<unsigned long long>(run.seed));
+    if (machineHash(run.cfg) != defaultMachineHash())
         std::printf("  machine           %s  [%s]\n",
-                    opt.cfg.summary().c_str(),
-                    machineHash(opt.cfg).c_str());
+                    run.cfg.summary().c_str(),
+                    machineHash(run.cfg).c_str());
     std::printf("  cycles            %llu\n",
                 static_cast<unsigned long long>(s.cycles));
     std::printf("  IPC               %.3f\n", s.ipc());
@@ -218,27 +182,28 @@ report(const Options &opt, const Workload &w, const GpuStats &s)
 int
 runTenants(const Options &opt)
 {
+    const RunSpec &run = opt.run;
     tenant::MixSpec mix;
-    if (tenant::isBuiltinMix(opt.tenantsSpec)) {
-        mix = tenant::builtinMix(opt.tenantsSpec);
-    } else if (opt.tenantsSpec.rfind(".toml") != std::string::npos ||
-               opt.tenantsSpec.find('/') != std::string::npos) {
+    if (tenant::isBuiltinMix(run.tenants)) {
+        mix = tenant::builtinMix(run.tenants);
+    } else if (run.tenants.rfind(".toml") != std::string::npos ||
+               run.tenants.find('/') != std::string::npos) {
         std::string err;
-        if (!tenant::loadMixToml(opt.tenantsSpec, mix, err))
+        if (!tenant::loadMixToml(run.tenants, mix, err))
             laperm_fatal("%s", err.c_str());
     } else {
         laperm_fatal("unknown mix '%s' (builtin: %s; or pass a .toml "
                      "spec file)",
-                     opt.tenantsSpec.c_str(),
+                     run.tenants.c_str(),
                      tenant::mixNameList().c_str());
     }
 
-    const tenant::MixStudy study = tenant::runMixStudy(mix, opt.cfg);
+    const tenant::MixStudy study = tenant::runMixStudy(mix, run.cfg);
 
     std::printf("=== mix %s  (%s, %s, seed %llu, %zu tenants)\n",
-                mix.name.c_str(), toString(opt.cfg.dynParModel),
-                toString(opt.cfg.tbPolicy),
-                static_cast<unsigned long long>(opt.cfg.seed),
+                mix.name.c_str(), toString(run.cfg.dynParModel),
+                toString(run.cfg.tbPolicy),
+                static_cast<unsigned long long>(run.cfg.seed),
                 mix.tenants.size());
     for (std::size_t i = 0; i < study.metrics.perTenant.size(); ++i) {
         const tenant::TenantMetrics &tm = study.metrics.perTenant[i];
@@ -265,7 +230,7 @@ runTenants(const Options &opt)
                         opt.tenantsTsvPath.c_str());
         } else {
             const std::string tsv = encodeTenantSweepTsv(tenantSweepRows(
-                mix.name, opt.preset, opt.cfg.tbPolicy, study.metrics));
+                mix.name, run.presetName, run.cfg.tbPolicy, study.metrics));
             std::fwrite(tsv.data(), 1, tsv.size(), f);
             std::fclose(f);
             std::fprintf(stderr, "tenant metrics: %s\n",
@@ -282,7 +247,6 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     Options opt;
-    opt.cfg = paperConfig();
 
     auto next_arg = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -292,67 +256,18 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--workload")) {
-            opt.workload = next_arg(i);
-        } else if (!std::strcmp(a, "--policy")) {
-            opt.policy = parsePolicy(next_arg(i));
-        } else if (!std::strcmp(a, "--model")) {
-            std::string m = next_arg(i);
-            if (m == "cdp")
-                opt.model = DynParModel::CDP;
-            else if (m == "dtbl")
-                opt.model = DynParModel::DTBL;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--scale")) {
-            opt.scale = scaleFromString(next_arg(i));
-        } else if (!std::strcmp(a, "--seed")) {
-            opt.seed = parseU64(next_arg(i), "--seed");
-        } else if (!std::strcmp(a, "--preset")) {
-            // Whole-machine replacement; the tick mode is a simulator
-            // strategy, not machine geometry, so it survives.
-            const TickMode tick = opt.cfg.tickMode;
-            opt.preset = next_arg(i);
-            opt.cfg = presetConfig(opt.preset);
-            opt.cfg.tickMode = tick;
-        } else if (!std::strcmp(a, "--config")) {
+        if (const RunField *field = findRunFlag(a)) {
             std::string err;
-            if (!loadMachineToml(next_arg(i), opt.cfg, err))
-                laperm_fatal("%s", err.c_str());
+            if (!applyRunFlag(opt.run, *field, next_arg(i), err)) {
+                std::fprintf(stderr, "laperm_sim: %s\n", err.c_str());
+                return 2;
+            }
         } else if (!std::strcmp(a, "--list-presets")) {
             for (const auto &p : presets())
                 std::printf("%s\t%s\n", p.name, p.description);
             return 0;
-        } else if (!std::strcmp(a, "--smx")) {
-            opt.cfg.numSmx = parseU32(next_arg(i), "--smx");
-        } else if (!std::strcmp(a, "--l1-kb")) {
-            opt.cfg.l1Size = parseU32(next_arg(i), "--l1-kb") * 1024;
-        } else if (!std::strcmp(a, "--l2-kb")) {
-            opt.cfg.l2Size = parseU32(next_arg(i), "--l2-kb") * 1024;
-        } else if (!std::strcmp(a, "--levels")) {
-            opt.cfg.maxPriorityLevels =
-                parseU32(next_arg(i), "--levels");
-        } else if (!std::strcmp(a, "--cdp-latency")) {
-            opt.cfg.cdpLaunchLatency =
-                parseU64(next_arg(i), "--cdp-latency");
-        } else if (!std::strcmp(a, "--dtbl-latency")) {
-            opt.cfg.dtblLaunchLatency =
-                parseU64(next_arg(i), "--dtbl-latency");
-        } else if (!std::strcmp(a, "--warp-sched")) {
-            std::string w = next_arg(i);
-            if (w == "gto")
-                opt.cfg.warpPolicy = WarpPolicy::GTO;
-            else if (w == "lrr")
-                opt.cfg.warpPolicy = WarpPolicy::LRR;
-            else
-                usage(argv[0]);
         } else if (!std::strcmp(a, "--tick-mode")) {
-            std::string t = next_arg(i);
-            if (t == "event")
-                opt.cfg.tickMode = TickMode::Event;
-            else if (t == "dense")
-                opt.cfg.tickMode = TickMode::Dense;
-            else
+            if (!parseWireName(next_arg(i), opt.run.cfg.tickMode))
                 usage(argv[0]);
         } else if (!std::strcmp(a, "--trace")) {
             opt.tracePath = next_arg(i);
@@ -361,13 +276,16 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--trace-intervals")) {
             opt.intervalsPath = next_arg(i);
         } else if (!std::strcmp(a, "--interval")) {
-            opt.interval = parseU32(next_arg(i), "--interval");
+            const char *v = next_arg(i);
+            if (!parseUInt(v, UINT32_MAX, opt.interval)) {
+                std::fprintf(stderr,
+                             "laperm_sim: --interval: bad value '%s'\n", v);
+                return 2;
+            }
         } else if (!std::strcmp(a, "--latency-hist")) {
             opt.latencyPath = next_arg(i);
         } else if (!std::strcmp(a, "--locality")) {
             opt.localityPath = next_arg(i);
-        } else if (!std::strcmp(a, "--tenants")) {
-            opt.tenantsSpec = next_arg(i);
         } else if (!std::strcmp(a, "--tenants-tsv")) {
             opt.tenantsTsvPath = next_arg(i);
         } else if (!std::strcmp(a, "--csv")) {
@@ -380,24 +298,21 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
+    const RunSpec &run = opt.run;
+    run.cfg.validate();
 
-    opt.cfg.dynParModel = opt.model;
-    opt.cfg.tbPolicy = opt.policy;
-    opt.cfg.seed = opt.seed;
-    opt.cfg.validate();
-
-    if (!opt.tenantsSpec.empty())
+    if (!run.tenants.empty())
         return runTenants(opt);
 
     std::vector<std::string> names;
-    if (opt.workload == "all")
+    if (run.workload == "all")
         names = workloadNames();
     else
-        names.push_back(opt.workload);
+        names.push_back(run.workload);
 
     if (opt.csv)
         std::printf("%s\n",
-                    machineHash(opt.cfg) != defaultMachineHash()
+                    machineHash(run.cfg) != defaultMachineHash()
                         ? statsCsvHeaderWithConfig()
                         : statsCsvHeader());
     // With --workload all, each per-workload output file is prefixed
@@ -416,8 +331,8 @@ main(int argc, char **argv)
 
     for (const auto &name : names) {
         auto w = createWorkload(name);
-        w->setup(opt.scale, opt.seed);
-        Gpu gpu(opt.cfg);
+        w->setup(run.scale, run.seed);
+        Gpu gpu(run.cfg);
         std::unique_ptr<obs::TraceCollector> collector;
         if (opt.wantsCollector()) {
             collector = std::make_unique<obs::TraceCollector>();

@@ -13,7 +13,7 @@
  *     --workload NAME   bfs-citation, join-gaussian, ...
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
- *     --scale S         tiny | small | full (default small)
+ *     --scale S         tiny | small | full | huge (default small)
  *     --seed N          input-generator seed (default 1)
  *     --preset NAME     hardware preset (k20c | gtx1080 | p100 | v100)
  *     --config FILE     machine TOML applied on top of the preset
@@ -23,11 +23,11 @@
  *     --levels N        max priority levels L
  *     --cdp-latency N   CDP launch latency in cycles
  *     --dtbl-latency N  DTBL launch latency in cycles
- *     --warp-sched W    gto | lrr
- *     --trace-dir DIR   server-side observability artifact directory
+ *     --warp-sched W    gto | lrr | tbaware
  *     --tenants MIX     run a builtin multi-tenant mix server-side and
  *                       print the tenant-sweep TSV (same bytes as
  *                       laperm_sim --tenants MIX --tenants-tsv)
+ *     --trace-dir DIR   server-side observability artifact directory
  *     --batch FILE      submit one JSON request per line of FILE and
  *                       print the sweep-format TSV (input order)
  *     --stats           print service metrics as "metric\tvalue" TSV
@@ -36,6 +36,10 @@
  *     --retries N       overload/transport retry budget (default 5)
  *     --backoff-ms N    initial retry backoff (default 50)
  *     --timeout-ms N    client receive timeout, 0 = none (default 0)
+ *
+ * The run flags, --workload through --tenants, are laperm_sim's: one
+ * run-field table (harness/run_spec.hh) parses them, in command-line
+ * order, and a bad value exits 2.
  */
 
 #include <cstdio>
@@ -46,13 +50,10 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "harness/experiment.hh"
+#include "common/parse_uint.hh"
 #include "harness/result_cache.hh"
 #include "serve/client.hh"
 #include "serve/service/sim_request.hh"
-#include "sim/config_loader.hh"
-#include "sim/presets.hh"
-#include "tools/cli_parse.hh"
 
 using namespace laperm;
 using namespace laperm::serve;
@@ -78,7 +79,7 @@ usage(const char *argv0)
         "[--scale tiny|small|full|huge] [--seed N] [--preset NAME] "
         "[--config FILE] [--smx N] [--l1-kb N] "
         "[--l2-kb N] [--levels N] [--cdp-latency N] [--dtbl-latency N] "
-        "[--warp-sched gto|lrr] [--trace-dir DIR] [--tenants MIX] "
+        "[--warp-sched gto|lrr|tbaware] [--tenants MIX] [--trace-dir DIR] "
         "[--batch FILE] "
         "[--stats] [--ping] [--shutdown] [--retries N] "
         "[--backoff-ms N] [--timeout-ms N]\n",
@@ -255,7 +256,6 @@ main(int argc, char **argv)
 {
     ClientOptions copts;
     SimRequest req;
-    req.cfg = paperConfig();
     Mode mode = Mode::Run;
     std::string batchPath;
 
@@ -264,18 +264,13 @@ main(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
-    auto parse_u32 = [&](const char *s, const char *what) {
-        std::uint32_t v = 0;
-        if (!cli::parseU32(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
-            std::exit(2);
-        }
-        return v;
-    };
-    auto parse_u64 = [&](const char *s, const char *what) {
+    auto parse_uint = [&](int &i, std::uint64_t max) {
+        const char *flag = argv[i];
+        const char *s = next_arg(i);
         std::uint64_t v = 0;
-        if (!cli::parseU64(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
+        if (!parseUInt(s, max, v)) {
+            std::fprintf(stderr, "laperm_submit: %s: bad value '%s'\n",
+                         flag, s);
             std::exit(2);
         }
         return v;
@@ -283,85 +278,21 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--connect")) {
+        if (const RunField *field = findRunFlag(a)) {
+            std::string err;
+            if (!applyRunFlag(req, *field, next_arg(i), err)) {
+                std::fprintf(stderr, "laperm_submit: %s\n", err.c_str());
+                return 2;
+            }
+        } else if (!std::strcmp(a, "--connect")) {
             std::string ep_err;
             if (!parseEndpoint(next_arg(i), copts.endpoint, ep_err)) {
                 std::fprintf(stderr, "laperm_submit: %s\n",
                              ep_err.c_str());
                 return 2;
             }
-        } else if (!std::strcmp(a, "--workload")) {
-            req.workload = next_arg(i);
-        } else if (!std::strcmp(a, "--policy")) {
-            std::string p = next_arg(i);
-            if (p == "rr")
-                req.policy = TbPolicy::RR;
-            else if (p == "tbpri")
-                req.policy = TbPolicy::TbPri;
-            else if (p == "smxbind")
-                req.policy = TbPolicy::SmxBind;
-            else if (p == "adaptive" || p == "laperm")
-                req.policy = TbPolicy::AdaptiveBind;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--model")) {
-            std::string m = next_arg(i);
-            if (m == "cdp")
-                req.model = DynParModel::CDP;
-            else if (m == "dtbl")
-                req.model = DynParModel::DTBL;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--scale")) {
-            std::string s = next_arg(i);
-            if (s == "tiny")
-                req.scale = Scale::Tiny;
-            else if (s == "small")
-                req.scale = Scale::Small;
-            else if (s == "full")
-                req.scale = Scale::Full;
-            else if (s == "huge")
-                req.scale = Scale::Huge;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--seed")) {
-            req.seed = parse_u64(next_arg(i), "--seed");
-        } else if (!std::strcmp(a, "--preset")) {
-            const TickMode tick = req.cfg.tickMode;
-            req.presetName = next_arg(i);
-            req.cfg = presetConfig(req.presetName.c_str());
-            req.cfg.tickMode = tick;
-        } else if (!std::strcmp(a, "--config")) {
-            std::string cfg_err;
-            if (!loadMachineToml(next_arg(i), req.cfg, cfg_err))
-                laperm_fatal("%s", cfg_err.c_str());
-        } else if (!std::strcmp(a, "--smx")) {
-            req.cfg.numSmx = parse_u32(next_arg(i), "--smx");
-        } else if (!std::strcmp(a, "--l1-kb")) {
-            req.cfg.l1Size = parse_u32(next_arg(i), "--l1-kb") * 1024;
-        } else if (!std::strcmp(a, "--l2-kb")) {
-            req.cfg.l2Size = parse_u32(next_arg(i), "--l2-kb") * 1024;
-        } else if (!std::strcmp(a, "--levels")) {
-            req.cfg.maxPriorityLevels =
-                parse_u32(next_arg(i), "--levels");
-        } else if (!std::strcmp(a, "--cdp-latency")) {
-            req.cfg.cdpLaunchLatency =
-                parse_u64(next_arg(i), "--cdp-latency");
-        } else if (!std::strcmp(a, "--dtbl-latency")) {
-            req.cfg.dtblLaunchLatency =
-                parse_u64(next_arg(i), "--dtbl-latency");
-        } else if (!std::strcmp(a, "--warp-sched")) {
-            std::string w = next_arg(i);
-            if (w == "gto")
-                req.cfg.warpPolicy = WarpPolicy::GTO;
-            else if (w == "lrr")
-                req.cfg.warpPolicy = WarpPolicy::LRR;
-            else
-                usage(argv[0]);
         } else if (!std::strcmp(a, "--trace-dir")) {
             req.traceDir = next_arg(i);
-        } else if (!std::strcmp(a, "--tenants")) {
-            req.tenants = next_arg(i);
         } else if (!std::strcmp(a, "--batch")) {
             mode = Mode::Batch;
             batchPath = next_arg(i);
@@ -372,19 +303,16 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--shutdown")) {
             mode = Mode::Shutdown;
         } else if (!std::strcmp(a, "--retries")) {
-            copts.overloadRetries = parse_u32(next_arg(i), "--retries");
+            copts.overloadRetries =
+                static_cast<unsigned>(parse_uint(i, UINT32_MAX));
         } else if (!std::strcmp(a, "--backoff-ms")) {
-            copts.backoffMs = parse_u64(next_arg(i), "--backoff-ms");
+            copts.backoffMs = parse_uint(i, UINT64_MAX);
         } else if (!std::strcmp(a, "--timeout-ms")) {
-            copts.recvTimeoutMs =
-                parse_u64(next_arg(i), "--timeout-ms");
+            copts.recvTimeoutMs = parse_uint(i, UINT64_MAX);
         } else {
             usage(argv[0]);
         }
     }
-    req.cfg.dynParModel = req.model;
-    req.cfg.tbPolicy = req.policy;
-    req.cfg.seed = req.seed;
 
     Client client(copts);
     std::string err;

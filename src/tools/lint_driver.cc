@@ -1,11 +1,8 @@
 #include "tools/lint_driver.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "tools/lint_cycle.hh"
@@ -43,25 +40,6 @@ fileExists(const std::string &path)
     return static_cast<bool>(in);
 }
 
-std::string
-squeeze(const std::string &s)
-{
-    std::string out;
-    bool space = true;
-    for (char c : s) {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!out.empty())
-                space = true;
-        } else {
-            if (space && !out.empty())
-                out += ' ';
-            space = false;
-            out += c;
-        }
-    }
-    return out;
-}
-
 std::uint64_t
 nowMicros()
 {
@@ -89,143 +67,7 @@ sortFindings(std::vector<Finding> &fs)
               });
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
-
-std::string
-relativeToRoot(const std::string &path, const std::string &root)
-{
-    std::string prefix = root;
-    while (!prefix.empty() && (prefix.back() == '/' || prefix.back() == '\\'))
-        prefix.pop_back();
-    if (!prefix.empty() && path.size() > prefix.size() &&
-        path.compare(0, prefix.size(), prefix) == 0 &&
-        (path[prefix.size()] == '/' || path[prefix.size()] == '\\')) {
-        return path.substr(prefix.size() + 1);
-    }
-    return path;
-}
-
-std::string
-baselineKey(const Finding &f, const std::string &flaggedLine,
-            const std::string &root)
-{
-    return std::string(ruleName(f.rule)) + "\t" +
-           relativeToRoot(f.path, root) + "\t" + squeeze(flaggedLine);
-}
-
-std::string
-renderBaseline(const std::vector<std::string> &keys)
-{
-    std::string out =
-        "# sim-lint baseline: one grandfathered finding per line\n"
-        "# <rule>\\t<path>\\t<squeezed flagged line>\n"
-        "# New findings gate; entries here burn down. A stale entry\n"
-        "# (matching no current finding) fails the gate — remove it.\n";
-    std::vector<std::string> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto &k : sorted)
-        out += k + "\n";
-    return out;
-}
-
-bool
-writeSarif(const std::string &path, const std::vector<Finding> &findings,
-           const std::string &root)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-
-    // Rules actually present, deduped, in enum order.
-    std::vector<Rule> rules;
-    for (const Finding &f : findings) {
-        if (std::find(rules.begin(), rules.end(), f.rule) == rules.end())
-            rules.push_back(f.rule);
-    }
-    std::sort(rules.begin(), rules.end(),
-              [](Rule a, Rule b) {
-                  return static_cast<int>(a) < static_cast<int>(b);
-              });
-
-    out << "{\n"
-        << "  \"$schema\": \"https://raw.githubusercontent.com/oasis-"
-           "tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n"
-        << "  \"version\": \"2.1.0\",\n"
-        << "  \"runs\": [\n"
-        << "    {\n"
-        << "      \"tool\": {\n"
-        << "        \"driver\": {\n"
-        << "          \"name\": \"sim-lint\",\n"
-        << "          \"version\": \"2.0.0\",\n"
-        << "          \"informationUri\": "
-           "\"DESIGN.md#12-static-analysis-architecture\",\n"
-        << "          \"rules\": [\n";
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-        out << "            {\"id\": \"" << ruleName(rules[i]) << "\"}"
-            << (i + 1 < rules.size() ? "," : "") << "\n";
-    }
-    out << "          ]\n"
-        << "        }\n"
-        << "      },\n"
-        << "      \"results\": [\n";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out << "        {\n"
-            << "          \"ruleId\": \"" << ruleName(f.rule) << "\",\n"
-            << "          \"level\": \"error\",\n"
-            << "          \"message\": {\"text\": \""
-            << jsonEscape(f.message) << "\"},\n"
-            << "          \"locations\": [\n"
-            << "            {\n"
-            << "              \"physicalLocation\": {\n"
-            << "                \"artifactLocation\": {\"uri\": \""
-            << jsonEscape(relativeToRoot(f.path, root)) << "\"},\n"
-            << "                \"region\": {\"startLine\": " << f.line
-            << "}\n"
-            << "              }\n"
-            << "            }\n"
-            << "          ]\n"
-            << "        }" << (i + 1 < findings.size() ? "," : "")
-            << "\n";
-    }
-    out << "      ]\n"
-        << "    }\n"
-        << "  ]\n"
-        << "}\n";
-    return static_cast<bool>(out);
-}
 
 DriverResult
 runDriver(const DriverOptions &opts)
@@ -248,13 +90,6 @@ runDriver(const DriverOptions &opts)
             return result;
         }
         haveSpec = true;
-    }
-
-    std::string baselinePath = opts.baselinePath;
-    if (baselinePath.empty()) {
-        const std::string candidate = opts.root + "/sim_lint_baseline.tsv";
-        if (fileExists(candidate))
-            baselinePath = candidate;
     }
 
     // --- load files -----------------------------------------------
@@ -313,117 +148,21 @@ runDriver(const DriverOptions &opts)
         std::vector<Allow> allows = collectAllows(files[i].rawLines);
         std::vector<Finding> fs = applySuppressions(raw[i], allows);
         kept.insert(kept.end(), fs.begin(), fs.end());
-        if (opts.audit) {
-            for (const Allow &a : allows) {
-                if (a.used)
-                    continue;
-                kept.push_back(Finding{
-                    files[i].path, a.line, Rule::UnusedAllow,
-                    std::string("suppression 'sim-lint: ") +
-                        (a.fileWide ? "allow-file(" : "allow(") +
-                        ruleName(a.rule) +
-                        ")' no longer suppresses any finding; remove "
-                        "it (or fix the regression that re-armed it)"});
-            }
-        }
-    }
-
-    // Flagged-line lookup shared by baseline matching and baseline
-    // writing.
-    auto flaggedLine = [&](const Finding &f) -> std::string {
-        for (const LoadedFile &lf : files) {
-            if (lf.path == f.path) {
-                if (f.line >= 1 && f.line <= lf.rawLines.size())
-                    return lf.rawLines[f.line - 1];
-                break;
-            }
-        }
-        return "";
-    };
-
-    // --- baseline bootstrap (--write-baseline) --------------------
-    if (!opts.writeBaselinePath.empty()) {
-        std::vector<std::string> keys;
-        for (const Finding &f : kept) {
-            if (f.rule == Rule::UnusedAllow ||
-                f.rule == Rule::StaleBaseline)
-                continue; // audit findings are never grandfathered
-            keys.push_back(baselineKey(f, flaggedLine(f), opts.root));
-        }
-        std::ofstream out(opts.writeBaselinePath, std::ios::binary);
-        if (!out || !(out << renderBaseline(keys))) {
-            result.error =
-                "cannot write baseline " + opts.writeBaselinePath;
-            return result;
-        }
-        sortFindings(kept);
-        result.findings = std::move(kept);
-        return result;
-    }
-
-    // --- baseline -------------------------------------------------
-    if (!baselinePath.empty()) {
-        std::string text;
-        if (!readFile(baselinePath, text)) {
-            result.error = "cannot read baseline " + baselinePath;
-            return result;
-        }
-        // entry key -> (first line number, unmatched count)
-        std::map<std::string, std::pair<std::size_t, std::size_t>> entries;
-        const std::vector<std::string> blines = splitLines(text);
-        for (std::size_t i = 0; i < blines.size(); ++i) {
-            const std::string &l = blines[i];
-            if (l.empty() || l[0] == '#')
+        for (const Allow &a : allows) {
+            if (a.used)
                 continue;
-            auto [it, inserted] =
-                entries.emplace(l, std::make_pair(i + 1, std::size_t{0}));
-            (void)inserted;
-            it->second.second += 1;
+            kept.push_back(Finding{
+                files[i].path, a.line, Rule::UnusedAllow,
+                std::string("suppression 'sim-lint: ") +
+                    (a.fileWide ? "allow-file(" : "allow(") +
+                    ruleName(a.rule) +
+                    ")' no longer suppresses any finding; remove "
+                    "it (or fix the regression that re-armed it)"});
         }
-        std::vector<Finding> unbaselined;
-        for (const Finding &f : kept) {
-            // Audit rules never hide behind the baseline.
-            if (f.rule == Rule::UnusedAllow ||
-                f.rule == Rule::StaleBaseline) {
-                unbaselined.push_back(f);
-                continue;
-            }
-            std::string flagged;
-            for (const LoadedFile &lf : files) {
-                if (lf.path == f.path) {
-                    if (f.line >= 1 && f.line <= lf.rawLines.size())
-                        flagged = lf.rawLines[f.line - 1];
-                    break;
-                }
-            }
-            auto it = entries.find(baselineKey(f, flagged, opts.root));
-            if (it != entries.end() && it->second.second > 0) {
-                it->second.second -= 1;
-                result.baselineMatched += 1;
-            } else {
-                unbaselined.push_back(f);
-            }
-        }
-        for (const auto &kv : entries) {
-            for (std::size_t n = 0; n < kv.second.second; ++n) {
-                unbaselined.push_back(Finding{
-                    baselinePath, kv.second.first, Rule::StaleBaseline,
-                    "baseline entry matches no current finding; the "
-                    "debt was paid — delete the entry: " + kv.first});
-            }
-        }
-        kept = std::move(unbaselined);
     }
 
     sortFindings(kept);
     result.findings = std::move(kept);
-
-    if (!opts.sarifPath.empty()) {
-        if (!writeSarif(opts.sarifPath, result.findings, opts.root)) {
-            result.error = "cannot write SARIF " + opts.sarifPath;
-            return result;
-        }
-    }
     return result;
 }
 

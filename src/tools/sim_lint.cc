@@ -37,8 +37,6 @@ ruleName(Rule rule)
         return "event-tick";
     case Rule::UnusedAllow:
         return "unused-allow";
-    case Rule::StaleBaseline:
-        return "stale-baseline";
     }
     return "unknown";
 }
@@ -51,7 +49,6 @@ ruleFromName(const std::string &name, Rule &out)
         Rule::FpAccum,     Rule::Layering,   Rule::CycleFloat,
         Rule::CycleNarrow, Rule::CycleSign,  Rule::EventPast,
         Rule::EventKind,   Rule::EventTick,  Rule::UnusedAllow,
-        Rule::StaleBaseline,
     };
     for (Rule r : all) {
         if (name == ruleName(r)) {
@@ -282,10 +279,10 @@ applySuppressions(std::vector<Finding> findings, std::vector<Allow> &allows)
     std::vector<Finding> kept;
     kept.reserve(findings.size());
     for (const Finding &f : findings) {
-        // Audit rules cannot be waived: a waiver must not be able to
-        // waive the check that audits waivers.
+        // The audit rule cannot be waived: a waiver must not be able
+        // to waive the check that audits waivers.
         bool suppressed = false;
-        if (f.rule != Rule::UnusedAllow && f.rule != Rule::StaleBaseline) {
+        if (f.rule != Rule::UnusedAllow) {
             for (Allow &a : allows) {
                 if (a.rule != f.rule)
                     continue;

@@ -43,17 +43,16 @@
  *    event-tick
  *  - unused-allow   suppression audit: an allow() marker that no
  *                   longer suppresses anything is itself a finding
- *  - stale-baseline a baseline entry that matches no current finding
  *
  * The passes are orchestrated by lint_driver.hh, which also applies
- * the committed baseline (sim_lint_baseline.tsv) and emits SARIF.
+ * the suppressions and audits them.
  *
  * Suppression: a finding on line N is suppressed if line N or N-1
  * contains "sim-lint: allow(<rule>)" — always with a reason in the
  * surrounding comment. "sim-lint: allow-file(<rule>)" anywhere in the
- * file disables the rule for the whole file. The audit rules
- * (unused-allow, stale-baseline) are not suppressible: waivers must
- * not be able to waive the waiver check.
+ * file disables the rule for the whole file. The audit rule
+ * (unused-allow) is not suppressible: waivers must not be able to
+ * waive the waiver check.
  */
 
 #ifndef LAPERM_TOOLS_SIM_LINT_HH
@@ -82,9 +81,8 @@ enum class Rule
     EventPast,
     EventKind,
     EventTick,
-    // audit rules (never suppressible)
+    // audit rule (never suppressible)
     UnusedAllow,
-    StaleBaseline,
 };
 
 /** Stable kebab-case name used in reports and allow() comments. */
@@ -151,8 +149,8 @@ std::vector<Finding> scanTokenRules(const std::string &path,
 /**
  * Drop findings covered by an allow marker (same rule; file-wide, or
  * on the finding's line or the line above). Consumed markers get
- * used=true — the input to the unused-suppression audit. Audit rules
- * are never suppressed.
+ * used=true — the input to the unused-suppression audit. The audit
+ * rule is never suppressed.
  */
 std::vector<Finding> applySuppressions(std::vector<Finding> findings,
                                        std::vector<Allow> &allows);

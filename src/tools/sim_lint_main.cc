@@ -2,17 +2,13 @@
  * @file
  * sim-lint CLI (DESIGN.md §12). Usage:
  *
- *   sim_lint [--root <dir>] [--layering <spec>] [--baseline <file>]
- *            [--write-baseline <file>] [--sarif <file>] [--diff <ref>]
- *            [--timings] [--no-audit] [file...]
+ *   sim_lint [--root <dir>] [--layering <spec>] [--timings] [file...]
  *
- * With explicit files, lints exactly those. With --diff <ref>, lints
- * the sources under src/ that changed relative to the git ref.
- * Otherwise scans every .hh/.cc under <root>/src (default root ".").
+ * With explicit files, lints exactly those. Otherwise scans every
+ * .hh/.cc under <root>/src (default root ".").
  *
- * The layering spec defaults to <root>/layering.toml and the baseline
- * to <root>/sim_lint_baseline.tsv when those files exist; pass an
- * explicit path (or a nonexistent one) to override.
+ * The layering spec defaults to <root>/layering.toml when that file
+ * exists; pass an explicit path (or a nonexistent one) to override.
  *
  * Exit status: 0 when clean, 1 when findings were reported, 2 on
  * usage/configuration/IO errors. Invoked by scripts/lint.sh, the
@@ -20,53 +16,12 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "tools/lint_driver.hh"
 #include "tools/sim_lint.hh"
-
-namespace {
-
-/**
- * Sources under src/ changed relative to @p ref, via git. Deleted
- * files are excluded (--diff-filter=d); non-source files and paths
- * outside src/ are dropped. Returns false when git itself fails.
- */
-bool
-changedSources(const std::string &root, const std::string &ref,
-               std::vector<std::string> &out)
-{
-    const std::string cmd = "git -C '" + root +
-                            "' diff --name-only --diff-filter=d '" +
-                            ref + "' -- src 2>/dev/null";
-    FILE *pipe = ::popen(cmd.c_str(), "r");
-    if (!pipe)
-        return false;
-    std::string line;
-    int c;
-    while ((c = std::fgetc(pipe)) != EOF) {
-        if (c == '\n') {
-            if (!line.empty()) {
-                const bool src =
-                    line.size() > 3 &&
-                    (line.compare(line.size() - 3, 3, ".hh") == 0 ||
-                     line.compare(line.size() - 3, 3, ".cc") == 0 ||
-                     (line.size() > 4 &&
-                      (line.compare(line.size() - 4, 4, ".hpp") == 0 ||
-                       line.compare(line.size() - 4, 4, ".cpp") == 0)));
-                if (src)
-                    out.push_back(root + "/" + line);
-            }
-            line.clear();
-        } else {
-            line += static_cast<char>(c);
-        }
-    }
-    return ::pclose(pipe) == 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -74,7 +29,6 @@ main(int argc, char **argv)
     using namespace laperm::simlint;
 
     DriverOptions opts;
-    std::string diffRef;
     bool timings = false;
 
     auto need = [&](int i, const char *flag) -> const char * {
@@ -91,26 +45,11 @@ main(int argc, char **argv)
             opts.root = need(i++, "--root");
         } else if (arg == "--layering") {
             opts.layeringSpec = need(i++, "--layering");
-        } else if (arg == "--baseline") {
-            opts.baselinePath = need(i++, "--baseline");
-        } else if (arg == "--write-baseline") {
-            opts.writeBaselinePath = need(i++, "--write-baseline");
-        } else if (arg == "--sarif") {
-            opts.sarifPath = need(i++, "--sarif");
-        } else if (arg == "--diff") {
-            diffRef = need(i++, "--diff");
         } else if (arg == "--timings") {
             timings = true;
-        } else if (arg == "--no-audit") {
-            opts.audit = false;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: sim_lint [--root <dir>] [--layering <spec>]\n"
-                "                [--baseline <file>] "
-                "[--write-baseline <file>]\n"
-                "                [--sarif <file>] [--diff <ref>] "
-                "[--timings]\n"
-                "                [--no-audit] [file...]\n");
+            std::printf("usage: sim_lint [--root <dir>] [--layering <spec>]"
+                        " [--timings] [file...]\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "sim-lint: unknown flag %s\n",
@@ -118,25 +57,6 @@ main(int argc, char **argv)
             return 2;
         } else {
             opts.files.push_back(arg);
-        }
-    }
-
-    if (!diffRef.empty()) {
-        if (!opts.files.empty()) {
-            std::fprintf(stderr,
-                         "sim-lint: --diff and explicit files are "
-                         "mutually exclusive\n");
-            return 2;
-        }
-        if (!changedSources(opts.root, diffRef, opts.files)) {
-            std::fprintf(stderr, "sim-lint: git diff against '%s' failed\n",
-                         diffRef.c_str());
-            return 2;
-        }
-        if (opts.files.empty()) {
-            std::printf("sim-lint: no sources changed vs %s\n",
-                        diffRef.c_str());
-            return 0;
         }
     }
 
@@ -159,10 +79,6 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(t.micros),
                          t.findings, t.findings == 1 ? "" : "s");
         }
-    }
-    if (!opts.writeBaselinePath.empty()) {
-        std::printf("sim-lint: baseline written to %s\n",
-                    opts.writeBaselinePath.c_str());
     }
     std::printf("sim-lint: %zu files scanned, %zu finding%s\n",
                 result.filesScanned, result.findings.size(),

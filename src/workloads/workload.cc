@@ -20,22 +20,36 @@ toString(Scale scale)
     return "?";
 }
 
-Scale
-scaleFromString(const std::string &name)
+bool
+parseScale(const std::string &name, Scale &out)
 {
     std::string s = name;
     std::transform(s.begin(), s.end(), s.begin(),
                    [](unsigned char c) { return std::tolower(c); });
-    if (s == "tiny")
-        return Scale::Tiny;
-    if (s == "small")
-        return Scale::Small;
-    if (s == "full")
-        return Scale::Full;
-    if (s == "huge")
-        return Scale::Huge;
-    laperm_fatal("unknown scale '%s' (want tiny|small|full|huge)",
-                 name.c_str());
+    for (Scale scale : {Scale::Tiny, Scale::Small, Scale::Full,
+                        Scale::Huge}) {
+        if (s == toString(scale)) {
+            out = scale;
+            return true;
+        }
+    }
+    return false;
+}
+
+const char *
+scaleNameList()
+{
+    return "tiny|small|full|huge";
+}
+
+Scale
+scaleFromString(const std::string &name)
+{
+    Scale scale = Scale::Small;
+    if (!parseScale(name, scale))
+        laperm_fatal("unknown scale '%s' (want %s)", name.c_str(),
+                     scaleNameList());
+    return scale;
 }
 
 void

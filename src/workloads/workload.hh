@@ -28,9 +28,20 @@ enum class Scale
     Huge,  ///< sized for the big presets (p100/v100 actually loaded)
 };
 
+/** Display and wire spelling: "tiny", "small", "full" or "huge". */
 const char *toString(Scale scale);
 
-/** Parse "tiny"/"small"/"full"/"huge" (case-insensitive); fatal on error. */
+/**
+ * Parse a scale name, case-insensitively ("TINY" is tiny); false on
+ * anything else. The one scale parser of the CLIs, the wire and
+ * tenant mix specs.
+ */
+bool parseScale(const std::string &name, Scale &out);
+
+/** The accepted names as "tiny|small|full|huge" for error messages. */
+const char *scaleNameList();
+
+/** parseScale() for bench and example arguments; fatal on error. */
 Scale scaleFromString(const std::string &name);
 
 /** Scale selected by the LAPERM_SCALE environment variable (or @p def). */

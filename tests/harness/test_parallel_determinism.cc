@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "workloads/registry.hh"
 
 using namespace laperm;
 
@@ -86,9 +87,11 @@ storeContents(const std::string &dir)
 
 TEST(ParallelSweep, ResultsIdenticalAcrossJobCounts)
 {
-    auto serial = runMatrix(kNames, Scale::Tiny, 7, false, 1);
-    ASSERT_EQ(serial.size(), kNames.size() * 8); // 2 models x 4 policies
-    auto parallel = runMatrix(kNames, Scale::Tiny, 7, false, 8);
+    // Every Table II workload: the whole matrix the figures sweep.
+    const std::vector<std::string> &names = workloadNames();
+    auto serial = runMatrix(names, Scale::Tiny, 7, false, 1);
+    ASSERT_EQ(serial.size(), names.size() * 8); // 2 models x 4 policies
+    auto parallel = runMatrix(names, Scale::Tiny, 7, false, 8);
     expectIdentical(serial, parallel);
 }
 
@@ -111,10 +114,11 @@ TEST(ParallelSweep, TsvCacheByteIdenticalAcrossJobCounts)
 {
     // Each job count gets its own fresh store: in a shared one the
     // jobs=8 sweep would only read the jobs=1 records.
+    const std::vector<std::string> &names = workloadNames();
     const std::string serialDir = useFreshStore("jobs1");
-    const auto serial = runMatrix(kNames, Scale::Tiny, 7, true, 1);
+    const auto serial = runMatrix(names, Scale::Tiny, 7, true, 1);
     const std::string parallelDir = useFreshStore("jobs8");
-    const auto parallel = runMatrix(kNames, Scale::Tiny, 7, true, 8);
+    const auto parallel = runMatrix(names, Scale::Tiny, 7, true, 8);
     unsetenv("LAPERM_CACHE_DIR");
 
     const auto serialStore = storeContents(serialDir);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -373,30 +374,36 @@ TEST(ServeRequest, TenantKeyIgnoresWorkloadAndScale)
 
 TEST(ServeService, ColdCachedAndDirectResultsAreByteIdentical)
 {
-    const SimRequest req = tinyRequest(7);
-    const std::string direct = directPayload(req);
-
+    // Every distinct request executes once and every repeat is a hit,
+    // both with the bytes of a direct run.
+    const std::vector<std::uint64_t> seeds = {7, 8, 9, 10};
     SimService svc(testServiceOptions(tempDir("identity")));
-    const RunOutcome cold = svc.run(req);
-    ASSERT_EQ(cold.status, RunStatus::Ok) << cold.error;
-    EXPECT_FALSE(cold.cached);
-    EXPECT_EQ(cold.payload, direct);
+    std::vector<std::string> direct;
+    for (const std::uint64_t seed : seeds) {
+        const SimRequest req = tinyRequest(seed);
+        direct.push_back(directPayload(req));
+        const RunOutcome cold = svc.run(req);
+        ASSERT_EQ(cold.status, RunStatus::Ok) << cold.error;
+        EXPECT_FALSE(cold.cached);
+        EXPECT_EQ(cold.payload, direct.back());
+    }
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+        const RunOutcome warm = svc.run(tinyRequest(seeds[i]));
+        ASSERT_EQ(warm.status, RunStatus::Ok) << warm.error;
+        EXPECT_TRUE(warm.cached);
+        EXPECT_EQ(warm.payload, direct[i]);
 
-    const RunOutcome warm = svc.run(req);
-    ASSERT_EQ(warm.status, RunStatus::Ok) << warm.error;
-    EXPECT_TRUE(warm.cached);
-    EXPECT_EQ(warm.payload, direct);
-
-    // And the rendered CSV row matches what laperm_sim --csv prints.
-    ResultRecord recDirect, recServed;
-    ASSERT_TRUE(ResultRecord::decode(direct, recDirect));
-    ASSERT_TRUE(ResultRecord::decode(warm.payload, recServed));
-    EXPECT_EQ(recDirect.csvRow(), recServed.csvRow());
+        // And the rendered CSV row matches what laperm_sim --csv prints.
+        ResultRecord recDirect, recServed;
+        ASSERT_TRUE(ResultRecord::decode(direct[i], recDirect));
+        ASSERT_TRUE(ResultRecord::decode(warm.payload, recServed));
+        EXPECT_EQ(recDirect.csvRow(), recServed.csvRow());
+    }
 
     const ServiceMetrics m = svc.metrics();
-    EXPECT_EQ(m.executed, 1u);
-    EXPECT_EQ(m.cacheMisses, 1u);
-    EXPECT_EQ(m.cacheHits, 1u);
+    EXPECT_EQ(m.executed, seeds.size());
+    EXPECT_EQ(m.cacheMisses, seeds.size());
+    EXPECT_EQ(m.cacheHits, seeds.size());
 }
 
 TEST(ServeService, TenantMixPayloadMatchesADirectMixStudy)
@@ -590,6 +597,23 @@ TEST(ServeService, AdmissionBoundShedsInsteadOfQueueingUnbounded)
     EXPECT_EQ(m.shed, 1u);
     EXPECT_EQ(m.executed, 1u);
     EXPECT_EQ(m.queueDepthPeak, 1u);
+
+    // A concurrent burst of distinct requests: every caller gets an
+    // answer, a result or a shed, and the bound sheds at least one.
+    std::vector<RunStatus> status(8, RunStatus::Error);
+    std::vector<std::thread> burst;
+    for (std::size_t i = 0; i < status.size(); ++i)
+        burst.emplace_back(
+            [&, i] { status[i] = svc.run(tinyRequest(100 + i)).status; });
+    for (std::thread &t : burst)
+        t.join();
+    const auto ok = std::count(status.begin(), status.end(), RunStatus::Ok);
+    const auto shed =
+        std::count(status.begin(), status.end(), RunStatus::Shed);
+    EXPECT_EQ(ok + shed, 8);
+    EXPECT_GE(shed, 1);
+    EXPECT_EQ(svc.metrics().executed, 1u + static_cast<std::uint64_t>(ok));
+    EXPECT_EQ(svc.metrics().queueDepthPeak, 1u);
 }
 
 TEST(ServeService, WaiterTimeoutDoesNotAbortExecution)
@@ -665,6 +689,33 @@ TEST(ServeService, InvalidRequestsErrorWithoutExecuting)
     const ServiceMetrics m = svc.metrics();
     EXPECT_EQ(m.errors, 1u);
     EXPECT_EQ(m.executed, 0u);
+}
+
+TEST(ServeService, ZeroSizedCacheIsAStructuredError)
+{
+    // A zero-sized L1 or L2 divides evenly by assoc*line, so check()
+    // used to pass it and the Cache constructor aborted the daemon.
+    ServiceHandler handler(testServiceOptions(tempDir("zero_cache")));
+    JsonObject resp;
+    std::string err, status;
+    for (const char *bad :
+         {R"({"op":"run","workload":"bfs-cage","scale":"tiny","l1_kb":0})",
+          R"({"op":"run","workload":"bfs-cage","scale":"tiny",)"
+          R"("config":"l2_size = 0\n"})"}) {
+        ASSERT_TRUE(parseJsonObject(handler.handleLine(bad).frame, resp, err))
+            << err;
+        ASSERT_TRUE(getString(resp, "status", status));
+        EXPECT_EQ(status, kStatusError) << bad;
+    }
+    ASSERT_TRUE(parseJsonObject(
+        handler
+            .handleLine(
+                R"({"op":"run","workload":"bfs-cage","scale":"tiny"})")
+            .frame,
+        resp, err))
+        << err;
+    ASSERT_TRUE(getString(resp, "status", status));
+    EXPECT_EQ(status, kStatusOk);
 }
 
 // ----------------------------------------------------------------- server

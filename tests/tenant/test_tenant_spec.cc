@@ -81,6 +81,29 @@ TEST(TenantSpec, ErrorsCarryLineNumbers)
         << err;
 }
 
+TEST(TenantSpec, NegativeCountsAreLineErrors)
+{
+    // strtoull would wrap "-1" to 2^64-1: jobs became 4294967295 and
+    // arrival a cycle near the end of time.
+    MixSpec mix;
+    std::string err;
+    EXPECT_FALSE(parseMixToml("[tenant.a]\nworkload = \"bfs-citation\"\n"
+                              "period = 100\njobs = -1\n",
+                              mix, err));
+    EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+    EXPECT_NE(err.find("jobs"), std::string::npos) << err;
+
+    EXPECT_FALSE(parseMixToml("[tenant.a]\nworkload = \"bfs-citation\"\n"
+                              "arrival = -5\n",
+                              mix, err));
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+
+    EXPECT_FALSE(parseMixToml("[tenant.a]\nworkload = \"bfs-citation\"\n"
+                              "jobs = 4294967296\n",
+                              mix, err));
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+}
+
 TEST(TenantSpec, RejectsStructuralErrors)
 {
     MixSpec mix;

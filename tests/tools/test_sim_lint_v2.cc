@@ -1,17 +1,16 @@
 /**
  * @file
  * sim-lint v2 tests: layering, cycle-safety and event-discipline
- * passes, the suppression audit, the baseline gate and the SARIF
- * report. Pass-level tests parse fixtures under tests/tools/fixtures/
- * directly; driver-level tests run the same pipeline the sim_lint CLI
- * (and the sim_lint_repo ctest gate) runs, rooted at the fixture tree
- * so fixtures/layering.toml is picked up exactly like the repo spec.
+ * passes and the suppression audit. Pass-level tests parse fixtures
+ * under tests/tools/fixtures/ directly; driver-level tests run the
+ * same pipeline the sim_lint CLI (and the sim_lint_repo ctest gate)
+ * runs, rooted at the fixture tree so fixtures/layering.toml is picked
+ * up exactly like the repo spec.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -59,14 +58,6 @@ fixtureSpec()
     EXPECT_TRUE(loadLayerSpec(fixture("layering.toml"), spec, err)) << err;
     return spec;
 }
-
-/** RAII temp file under the test working directory. */
-struct TempFile
-{
-    std::string path;
-    explicit TempFile(const std::string &name) : path(name) {}
-    ~TempFile() { std::remove(path.c_str()); }
-};
 
 // ---------------------------------------------------------------- spec
 
@@ -317,85 +308,6 @@ TEST(Driver, UsedAllowSatisfiesTheAudit)
     EXPECT_TRUE(r.findings.empty());
 }
 
-TEST(Driver, AuditCanBeDisabledForDebugging)
-{
-    auto opts = fixtureDriver({"sim/bad_unused_allow.cc"});
-    opts.audit = false;
-    EXPECT_TRUE(runDriver(opts).findings.empty());
-}
-
-TEST(Driver, BaselineRoundTripSuppressesLegacyFindings)
-{
-    TempFile baseline("test_v2_baseline_roundtrip.tsv");
-
-    // Bootstrap: grandfather every current finding.
-    auto write = fixtureDriver({"sim/bad_cycle_float.cc"});
-    write.writeBaselinePath = baseline.path;
-    const DriverResult bootstrap = runDriver(write);
-    ASSERT_TRUE(bootstrap.error.empty()) << bootstrap.error;
-    EXPECT_EQ(bootstrap.findings.size(), 4u);
-
-    // Gate: the same tree is now clean, every entry consumed.
-    auto gate = fixtureDriver({"sim/bad_cycle_float.cc"});
-    gate.baselinePath = baseline.path;
-    const DriverResult r = runDriver(gate);
-    ASSERT_TRUE(r.error.empty()) << r.error;
-    EXPECT_TRUE(r.findings.empty());
-    EXPECT_EQ(r.baselineMatched, 4u);
-}
-
-TEST(Driver, BaselineDoesNotHideNewFindings)
-{
-    TempFile baseline("test_v2_baseline_partial.tsv");
-    {
-        // Baseline only the narrowing finding; the float/sign findings
-        // must still gate.
-        std::ofstream out(baseline.path);
-        // Keys squeeze the RAW flagged line, trailing comment included.
-        out << "cycle-narrow\tsim/bad_cycle_float.cc\t"
-               "return static_cast<unsigned>(deadline); // cycle-narrow\n";
-    }
-    auto gate = fixtureDriver({"sim/bad_cycle_float.cc"});
-    gate.baselinePath = baseline.path;
-    const DriverResult r = runDriver(gate);
-    ASSERT_TRUE(r.error.empty()) << r.error;
-    EXPECT_EQ(r.baselineMatched, 1u);
-    EXPECT_EQ(countRule(r.findings, Rule::CycleNarrow), 0u);
-    EXPECT_EQ(countRule(r.findings, Rule::CycleFloat), 2u);
-    EXPECT_EQ(countRule(r.findings, Rule::CycleSign), 1u);
-}
-
-TEST(Driver, StaleBaselineEntryFailsTheGate)
-{
-    TempFile baseline("test_v2_baseline_stale.tsv");
-    {
-        std::ofstream out(baseline.path);
-        out << "# comment lines are ignored\n"
-            << "cycle-float\tsim/good_cycle.cc\treturn gone();\n";
-    }
-    auto gate = fixtureDriver({"sim/good_cycle.cc"});
-    gate.baselinePath = baseline.path;
-    const DriverResult r = runDriver(gate);
-    ASSERT_TRUE(r.error.empty()) << r.error;
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].rule, Rule::StaleBaseline);
-}
-
-TEST(Driver, SarifReportListsRulesAndResults)
-{
-    TempFile sarif("test_v2_report.sarif");
-    auto opts = fixtureDriver({"sim/bad_cycle_float.cc"});
-    opts.sarifPath = sarif.path;
-    const DriverResult r = runDriver(opts);
-    ASSERT_TRUE(r.error.empty()) << r.error;
-    const std::string doc = readAll(sarif.path);
-    EXPECT_NE(doc.find("sarif-schema-2.1.0"), std::string::npos);
-    EXPECT_NE(doc.find("\"name\": \"sim-lint\""), std::string::npos);
-    EXPECT_NE(doc.find("cycle-float"), std::string::npos);
-    EXPECT_NE(doc.find("cycle-narrow"), std::string::npos);
-    EXPECT_NE(doc.find("bad_cycle_float.cc"), std::string::npos);
-}
-
 TEST(Driver, MissingSpecIsAConfigurationError)
 {
     auto opts = fixtureDriver({"sim/good_cycle.cc"});
@@ -405,7 +317,7 @@ TEST(Driver, MissingSpecIsAConfigurationError)
 }
 
 // Mirror of the sim_lint_repo CLI gate, in-process: the real tree is
-// clean under all four passes with the repo spec and baseline.
+// clean under all four passes with the repo spec.
 TEST(DriverRepo, FullPipelineOverRealTreeIsClean)
 {
     DriverOptions opts;
