@@ -5,9 +5,12 @@
  * reference loop and the event-driven core (DESIGN.md §11), timing only
  * Gpu::runWaves (workload setup is amortized outside the timer), and
  * writes BENCH_simcore.json with simulated cycles/sec per mode and the
- * event/dense speedup. A final phase measures cold laperm-serve
- * throughput (every request simulates) since the cold path *is* the
- * simulator.
+ * event/dense speedup. Each event-mode run also reports the core's
+ * host work counters (Gpu::workCounters: events popped, front-end
+ * visits elided, SMX ticks, MSHR inserts), so a host-side change shows
+ * as less work and not only as less time. A final phase measures cold
+ * laperm-serve throughput (every request simulates) since the cold
+ * path *is* the simulator.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
@@ -57,6 +60,7 @@ struct Cell
     Cycle cycles = 0;
     double denseSec = 0.0;
     double eventSec = 0.0;
+    WorkCounters work; ///< of the event-mode run
     double speedup() const
     {
         return eventSec > 0.0 ? denseSec / eventSec : 0.0;
@@ -74,7 +78,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /** Simulate one cell in one mode; returns stats cycles. */
 Cycle
 simulate(const Workload &w, TbPolicy policy, TickMode mode,
-         std::uint64_t seed, double &seconds)
+         std::uint64_t seed, double &seconds, WorkCounters &work)
 {
     GpuConfig cfg = paperConfig();
     cfg.dynParModel = DynParModel::DTBL;
@@ -85,6 +89,7 @@ simulate(const Workload &w, TbPolicy policy, TickMode mode,
     const auto t0 = std::chrono::steady_clock::now();
     gpu.runWaves(w.waves());
     seconds = secondsSince(t0);
+    work = gpu.workCounters();
     return gpu.stats().cycles;
 }
 
@@ -117,10 +122,11 @@ main()
             Cell cell;
             cell.workload = name;
             cell.policy = policy;
+            WorkCounters dense_work;
             const Cycle dense = simulate(*w, policy, TickMode::Dense,
-                                         seed, cell.denseSec);
+                                         seed, cell.denseSec, dense_work);
             cell.cycles = simulate(*w, policy, TickMode::Event, seed,
-                                   cell.eventSec);
+                                   cell.eventSec, cell.work);
             if (dense != cell.cycles) {
                 std::fprintf(stderr,
                              "FAIL: %s/%s cycles diverge "
@@ -131,10 +137,18 @@ main()
                 identical = false;
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
-                        "event %.3fs  %.2fx\n",
+                        "event %.3fs  %.2fx  popped %llu  elided %llu  "
+                        "ticks %llu  mshr %llu\n",
                         name, toString(policy),
                         static_cast<unsigned long long>(cell.cycles),
-                        cell.denseSec, cell.eventSec, cell.speedup());
+                        cell.denseSec, cell.eventSec, cell.speedup(),
+                        static_cast<unsigned long long>(
+                            cell.work.eventsPopped),
+                        static_cast<unsigned long long>(
+                            cell.work.visitsElided),
+                        static_cast<unsigned long long>(cell.work.smxTicks),
+                        static_cast<unsigned long long>(
+                            cell.work.mshrInserts));
             cells.push_back(std::move(cell));
         }
     }
@@ -175,10 +189,15 @@ main()
     double maxSpeedup = 0.0;
     double denseTotal = 0.0;
     double eventTotal = 0.0;
+    WorkCounters workTotal;
     for (const Cell &c : cells) {
         maxSpeedup = std::max(maxSpeedup, c.speedup());
         denseTotal += c.denseSec;
         eventTotal += c.eventSec;
+        workTotal.eventsPopped += c.work.eventsPopped;
+        workTotal.visitsElided += c.work.visitsElided;
+        workTotal.smxTicks += c.work.smxTicks;
+        workTotal.mshrInserts += c.work.mshrInserts;
     }
 
     std::ofstream json("BENCH_simcore.json");
@@ -197,7 +216,11 @@ main()
              << ", \"seconds_event\": " << c.eventSec
              << ", \"cycles_per_sec_dense\": " << cyc / c.denseSec
              << ", \"cycles_per_sec_event\": " << cyc / c.eventSec
-             << ", \"speedup\": " << c.speedup() << "}"
+             << ", \"speedup\": " << c.speedup()
+             << ", \"events_popped\": " << c.work.eventsPopped
+             << ", \"visits_elided\": " << c.work.visitsElided
+             << ", \"smx_ticks\": " << c.work.smxTicks
+             << ", \"mshr_inserts\": " << c.work.mshrInserts << "}"
              << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     json << "  ],\n"
@@ -206,6 +229,10 @@ main()
          << "  \"speedup_total\": "
          << (eventTotal > 0.0 ? denseTotal / eventTotal : 0.0) << ",\n"
          << "  \"speedup_max\": " << maxSpeedup << ",\n"
+         << "  \"events_popped_total\": " << workTotal.eventsPopped << ",\n"
+         << "  \"visits_elided_total\": " << workTotal.visitsElided << ",\n"
+         << "  \"smx_ticks_total\": " << workTotal.smxTicks << ",\n"
+         << "  \"mshr_inserts_total\": " << workTotal.mshrInserts << ",\n"
          << "  \"serve_cold_requests\": " << requests << ",\n"
          << "  \"serve_seconds_cold\": " << coldSec << ",\n"
          << "  \"serve_req_per_sec_cold\": "
@@ -222,6 +249,12 @@ main()
                 denseTotal, eventTotal,
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
                 maxSpeedup);
+    std::printf("event-mode work: popped %llu  elided %llu  ticks %llu  "
+                "mshr inserts %llu\n",
+                static_cast<unsigned long long>(workTotal.eventsPopped),
+                static_cast<unsigned long long>(workTotal.visitsElided),
+                static_cast<unsigned long long>(workTotal.smxTicks),
+                static_cast<unsigned long long>(workTotal.mshrInserts));
     std::printf("wrote BENCH_simcore.json\n");
 
     if (!identical) {

@@ -9,8 +9,9 @@
 #      byte-identical
 #   4. one grammar: the same run flags on both CLIs (a cut-down V100
 #      with the TB-aware warp scheduler) give byte-identical CSV, and a
-#      machine the simulator cannot build (--l1-kb 0) is a structured
-#      error that leaves the daemon answering
+#      machine the simulator cannot build (--l1-kb 0), or whose SMX
+#      cannot hold the workload's TBs, is a structured error that
+#      leaves the daemon answering
 #   5. batch submission prints the sweep-format TSV
 #   6. --stats returns the metrics snapshot
 #   7. kill -9 the daemon and restart it on the same --cache-dir: the
@@ -108,6 +109,26 @@ if ! grep -q 'status=error' "$WORK/zero_l1.err"; then
 fi
 "$SUBMIT" --connect "$EP" --ping >/dev/null
 echo "serve_smoke: --l1-kb 0 is a structured error; the daemon still answers"
+
+# A machine whose SMX cannot hold one of the workload's TBs is a
+# structured error too: it used to end the daemon (threads) or spin it
+# to the cycle cap (registers).
+for limit in 'max_threads_per_smx = 32' 'regs_per_smx = 64'; do
+    printf '%s\n' "$limit" >"$WORK/undersized.toml"
+    if timeout 60 "$SUBMIT" --connect "$EP" --workload bfs-cage --scale tiny \
+        --config "$WORK/undersized.toml" \
+        >"$WORK/undersized.out" 2>"$WORK/undersized.err"; then
+        echo "serve_smoke: '$limit' was accepted" >&2
+        exit 1
+    fi
+    if ! grep -q 'status=error' "$WORK/undersized.err"; then
+        echo "serve_smoke: '$limit' got no structured error:" >&2
+        cat "$WORK/undersized.err" "$WORK/daemon.log" >&2
+        exit 1
+    fi
+    "$SUBMIT" --connect "$EP" --ping >/dev/null
+done
+echo "serve_smoke: undersized SMXs are structured errors; the daemon still answers"
 
 # Batch submission prints the sweep-harness TSV format.
 printf '%s\n' \

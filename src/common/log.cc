@@ -59,9 +59,21 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::abort();
 }
 
+namespace {
+
+thread_local bool fatalThrows = false;
+
+} // namespace
+
+FatalThrows::FatalThrows() : prev_(fatalThrows) { fatalThrows = true; }
+
+FatalThrows::~FatalThrows() { fatalThrows = prev_; }
+
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
+    if (fatalThrows)
+        throw FatalError(msg);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
 }

@@ -8,6 +8,7 @@
 #define LAPERM_COMMON_LOG_HH
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 namespace laperm {
@@ -15,8 +16,36 @@ namespace laperm {
 /** Terminate with abort(); use for internal invariant violations. */
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 
-/** Terminate with exit(1); use for user-caused errors (bad config). */
+/**
+ * Terminate with exit(1); use for user-caused errors (bad config).
+ * Throws FatalError instead while a FatalThrows scope is alive on the
+ * calling thread.
+ */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+
+/** A user-caused error raised inside a FatalThrows scope. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While alive, laperm_fatal on this thread throws FatalError instead
+ * of ending the process, so a serving daemon can answer the one
+ * request whose run hit a user-caused error and keep serving.
+ */
+class FatalThrows
+{
+  public:
+    FatalThrows();
+    ~FatalThrows();
+    FatalThrows(const FatalThrows &) = delete;
+    FatalThrows &operator=(const FatalThrows &) = delete;
+
+  private:
+    bool prev_;
+};
 
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);

@@ -6,6 +6,14 @@
 
 namespace laperm {
 
+std::string
+launchMisfit(const GpuConfig &cfg, const LaunchRequest &req)
+{
+    return cfg.tbMisfit(req.threadsPerTb,
+                        req.program->regsPerThread() * req.threadsPerTb,
+                        req.program->smemPerTb());
+}
+
 Launcher::Launcher(const GpuConfig &cfg, Kdu &kdu, TbScheduler &sched,
                    GpuStats &stats, std::uint64_t &undispatched_tbs,
                    obs::ObserverHub &hub)
@@ -20,9 +28,9 @@ Launcher::hostLaunch(const LaunchRequest &req, Cycle now)
     laperm_assert(req.program != nullptr, "host launch without program");
     if (!kdu_.hasFreeEntry())
         laperm_fatal("host launch with a full KDU");
-    if (req.threadsPerTb > cfg_.maxThreadsPerSmx)
-        laperm_fatal("TB of %u threads exceeds the SMX limit",
-                     req.threadsPerTb);
+    const std::string misfit = launchMisfit(cfg_, req);
+    if (!misfit.empty())
+        laperm_fatal("host launch: %s", misfit.c_str());
 
     KernelInstance *kernel =
         kdu_.admitKernel(req.program->functionId(), req.threadsPerTb,

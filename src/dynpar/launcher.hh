@@ -10,6 +10,7 @@
 #define LAPERM_DYNPAR_LAUNCHER_HH
 
 #include <cstdint>
+#include <string>
 
 #include "gpu/kdu.hh"
 #include "gpu/kmu.hh"
@@ -20,6 +21,12 @@
 #include "sim/stats.hh"
 
 namespace laperm {
+
+/**
+ * Why @p req's TBs can never be resident on an SMX of @p cfg
+ * (GpuConfig::tbMisfit), or an empty string when they fit.
+ */
+std::string launchMisfit(const GpuConfig &cfg, const LaunchRequest &req);
 
 /** CDP/DTBL launch handling (Sections II-C and IV). */
 class Launcher

@@ -7,7 +7,7 @@
 namespace laperm {
 
 Gpu::Gpu(const GpuConfig &cfg)
-    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries)
+    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries), wheel_(cfg.numSmx)
 {
     cfg_.validate();
     sched_ = TbScheduler::create(cfg_, *this);
@@ -79,6 +79,7 @@ Gpu::tick()
         const SmxId id = activeSmxs_[i];
         Smx &smx = *smxs_[id];
         progress |= smx.tick(cycle_);
+        ++work_.smxTicks;
         if (smx.drained())
             smxActive_[id] = false;
         else
@@ -174,6 +175,7 @@ Gpu::advanceTo(Cycle cycle)
         // times in the past; reset all event-mode state so the next
         // slice re-arms from the new clock.
         eq_.clear();
+        wheel_.clear();
         feArmedAt_ = kNoCycle;
         maintArmedAt_ = kNoCycle;
         std::fill(smxArmedAt_.begin(), smxArmedAt_.end(), kNoCycle);
@@ -199,12 +201,15 @@ Gpu::armFrontEnd(Cycle cycle)
 }
 
 void
-Gpu::armSmx(SmxId id, Cycle cycle)
+Gpu::armSmx(SmxId id, Cycle cycle, Cycle now)
 {
     if (cycle >= smxArmedAt_[id])
         return;
     smxArmedAt_[id] = cycle;
-    eq_.schedule(cycle, SimEventKind::SmxTick, id);
+    if (cycle - now < WakeWheel::kSpan)
+        wheel_.set(id, cycle);
+    else
+        eq_.schedule(cycle, SimEventKind::SmxTick, id);
 }
 
 void
@@ -222,8 +227,9 @@ Gpu::armMaintenance(Cycle cycle)
  * stall accounting) — so its arming rules replicate the dense visit
  * set: the successor of every progress cycle, and on a no-progress
  * cycle the same jump target the dense loop computes. SMX ticks with no
- * eligible warp are side-effect-free, so SMXs park on the queue until
- * their next wakeup instead of being polled.
+ * eligible warp are side-effect-free, so SMXs park on the wake wheel
+ * (or, far ahead, the event queue) until their next wakeup instead of
+ * being polled.
  */
 void
 Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
@@ -234,8 +240,10 @@ Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
 
     while (!idle()) {
         // The next batch is the earliest of the two scalar deadlines
-        // and the queue of parked SMXs.
-        const Cycle smxAt = eq_.empty() ? kNoCycle : eq_.top().cycle;
+        // and the parked SMXs' wakeups.
+        const Cycle smxAt =
+            std::min(eq_.empty() ? kNoCycle : eq_.top().cycle,
+                     wheel_.next());
         const Cycle t =
             std::min({feArmedAt_, smxAt, maintArmedAt_});
         laperm_assert(t != kNoCycle, "no next event with live work");
@@ -268,26 +276,44 @@ Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
                 bool launched = launcher_->tick(t);
                 bool dispatched = sched_->dispatchOne(t);
                 progress |= launched || dispatched;
+            } else {
+                ++work_.visitsElided;
             }
         }
 
-        // SMX phase: pop every tick due at t, in ascending SMX id
-        // (the queue key), replaying the dense loop's visit order.
-        while (!eq_.empty() && eq_.top().cycle == t) {
-            const SimEvent ev = eq_.pop();
-            const SmxId id = ev.id;
-            if (smxArmedAt_[id] != ev.cycle)
+        // SMX phase: tick every SMX due at t in ascending SMX id,
+        // replaying the dense loop's visit order. Two ascending
+        // sources are merged by id: the wheel's SMXs for t and the
+        // queue's entries at t (the queue key orders them). Only the
+        // front end arms an SMX for the cycle being processed, and it
+        // ran above, so the merge sees every SMX due at t.
+        tickNow_.clear();
+        wheel_.take(t, tickNow_);
+        for (std::size_t i = 0;;) {
+            const bool queued = !eq_.empty() && eq_.top().cycle == t;
+            if (!queued && i == tickNow_.size())
+                break;
+            SmxId id;
+            if (queued &&
+                (i == tickNow_.size() || eq_.top().id <= tickNow_[i])) {
+                id = eq_.pop().id;
+                ++work_.eventsPopped;
+            } else {
+                id = tickNow_[i++];
+            }
+            if (smxArmedAt_[id] != t)
                 continue; // stale: re-armed for an earlier cycle
             smxArmedAt_[id] = kNoCycle;
             Smx &smx = *smxs_[id];
             progress |= smx.tick(t);
+            ++work_.smxTicks;
             if (smx.drained()) {
                 noteSmxDrained(id);
-            } else {
-                const Cycle next = smx.nextEventAt(t + 1);
-                if (next != kNoCycle)
-                    armSmx(id, next);
+                continue;
             }
+            const Cycle next = smx.nextEventAt(t + 1);
+            if (next != kNoCycle)
+                armSmx(id, next, t);
         }
 
         if (maintArmedAt_ == t) {
@@ -312,9 +338,11 @@ Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
                 // batch would happen anyway). The jump the dense loop
                 // computes out of that visit is replicated below with
                 // the same nextReadyAt calls, evaluated at t+1; its
-                // SMX component is the queue top, via the lazy wake.
+                // SMX component is the earliest armed SMX wakeup, via
+                // the lazy wake.
                 if (launcher_->visitIsNoop(t + 1) &&
                     sched_->visitIsNoop(t + 1)) {
+                    ++work_.visitsElided;
                     const Cycle target =
                         std::min(launcher_->nextReadyAt(t + 1),
                                  sched_->nextReadyAt(t + 1));
@@ -327,10 +355,10 @@ Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
             } else {
                 // The dense loop's no-progress jump. Its SMX component
                 // (min over active SMXs' nextEventAt) is exactly the
-                // earliest armed SMX event, so the queue supplies it
-                // via the lazy wake; only the launcher/scheduler
-                // delays need naming here. Both calls are kept even
-                // though only their min is used: the scheduler's
+                // earliest armed SMX event, so the wheel or the queue
+                // supplies it via the lazy wake; only the launcher/
+                // scheduler delays need naming here. Both calls are kept
+                // even though only their min is used: the scheduler's
                 // nextReadyAt prunes internal state, and dense/event
                 // parity requires identical call sequences.
                 const Cycle target =
@@ -338,7 +366,7 @@ Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
                              sched_->nextReadyAt(t));
                 if (target != kNoCycle && target > t) {
                     armFrontEnd(target);
-                } else if (!eq_.empty()) {
+                } else if (!eq_.empty() || !wheel_.empty()) {
                     // No nameable delay, but parked SMX events exist:
                     // the lazy wake below re-engages the front end.
                 } else {
@@ -373,6 +401,14 @@ Gpu::runWaves(const std::vector<LaunchRequest> &waves)
         launchHostKernel(wave);
         runToIdle();
     }
+}
+
+WorkCounters
+Gpu::workCounters() const
+{
+    WorkCounters w = work_;
+    w.mshrInserts = mem_.mshrInserts();
+    return w;
 }
 
 const GpuStats &
@@ -429,7 +465,7 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
         // must see the new TB (the dense loop ticks SMXs after
         // dispatch).
         if (cfg_.tickMode == TickMode::Event)
-            armSmx(smx, now);
+            armSmx(smx, now, now);
     }
 }
 
@@ -437,9 +473,11 @@ void
 Gpu::deviceLaunch(const LaunchRequest &req, const ThreadBlock &parent,
                   Cycle now)
 {
-    if (req.threadsPerTb > cfg_.maxThreadsPerSmx)
-        laperm_fatal("device launch TB of %u threads exceeds SMX limit",
-                     req.threadsPerTb);
+    // A child TB that no SMX can ever hold would otherwise wait for
+    // dispatch until the cycle cap.
+    const std::string misfit = launchMisfit(cfg_, req);
+    if (!misfit.empty())
+        laperm_fatal("device launch: %s", misfit.c_str());
     launcher_->deviceLaunch(req, parent, now);
 }
 

@@ -14,6 +14,7 @@
 #include "dynpar/launcher.hh"
 #include "gpu/kdu.hh"
 #include "gpu/smx.hh"
+#include "gpu/wake_wheel.hh"
 #include "kernels/thread_ctx.hh"
 #include "mem/mem_system.hh"
 #include "sim/observer.hh"
@@ -23,6 +24,24 @@
 #include "sim/stats.hh"
 
 namespace laperm {
+
+/**
+ * Host-side work of the timing core: deterministic counts of the
+ * simulator's own operations, not of simulated events. They stay out
+ * of GpuStats and every result artifact; a host-side optimisation
+ * shows here as less work, not only less time.
+ */
+struct WorkCounters
+{
+    /** Events popped off the event queue, stale ones included. */
+    std::uint64_t eventsPopped = 0;
+    /** Front-end visits the event loop skipped via visitIsNoop. */
+    std::uint64_t visitsElided = 0;
+    /** Smx::tick calls, both tick modes. */
+    std::uint64_t smxTicks = 0;
+    /** In-flight fills recorded at eviction, over every cache. */
+    std::uint64_t mshrInserts = 0;
+};
 
 /**
  * A simulated GPU. Usage:
@@ -94,6 +113,9 @@ class Gpu : public SmxCallbacks, public DispatchContext
     /** Finalized statistics (also flushes cache/SMX counters). */
     const GpuStats &stats();
 
+    /** Host work done so far (see WorkCounters). */
+    WorkCounters workCounters() const;
+
     Cycle now() const { return cycle_; }
     const GpuConfig &config() const { return cfg_; }
     const MemSystem &mem() const { return mem_; }
@@ -136,7 +158,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
     // --- Event-driven core (DESIGN.md §11) ---
     void runEventLoop(Cycle max_cycles, Cycle stop = kNoCycle);
     void armFrontEnd(Cycle cycle);
-    void armSmx(SmxId id, Cycle cycle);
+    void armSmx(SmxId id, Cycle cycle, Cycle now);
     void armMaintenance(Cycle cycle);
 
     GpuConfig cfg_;
@@ -159,12 +181,16 @@ class Gpu : public SmxCallbacks, public DispatchContext
     Cycle nextMshrTrimAt_ = 0;
 
     /**
-     * Event-mode state. Each component tracks the cycle of its live
-     * queue entry (kNoCycle when unarmed); an arm for an earlier cycle
-     * pushes a new entry and orphans the old one, which pop detects by
-     * comparing its cycle against the armed cycle (stale-skip).
+     * Event-mode state. Each component tracks the cycle it is armed for
+     * (kNoCycle when unarmed). An SMX wakeup less than
+     * WakeWheel::kSpan cycles ahead of the batch that arms it goes on
+     * the wheel, a later one into the queue. An arm for an earlier
+     * cycle orphans the old entry, which is skipped by comparing its
+     * cycle against the armed cycle (stale-skip).
      */
     EventQueue eq_;
+    WakeWheel wheel_;
+    std::vector<SmxId> tickNow_; ///< the batch's SMXs from the wheel
     Cycle feArmedAt_ = kNoCycle;
     Cycle maintArmedAt_ = kNoCycle;
     std::vector<Cycle> smxArmedAt_;
@@ -174,7 +200,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
      * alone. The dense jump target's SMX component is exactly the
      * earliest armed SMX event, so instead of polling every active
      * SMX's nextEventAt, the front end fires at the next
-     * non-maintenance batch the queue surfaces.
+     * non-maintenance batch the wheel or the queue surfaces.
      */
     bool feOnNextEvent_ = false;
 
@@ -182,6 +208,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::vector<ThreadCtx> ctxScratch_;
 
     GpuStats stats_;
+    WorkCounters work_;
     Cycle cycle_ = 0;
     TbUid nextTbUid_ = 0;
     std::uint64_t undispatchedTbs_ = 0;

@@ -10,9 +10,16 @@ void
 Kmu::push(PendingLaunch launch)
 {
     launch.seq = nextSeq_++;
-    store_.push_back(std::move(launch));
-    Iter it = std::prev(store_.end());
-    latent_.push({it->readyAt, it->seq, it});
+    std::uint32_t slot;
+    if (free_.empty()) {
+        slot = static_cast<std::uint32_t>(store_.size());
+        store_.push_back(std::move(launch));
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+        store_[slot] = std::move(launch);
+    }
+    latent_.push({store_[slot].readyAt, store_[slot].seq, slot});
     ++count_;
 }
 
@@ -20,12 +27,13 @@ void
 Kmu::promote(Cycle now)
 {
     while (!latent_.empty() && latent_.top().readyAt <= now) {
-        Iter it = latent_.top().it;
+        const std::uint32_t slot = latent_.top().slot;
         latent_.pop();
-        std::uint32_t level = it->priority;
+        std::uint32_t level = store_[slot].priority;
         if (ready_.size() <= level)
             ready_.resize(level + 1);
-        ready_[level].push_back(it);
+        ready_[level].push_back(slot);
+        ++readyCount_;
     }
 }
 
@@ -33,10 +41,12 @@ PendingLaunch *
 Kmu::peekReady(Cycle now, bool priority_order)
 {
     promote(now);
+    if (readyCount_ == 0)
+        return nullptr;
     if (priority_order) {
         for (std::size_t level = ready_.size(); level-- > 0;) {
             if (!ready_[level].empty())
-                return &*ready_[level].front();
+                return &store_[ready_[level].front()];
         }
         return nullptr;
     }
@@ -46,7 +56,7 @@ Kmu::peekReady(Cycle now, bool priority_order)
     PendingLaunch *best = nullptr;
     for (auto &level : ready_) {
         if (!level.empty()) {
-            PendingLaunch *cand = &*level.front();
+            PendingLaunch *cand = &store_[level.front()];
             if (!best || cand->seq < best->seq)
                 best = cand;
         }
@@ -58,20 +68,25 @@ void
 Kmu::pop(PendingLaunch *launch)
 {
     auto &level = ready_[launch->priority];
-    laperm_assert(!level.empty() && &*level.front() == launch,
+    laperm_assert(!level.empty() && &store_[level.front()] == launch,
                   "pop must target the peeked launch");
-    Iter it = level.front();
+    const std::uint32_t slot = level.front();
     level.pop_front();
-    store_.erase(it);
+    --readyCount_;
+    // Release the launch's program reference now, not at slot reuse.
+    store_[slot] = PendingLaunch{};
+    free_.push_back(slot);
     --count_;
 }
 
 Cycle
 Kmu::nextReadyAt() const
 {
-    for (const auto &level : ready_) {
-        if (!level.empty())
-            return level.front()->readyAt;
+    if (readyCount_ > 0) {
+        for (const auto &level : ready_) {
+            if (!level.empty())
+                return store_[level.front()].readyAt;
+        }
     }
     if (!latent_.empty())
         return latent_.top().readyAt;

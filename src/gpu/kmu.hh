@@ -9,7 +9,7 @@
 #define LAPERM_GPU_KMU_HH
 
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <queue>
 #include <vector>
 
@@ -46,7 +46,8 @@ class Kmu
 
     /**
      * The launch to admit next at @p now, honouring @p priority_order;
-     * nullptr if none is ready.
+     * nullptr if none is ready. The pointer is valid until the next
+     * push() or pop().
      */
     PendingLaunch *peekReady(Cycle now, bool priority_order);
 
@@ -62,17 +63,20 @@ class Kmu
     bool empty() const { return count_ == 0; }
 
   private:
-    using Iter = std::list<PendingLaunch>::iterator;
-
     void promote(Cycle now);
 
-    std::list<PendingLaunch> store_;
-    /** (readyAt, iterator) min-heap of latent launches. */
+    /**
+     * Slab of launch records, indexed by slot; freed slots are reused
+     * (free_), so a steady launch stream allocates nothing.
+     */
+    std::vector<PendingLaunch> store_;
+    std::vector<std::uint32_t> free_;
+    /** (readyAt, seq, slot) min-heap of latent launches. */
     struct HeapEntry
     {
         Cycle readyAt;
         std::uint64_t seq;
-        Iter it;
+        std::uint32_t slot;
         bool operator>(const HeapEntry &o) const
         {
             return readyAt != o.readyAt ? readyAt > o.readyAt
@@ -82,8 +86,9 @@ class Kmu
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<HeapEntry>>
         latent_;
-    /** Ready launches, FCFS within priority level. */
-    std::vector<std::list<Iter>> ready_;
+    /** Ready launches' slots, FCFS within priority level. */
+    std::vector<std::deque<std::uint32_t>> ready_;
+    std::size_t readyCount_ = 0; ///< launches in ready_
     std::size_t count_ = 0;
     std::uint64_t nextSeq_ = 0;
 };

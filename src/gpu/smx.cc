@@ -109,7 +109,7 @@ Smx::tick(Cycle now)
         // Re-file by the new readyAt — unless the op parked the warp at
         // a barrier (loc is then None, or Pending if the barrier
         // released synchronously and woke it).
-        if (warp->loc == WarpLoc::Ready)
+        if (warp->loc == WarpLoc::Ready || warp->loc == WarpLoc::Held)
             warpSched_.requeue(warp);
         issued_any = true;
     }

@@ -34,7 +34,21 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
 
     const std::uint32_t num_warps =
         (threads_per_tb + kWarpSize - 1) / kWarpSize;
-    tb.warps.resize(num_warps);
+    // Resize through the spare pool: dropping a warp would free its op
+    // and line buffers, and a new one would allocate them again.
+    while (tb.warps.size() > num_warps) {
+        tb.spareWarps.push_back(std::move(tb.warps.back()));
+        tb.warps.pop_back();
+    }
+    tb.warps.reserve(num_warps);
+    while (tb.warps.size() < num_warps) {
+        if (tb.spareWarps.empty()) {
+            tb.warps.emplace_back();
+        } else {
+            tb.warps.push_back(std::move(tb.spareWarps.back()));
+            tb.spareWarps.pop_back();
+        }
+    }
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         const std::uint32_t first = w * kWarpSize;
         const std::uint32_t count =

@@ -45,6 +45,11 @@ class ThreadBlock
     std::uint32_t smem = 0; ///< shared memory reserved on the SMX
 
     std::vector<Warp> warps;
+    /**
+     * Warps a rebuild into fewer warps left over, kept with their
+     * buffers for the next rebuild into more (not part of the TB).
+     */
+    std::vector<Warp> spareWarps;
     std::uint32_t warpsAtBarrier = 0;
     std::uint32_t warpsDone = 0;
 

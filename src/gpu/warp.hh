@@ -21,6 +21,7 @@ enum class WarpLoc : std::uint8_t
     None,    ///< not filed (at a barrier, retired, or not yet added)
     Ready,   ///< in its slot's ready list (readyAt has passed)
     Pending, ///< in its slot's pending heap, keyed by readyAt
+    Held,    ///< its slot's greedy warp, held beside the heap
 };
 
 /**

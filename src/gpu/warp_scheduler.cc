@@ -40,12 +40,35 @@ WarpScheduler::fileReady(Slot &slot, Warp *warp)
 }
 
 void
+WarpScheduler::notePending(Slot &slot)
+{
+    slot.pendingAt =
+        slot.pending.empty() ? kNoCycle : slot.pending.front().readyAt;
+}
+
+void
 WarpScheduler::filePending(Slot &slot, Warp *warp)
 {
     warp->loc = WarpLoc::Pending;
     slot.pending.push_back({warp->readyAt, warp->age, warp});
     std::push_heap(slot.pending.begin(), slot.pending.end(),
                    PendingAfter{});
+    notePending(slot);
+}
+
+void
+WarpScheduler::hold(Slot &slot, Warp *warp)
+{
+    warp->loc = WarpLoc::Held;
+    slot.held = warp;
+    slot.heldAt = warp->readyAt;
+}
+
+void
+WarpScheduler::unhold(Slot &slot)
+{
+    slot.held = nullptr;
+    slot.heldAt = kNoCycle;
 }
 
 void
@@ -61,12 +84,13 @@ WarpScheduler::eraseReady(Slot &slot, std::uint32_t ix)
 void
 WarpScheduler::drainPending(Slot &slot, Cycle now)
 {
-    while (!slot.pending.empty() && slot.pending.front().readyAt <= now) {
+    while (slot.pendingAt <= now) {
         Warp *warp = slot.pending.front().warp;
         std::pop_heap(slot.pending.begin(), slot.pending.end(),
                       PendingAfter{});
         slot.pending.pop_back();
         fileReady(slot, warp);
+        notePending(slot);
     }
 }
 
@@ -89,6 +113,8 @@ WarpScheduler::removeWarp(Warp *warp)
                           slot.ready[warp->readyIx].warp == warp,
                       "ready index out of sync");
         eraseReady(slot, warp->readyIx);
+    } else if (warp->loc == WarpLoc::Held) {
+        unhold(slot);
     } else if (warp->loc == WarpLoc::Pending) {
         auto it = std::find_if(
             slot.pending.begin(), slot.pending.end(),
@@ -97,6 +123,7 @@ WarpScheduler::removeWarp(Warp *warp)
         slot.pending.erase(it);
         std::make_heap(slot.pending.begin(), slot.pending.end(),
                        PendingAfter{});
+        notePending(slot);
     } else {
         laperm_fatal("removing a warp that is not filed");
     }
@@ -107,20 +134,32 @@ WarpScheduler::removeWarp(Warp *warp)
 }
 
 void
-WarpScheduler::requeue(Warp *warp)
+WarpScheduler::requeueFiled(Warp *warp)
 {
     Slot &slot = slots_[warp->slot];
-    laperm_assert(warp->loc == WarpLoc::Ready, "requeue of non-ready warp");
+    laperm_assert(warp->loc == WarpLoc::Ready,
+                  "requeue of a warp that did not issue");
     eraseReady(slot, warp->readyIx);
-    filePending(slot, warp);
+    if (policy_ == WarpPolicy::LRR) {
+        filePending(slot, warp);
+        return;
+    }
+    // issued() made this warp the slot's greedy warp and filed any
+    // other held one, so the hold is free.
+    hold(slot, warp);
 }
 
 void
 WarpScheduler::parkAtBarrier(Warp *warp)
 {
     Slot &slot = slots_[warp->slot];
-    laperm_assert(warp->loc == WarpLoc::Ready, "parking a non-ready warp");
-    eraseReady(slot, warp->readyIx);
+    if (warp->loc == WarpLoc::Held) {
+        unhold(slot);
+    } else {
+        laperm_assert(warp->loc == WarpLoc::Ready,
+                      "parking a non-ready warp");
+        eraseReady(slot, warp->readyIx);
+    }
     warp->loc = WarpLoc::None;
 }
 
@@ -132,16 +171,15 @@ WarpScheduler::wakeFromBarrier(Warp *warp)
 }
 
 Warp *
-WarpScheduler::pick(std::uint32_t slot_ix, Cycle now)
+WarpScheduler::pickFiled(Slot &slot)
 {
-    Slot &slot = slots_[slot_ix];
-    drainPending(slot, now);
-
-    // After the drain, "filed in ready" is exactly the old eligibility
-    // predicate (!done && !atBarrier && readyAt <= now).
+    // A held warp is always the greedy one; pick() only gets here when
+    // it is not due, and then it is not eligible.
     const bool greedy_like = policy_ != WarpPolicy::LRR;
-    if (greedy_like && slot.greedy && slot.greedy->loc == WarpLoc::Ready)
+    if (!slot.held && greedy_like && slot.greedy &&
+        slot.greedy->loc == WarpLoc::Ready) {
         return slot.greedy;
+    }
 
     // TB-aware family preference: the TB family (direct parent) of
     // the warp that issued last from this slot.
@@ -191,27 +229,10 @@ WarpScheduler::pick(std::uint32_t slot_ix, Cycle now)
 }
 
 void
-WarpScheduler::issued(std::uint32_t slot_ix, Warp *warp, Cycle now)
+WarpScheduler::fileHeld(Slot &slot)
 {
-    Slot &slot = slots_[slot_ix];
-    slot.greedy = warp;
-    warp->lastIssue = now;
-    if (warp->loc == WarpLoc::Ready)
-        slot.ready[warp->readyIx].lastIssue = now;
-}
-
-Cycle
-WarpScheduler::nextWakeup(Cycle now) const
-{
-    Cycle best = kNoCycle;
-    for (const Slot &slot : slots_) {
-        if (!slot.ready.empty())
-            return now;
-        if (!slot.pending.empty())
-            best = std::min(best,
-                            std::max(slot.pending.front().readyAt, now));
-    }
-    return best;
+    filePending(slot, slot.held);
+    unhold(slot);
 }
 
 } // namespace laperm

@@ -8,16 +8,22 @@
  * Warps are partitioned per slot into a *ready* list (readyAt has
  * passed; scanned by pick) and a *pending* min-heap keyed by
  * (readyAt, age) (never scanned; drained into ready as time advances).
- * Barrier-parked warps leave both structures until released. The ready
- * list stores the fields each policy compares (age, lastIssue, TB
- * family) inline, so the selection loop never chases Warp pointers.
- * Selection is a total order over eligible warps (ages are globally
- * unique), so the partition changes scan cost but never the winner.
+ * Under the greedy policies (GTO, TB-aware) the warp that issued last
+ * is *held* beside both instead of being filed after its issue: pick()
+ * tries it first anyway, so the common case — the greedy warp issues
+ * again as soon as it is ready — costs no heap or list traffic. It is
+ * filed into the heap when another warp issues. Barrier-parked warps
+ * leave all structures until released. The ready list stores the
+ * fields each policy compares (age, lastIssue, TB family) inline, so
+ * the selection loop never chases Warp pointers. Selection is a total
+ * order over eligible warps (ages are globally unique), so the
+ * partition changes scan cost but never the winner.
  */
 
 #ifndef LAPERM_GPU_WARP_SCHEDULER_HH
 #define LAPERM_GPU_WARP_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -53,8 +59,9 @@ class WarpScheduler
     void issued(std::uint32_t slot, Warp *warp, Cycle now);
 
     /**
-     * Re-file a ready warp after its readyAt moved forward (an op
-     * issued). Files into the pending heap keyed by the new readyAt.
+     * Re-file the warp that just issued after its readyAt moved
+     * forward: held as the slot's greedy warp under GTO and TB-aware,
+     * else filed into the pending heap keyed by the new readyAt.
      */
     void requeue(Warp *warp);
 
@@ -95,22 +102,91 @@ class WarpScheduler
 
     struct Slot
     {
+        /** pending's earliest readyAt (kNoCycle when empty). */
+        Cycle pendingAt = kNoCycle;
+        /** held's readyAt (kNoCycle when nothing is held). */
+        Cycle heldAt = kNoCycle;
+        /** The greedy warp while it is held (loc Held), else nullptr. */
+        Warp *held = nullptr;
+        Warp *greedy = nullptr;
         std::vector<ReadyEntry> ready;
         std::vector<PendingEntry> pending; ///< min-heap (readyAt, age)
-        Warp *greedy = nullptr;
     };
 
     void fileReady(Slot &slot, Warp *warp);
     void filePending(Slot &slot, Warp *warp);
     void eraseReady(Slot &slot, std::uint32_t ix);
+    /** Refresh slot.pendingAt after the heap changed. */
+    static void notePending(Slot &slot);
+    void hold(Slot &slot, Warp *warp);
+    void unhold(Slot &slot);
     /** Promote every pending warp with readyAt <= @p now to ready. */
     void drainPending(Slot &slot, Cycle now);
+    /** pick() among filed warps: the held warp is not due. */
+    Warp *pickFiled(Slot &slot);
+    /** requeue() of a warp picked from the ready list. */
+    void requeueFiled(Warp *warp);
+    /** File the held warp into the pending heap. */
+    void fileHeld(Slot &slot);
 
     WarpPolicy policy_;
     std::vector<Slot> slots_;
     std::uint64_t nextAssign_ = 0;
     std::uint32_t liveWarps_ = 0;
 };
+
+// The issue path runs these once per warp instruction; the common case
+// (the held greedy warp issues again) stays inline.
+
+inline Warp *
+WarpScheduler::pick(std::uint32_t slot_ix, Cycle now)
+{
+    Slot &slot = slots_[slot_ix];
+    if (slot.pendingAt <= now)
+        drainPending(slot, now);
+    // After the drain, "filed in ready, or held and due" is exactly the
+    // eligibility predicate (!done && !atBarrier && readyAt <= now).
+    if (slot.held && slot.heldAt <= now)
+        return slot.held;
+    return pickFiled(slot);
+}
+
+inline void
+WarpScheduler::issued(std::uint32_t slot_ix, Warp *warp, Cycle now)
+{
+    Slot &slot = slots_[slot_ix];
+    // Only the greedy warp is held: a new greedy warp files the old.
+    if (slot.held && slot.held != warp)
+        fileHeld(slot);
+    slot.greedy = warp;
+    warp->lastIssue = now;
+    if (warp->loc == WarpLoc::Ready)
+        slot.ready[warp->readyIx].lastIssue = now;
+}
+
+inline void
+WarpScheduler::requeue(Warp *warp)
+{
+    if (warp->loc == WarpLoc::Held) {
+        // Still the held greedy warp: only its wakeup moved.
+        slots_[warp->slot].heldAt = warp->readyAt;
+        return;
+    }
+    requeueFiled(warp);
+}
+
+inline Cycle
+WarpScheduler::nextWakeup(Cycle now) const
+{
+    Cycle best = kNoCycle;
+    for (const Slot &slot : slots_) {
+        if (!slot.ready.empty())
+            return now;
+        best = std::min(
+            best, std::max(std::min(slot.pendingAt, slot.heldAt), now));
+    }
+    return best;
+}
 
 } // namespace laperm
 

@@ -61,6 +61,17 @@ traceDir()
 
 } // namespace
 
+std::string
+hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
+{
+    for (const LaunchRequest &wave : workload.waves()) {
+        std::string misfit = launchMisfit(cfg, wave);
+        if (!misfit.empty())
+            return misfit;
+    }
+    return std::string();
+}
+
 ResultRecord
 runOneRecord(const Workload &workload, const GpuConfig &cfg,
              const std::string &trace_dir)

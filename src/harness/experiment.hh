@@ -43,6 +43,13 @@ struct RunResult
     bool operator==(const RunResult &) const = default;
 };
 
+/**
+ * Why a TB of one of @p workload's host waves can never be resident on
+ * an SMX of @p cfg, or an empty string. Such a wave would never
+ * dispatch; the workload must be set up.
+ */
+std::string hostWaveMisfit(const Workload &workload, const GpuConfig &cfg);
+
 /** Run one configuration (workload must be set up). */
 RunResult runOne(const Workload &workload, const GpuConfig &cfg);
 

@@ -23,6 +23,7 @@ zipWarp(WarpTrace &out, std::span<ThreadCtx> lanes)
     std::array<LaunchRequest *, kWarpSize> launch{};
     std::uint32_t live = 0;
     std::size_t thread_ops = 0;
+    std::size_t longest = 0;
     std::size_t launches = 0;
     for (std::size_t l = 0; l < count; ++l) {
         const std::vector<ThreadOp> &ops = lanes[l].ops();
@@ -32,15 +33,19 @@ zipWarp(WarpTrace &out, std::span<ThreadCtx> lanes)
         if (!ops.empty())
             live |= 1u << l;
         thread_ops += ops.size();
+        longest = std::max(longest, ops.size());
         launches += lanes[l].launches().size();
     }
 
     // Ops take spans into lines and launches as they go, so those two
     // arrays must not reallocate during the zip: reserve their worst
-    // case (one line per thread op, every launch) up front.
+    // case (one line per thread op, every launch) up front. The op
+    // count is at least the longest lane's, exactly that for a warp
+    // without divergence.
     out.ops.clear();
     out.lines.clear();
     out.launches.clear();
+    out.ops.reserve(longest);
     out.lines.reserve(thread_ops);
     out.launches.reserve(launches);
 

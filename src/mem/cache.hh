@@ -9,11 +9,12 @@
 #ifndef LAPERM_MEM_CACHE_HH
 #define LAPERM_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/fast_mod.hh"
 #include "common/types.hh"
 #include "sim/stats.hh"
 
@@ -33,24 +34,79 @@ struct CacheParams
     bool writeEvict = false;
     /**
      * MSHR entry count below which trimExpiredMshr() is a no-op; keeps
-     * the amortized sweep from touching tiny, cheap maps.
+     * the amortized sweep from touching tiny, cheap tables.
      */
     std::uint32_t mshrTrimWatermark = 16;
 };
 
-/** Outcome of a tag lookup. */
+/** Outcome of a tag lookup (16 bytes: returned in registers). */
 struct CacheAccessResult
 {
+    Cycle fillReady = 0;     ///< when the line's data is available
     bool hit = false;        ///< line present and fill complete
     bool mshrMerge = false;  ///< missed, merged into an outstanding fill
-    Cycle fillReady = 0;     ///< when the line's data is available
     bool victimDirty = false; ///< an eviction produced a writeback
+};
+
+/**
+ * Outstanding fills whose line left the tag array before the fill
+ * completed: line -> completion cycle. A flat open-addressed table
+ * (linear probing over a power-of-two slot array, backward-shift
+ * deletion, so no tombstones), keyed by line. Only point operations
+ * and an erase filter exist, so no result depends on slot order.
+ */
+class InflightTable
+{
+  public:
+    /** find() result for a line with no entry. */
+    static constexpr std::size_t kMissing = ~std::size_t(0);
+
+    std::size_t size() const { return size_; }
+
+    /** Slot of @p line's entry, or kMissing. */
+    std::size_t find(Addr line) const;
+
+    /** Completion cycle held in slot @p ix (a find() result). */
+    Cycle readyAt(std::size_t ix) const { return slots_[ix].ready; }
+
+    /** Record (or overwrite) @p line's completion cycle. */
+    void put(Addr line, Cycle ready);
+
+    /** Drop the entry in slot @p ix (a find() result). */
+    void eraseAt(std::size_t ix);
+
+    /** Drop every entry completing at or before @p cycle. */
+    void eraseCompletedBy(Cycle cycle);
+
+    void clear();
+
+  private:
+    struct Slot
+    {
+        Addr line;
+        Cycle ready;
+    };
+
+    static constexpr Addr kEmpty = ~Addr(0);
+
+    std::size_t home(Addr line) const;
+    void grow();
+
+    std::vector<Slot> slots_; ///< empty, or a power of two
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;     ///< 64 - log2(slots_.size())
 };
 
 /**
  * Tag array + MSHR. The cache does not know about latencies; callers
  * pass the fill-completion cycle for misses and receive the merged
  * ready cycle for MSHR hits.
+ *
+ * Each set is one contiguous block of 64-bit words: its line tags (an
+ * empty way holds kNoLine), then their fill-ready cycles, then their
+ * LRU stamps (0 for an empty way), then one dirty byte per way, padded
+ * to whole host cache lines. A lookup scans the tags, and a hit then
+ * reads one fill word and writes one stamp beside them.
  */
 class Cache
 {
@@ -101,32 +157,86 @@ class Cache
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return numSets_; }
 
-  private:
-    struct Way
-    {
-        Addr line = 0;
-        bool valid = false;
-        bool dirty = false;
-        Cycle fillReady = 0; ///< data not usable before this cycle
-        std::uint64_t lruStamp = 0;
-    };
+    /**
+     * In-flight fills recorded in the MSHR table at eviction (host
+     * work, not a simulated statistic; reset() keeps it).
+     */
+    std::uint64_t mshrInserts() const { return mshrInserts_; }
 
-    std::uint32_t setIndex(Addr line) const;
-    Way *findWay(Addr line);
+  private:
+    /** Tag of an empty way: never a line (lines are 128B-aligned). */
+    static constexpr Addr kNoLine = ~Addr(0);
+
+    /** First word of @p line's set block (tags; see the class note). */
+    std::uint64_t *setBlock(Addr line)
+    {
+        return words_.data() + base_ +
+               setMod_(line / kLineBytes) * setWords_;
+    }
+    const std::uint64_t *setBlock(Addr line) const
+    {
+        return words_.data() + base_ +
+               setMod_(line / kLineBytes) * setWords_;
+    }
+    /** Way holding @p line in @p set, or -1. */
+    int findWay(const std::uint64_t *set, Addr line) const
+    {
+        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+            if (set[w] == line)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+    /** lookupLoad() of a line the tag array does not hold. */
+    CacheAccessResult loadMiss(Addr line, Cycle now);
+    std::uint8_t *dirtyBytes(std::uint64_t *set) const
+    {
+        return reinterpret_cast<std::uint8_t *>(set + 3 * params_.assoc);
+    }
 
     CacheParams params_;
     std::uint32_t numSets_;
-    std::vector<Way> ways_; ///< numSets_ * assoc, set-major
+    FastMod setMod_;
+    std::size_t setWords_; ///< block stride, whole host lines
+    std::vector<std::uint64_t> words_;
+    std::size_t base_ = 0; ///< first 64-byte-aligned word of words_
     std::uint64_t lruClock_ = 0;
     /**
-     * Outstanding fills evicted from the tag array before completing:
-     * line -> completion cycle. Trimmed eagerly by the owner via
-     * trimExpiredMshr() so long runs don't accumulate dead entries
-     * that every merge-miss lookup then hashes through.
+     * Fills evicted from the tag array before completing. Trimmed
+     * eagerly by the owner via trimExpiredMshr() so long runs don't
+     * accumulate dead entries that every miss then probes through.
      */
-    std::unordered_map<Addr, Cycle> mshr_;
+    InflightTable mshr_;
+    std::uint64_t mshrInserts_ = 0;
     CacheStats stats_;
 };
+
+// Inline: every SMX load starts here, and most end here.
+inline CacheAccessResult
+Cache::lookupLoad(Addr line, Cycle now)
+{
+    ++stats_.accesses;
+    std::uint64_t *set = setBlock(line);
+    const int found = findWay(set, line);
+    if (found < 0)
+        return loadMiss(line, now);
+    const std::uint32_t w = static_cast<std::uint32_t>(found);
+    const std::uint32_t assoc = params_.assoc;
+    set[2 * assoc + w] = ++lruClock_;
+    CacheAccessResult res;
+    const Cycle fill = set[assoc + w];
+    if (fill <= now) {
+        ++stats_.hits;
+        res.hit = true;
+    } else {
+        // The line is being filled by an earlier miss: merge.
+        ++stats_.misses;
+        ++stats_.mshrMerges;
+        res.mshrMerge = true;
+        res.fillReady = fill;
+    }
+    return res;
+}
 
 } // namespace laperm
 

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/fast_mod.hh"
 #include "common/types.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
@@ -44,6 +45,7 @@ class Dram
     Cycle latency_;
     Cycle serviceInterval_;
     std::vector<Cycle> bankFreeAt_;
+    FastMod bankMod_;
     DramStats stats_;
 };
 

@@ -7,8 +7,10 @@
 namespace laperm {
 
 MemSystem::MemSystem(const GpuConfig &cfg)
-    : cfg_(cfg), l2BankFreeAt_(cfg.l2Banks, 0)
+    : cfg_(cfg), l2BankFreeAt_(cfg.l2Banks, 0), l2BankMod_(cfg.l2Banks)
 {
+    // The geometry below divides by the cluster size and indexes by it.
+    cfg.validate();
     const std::uint32_t num_l1 = cfg.numSmx / cfg.smxPerCluster;
     for (std::uint32_t i = 0; i < num_l1; ++i) {
         CacheParams p;
@@ -19,6 +21,8 @@ MemSystem::MemSystem(const GpuConfig &cfg)
         p.mshrTrimWatermark = cfg.mshrTrimWatermark;
         l1s_.push_back(std::make_unique<Cache>(p));
     }
+    for (SmxId smx = 0; smx < cfg.numSmx; ++smx)
+        l1OfSmx_.push_back(l1s_[l1Index(smx)].get());
     CacheParams p2;
     p2.name = "l2";
     p2.size = cfg.l2Size;
@@ -35,7 +39,7 @@ MemSystem::l2Access(Addr line, Cycle now, bool is_store,
 {
     // Bank queueing: the request cannot be looked up before its bank is
     // free; each access occupies the bank for a service interval.
-    Cycle &bank = l2BankFreeAt_[(line / kLineBytes) % cfg_.l2Banks];
+    Cycle &bank = l2BankFreeAt_[l2BankMod_(line / kLineBytes)];
     Cycle arrival = std::max(now, bank);
     bank = arrival + cfg_.l2ServiceInterval;
 
@@ -65,19 +69,10 @@ MemSystem::l2Access(Addr line, Cycle now, bool is_store,
 }
 
 Cycle
-MemSystem::load(SmxId smx, Addr line, Cycle now,
-                const obs::MemAccessor *who)
+MemSystem::loadFromL2(Cache &l1, Addr line, Cycle now,
+                      const obs::MemAccessor *who)
 {
-    Cache &l1 = *l1s_[l1Index(smx)];
-    CacheAccessResult res = l1.lookupLoad(line, now);
-    if (loc_ && who)
-        loc_->onL1Access(l1Index(smx), line, res.hit, *who);
-    if (res.hit)
-        return now + cfg_.l1HitLatency;
-    if (res.mshrMerge)
-        return std::max(res.fillReady, now + cfg_.l1HitLatency);
-
-    Cycle ready = l2Access(line, now, false, who);
+    const Cycle ready = l2Access(line, now, false, who);
     l1.allocate(line, ready, now, false);
     return ready;
 }
@@ -86,7 +81,7 @@ Cycle
 MemSystem::store(SmxId smx, Addr line, Cycle now,
                  const obs::MemAccessor *who)
 {
-    Cache &l1 = *l1s_[l1Index(smx)];
+    Cache &l1 = *l1OfSmx_[smx];
     // Write-evict L1 stores count neither accesses nor hits, so they
     // feed no L1 locality attribution either; the L2 access below
     // still updates the L2-level last-toucher record.
@@ -110,6 +105,15 @@ MemSystem::reset()
     l2_->reset();
     dram_->reset();
     std::fill(l2BankFreeAt_.begin(), l2BankFreeAt_.end(), 0);
+}
+
+std::uint64_t
+MemSystem::mshrInserts() const
+{
+    std::uint64_t n = l2_->mshrInserts();
+    for (const auto &l1 : l1s_)
+        n += l1->mshrInserts();
+    return n;
 }
 
 void

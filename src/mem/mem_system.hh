@@ -8,10 +8,12 @@
 #ifndef LAPERM_MEM_MEM_SYSTEM_HH
 #define LAPERM_MEM_MEM_SYSTEM_HH
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/fast_mod.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -74,11 +76,18 @@ class MemSystem
     /** Copy cache/DRAM counters into @p stats. */
     void exportStats(struct GpuStats &stats) const;
 
+    /** Cache::mshrInserts() summed over every cache. */
+    std::uint64_t mshrInserts() const;
+
   private:
     std::uint32_t l1Index(SmxId smx) const
     {
         return smx / cfg_.smxPerCluster;
     }
+
+    /** An L1 load miss: the L2 access and the L1 fill. */
+    Cycle loadFromL2(Cache &l1, Addr line, Cycle now,
+                     const obs::MemAccessor *who);
 
     /** L2 access shared by loads and stores; returns data-ready cycle. */
     Cycle l2Access(Addr line, Cycle now, bool is_store,
@@ -86,11 +95,30 @@ class MemSystem
 
     GpuConfig cfg_;
     std::vector<std::unique_ptr<Cache>> l1s_;
+    /** Each SMX's L1 (l1s_[l1Index(smx)]), without the divide. */
+    std::vector<Cache *> l1OfSmx_;
     std::unique_ptr<Cache> l2_;
     std::optional<Dram> dram_;
     std::vector<Cycle> l2BankFreeAt_;
+    FastMod l2BankMod_;
     obs::MemObserver *loc_ = nullptr;
 };
+
+// Inline: the L1 hit path of every SMX load.
+inline Cycle
+MemSystem::load(SmxId smx, Addr line, Cycle now,
+                const obs::MemAccessor *who)
+{
+    Cache &l1 = *l1OfSmx_[smx];
+    const CacheAccessResult res = l1.lookupLoad(line, now);
+    if (loc_ && who)
+        loc_->onL1Access(l1Index(smx), line, res.hit, *who);
+    if (res.hit)
+        return now + cfg_.l1HitLatency;
+    if (res.mshrMerge)
+        return std::max(res.fillReady, now + cfg_.l1HitLatency);
+    return loadFromL2(l1, line, now, who);
+}
 
 } // namespace laperm
 

@@ -49,6 +49,8 @@ PriorityQueues::front(Cycle now, bool &blocked_out,
                       const DispatchGate *gate)
 {
     blocked_out = false;
+    if (entries_ == 0)
+        return nullptr;
     for (std::uint32_t level = static_cast<std::uint32_t>(levels_.size());
          level-- > 0;) {
         prune(level);
@@ -101,6 +103,8 @@ PriorityQueues::popIfExhausted(DispatchUnit *unit)
 bool
 PriorityQueues::empty() const
 {
+    if (entries_ == 0)
+        return true;
     for (const auto &q : levels_) {
         for (const DispatchUnit *unit : q) {
             if (!unit->exhausted())

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 #include <thread>
 
 #include "common/log.hh"
@@ -213,6 +214,10 @@ SimService::execute(const SimRequest &req, const std::string &key,
     std::string payload;
     std::string error;
     try {
+        // A user-caused error inside the run (a config the workload
+        // cannot run on) answers this request; it must not end the
+        // daemon.
+        const FatalThrows fatal_throws;
         if (!req.tenants.empty()) {
             // Tenant-mix request: the payload is the same TSV
             // laperm_sim --tenants MIX --tenants-tsv writes, so a
@@ -225,6 +230,11 @@ SimService::execute(const SimRequest &req, const std::string &key,
         } else {
             auto w = createWorkload(req.workload);
             w->setup(req.scale, req.seed);
+            // A host TB that no SMX of this machine can hold would
+            // never dispatch: refuse before simulating anything.
+            const std::string misfit = hostWaveMisfit(*w, req.cfg);
+            if (!misfit.empty())
+                throw std::runtime_error(req.workload + ": " + misfit);
             payload = runOneRecord(*w, req.cfg, req.traceDir).encode();
         }
     } catch (const std::exception &e) {

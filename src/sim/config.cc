@@ -188,6 +188,26 @@ GpuConfig::check() const
     return std::string();
 }
 
+std::string
+GpuConfig::tbMisfit(std::uint32_t threads, std::uint32_t regs,
+                    std::uint32_t smem) const
+{
+    if (threads > maxThreadsPerSmx) {
+        return logFormat("TB of %u threads exceeds the SMX limit of %u",
+                         threads, maxThreadsPerSmx);
+    }
+    if (regs > regsPerSmx) {
+        return logFormat("TB of %u registers exceeds the SMX limit of %u",
+                         regs, regsPerSmx);
+    }
+    if (smem > smemPerSmx) {
+        return logFormat("TB of %u shared-memory bytes exceeds the SMX "
+                         "limit of %u",
+                         smem, smemPerSmx);
+    }
+    return std::string();
+}
+
 void
 GpuConfig::validate() const
 {

@@ -196,6 +196,15 @@ struct GpuConfig
     /** Sanity-check the configuration; fatal() on user error. */
     void validate() const;
 
+    /**
+     * Why a TB of @p threads threads needing @p regs registers and
+     * @p smem bytes of shared memory can never be resident, even on an
+     * empty SMX of this machine; an empty string when it fits. Such a
+     * TB would wait for dispatch forever.
+     */
+    std::string tbMisfit(std::uint32_t threads, std::uint32_t regs,
+                         std::uint32_t smem) const;
+
     /** One-line summary for logs. */
     std::string summary() const;
 };

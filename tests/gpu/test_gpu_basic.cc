@@ -177,3 +177,57 @@ TEST(GpuBasic, StatsIpcPositive)
     gpu.runToIdle();
     EXPECT_GT(gpu.stats().ipc(), 0.0);
 }
+
+TEST(GpuBasic, TbsThatNoSmxCanHoldFailAtOnce)
+{
+    // A TB over any one SMX limit would wait for dispatch until the
+    // cycle cap; both launch paths refuse it instead, naming the
+    // resource. Under FatalThrows the refusal is an exception.
+    const GpuConfig cfg = tinyConfig();
+    auto fat = [&cfg](std::uint32_t regs, std::uint32_t smem) {
+        return std::make_shared<LambdaProgram>(
+            "fat", allocateFunctionId(), [](ThreadCtx &c) { c.alu(1); },
+            regs, smem);
+    };
+    const FatalThrows fatal_throws;
+    const struct
+    {
+        std::shared_ptr<LambdaProgram> program;
+        std::uint32_t threads;
+        const char *resource;
+    } cases[] = {
+        {fat(1, 0), cfg.maxThreadsPerSmx + kWarpSize, "threads"},
+        {fat(cfg.regsPerSmx / 32 + 1, 0), 32, "registers"},
+        {fat(1, cfg.smemPerSmx + 1), 32, "shared-memory"},
+    };
+    for (const auto &c : cases) {
+        Gpu host(cfg);
+        try {
+            host.launchHostKernel({c.program, 1, c.threads});
+            ADD_FAILURE() << "host launch accepted " << c.resource;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.resource),
+                      std::string::npos)
+                << e.what();
+        }
+
+        // The same TB as a child of a TB that fits.
+        auto parent = std::make_shared<LambdaProgram>(
+            "parent", allocateFunctionId(),
+            [child = c.program, threads = c.threads](ThreadCtx &t) {
+                if (t.threadIndex() == 0)
+                    t.launch({child, 1, threads});
+            });
+        Gpu device(cfg);
+        device.launchHostKernel({parent, 1, 32});
+        try {
+            device.runToIdle();
+            ADD_FAILURE() << "device launch accepted " << c.resource;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.resource),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_LT(device.now(), 1000u) << c.resource;
+    }
+}

@@ -718,6 +718,47 @@ TEST(ServeService, ZeroSizedCacheIsAStructuredError)
     EXPECT_EQ(status, kStatusOk);
 }
 
+TEST(ServeService, UndersizedMachinesAreStructuredErrors)
+{
+    // bfs-cage's host TBs hold 64 threads of 32 registers. A machine
+    // that cannot hold one used to end the daemon (too few threads) or
+    // spin it to the cycle cap (too few registers); both now answer
+    // status=error before simulating, and the daemon keeps serving.
+    ServiceHandler handler(testServiceOptions(tempDir("undersized")));
+    JsonObject resp;
+    std::string err, status, message;
+    for (const char *bad :
+         {R"({"op":"run","workload":"bfs-cage","scale":"tiny",)"
+          R"("config":"max_threads_per_smx = 32\n"})",
+          R"({"op":"run","workload":"bfs-cage","scale":"tiny",)"
+          R"("config":"regs_per_smx = 64\n"})"}) {
+        ASSERT_TRUE(parseJsonObject(handler.handleLine(bad).frame, resp, err))
+            << err;
+        ASSERT_TRUE(getString(resp, "status", status));
+        EXPECT_EQ(status, kStatusError) << bad;
+        ASSERT_TRUE(getString(resp, "message", message));
+        EXPECT_NE(message.find("exceeds the SMX limit"), std::string::npos)
+            << message;
+    }
+    ASSERT_TRUE(parseJsonObject(
+        handler
+            .handleLine(
+                R"({"op":"run","workload":"bfs-cage","scale":"tiny"})")
+            .frame,
+        resp, err))
+        << err;
+    ASSERT_TRUE(getString(resp, "status", status));
+    EXPECT_EQ(status, kStatusOk);
+    ASSERT_TRUE(parseJsonObject(
+                    handler.handleLine(R"({"op":"stats"})").frame, resp, err))
+        << err;
+    std::uint64_t n = 0;
+    ASSERT_TRUE(getU64(resp, "errors", n));
+    EXPECT_EQ(n, 2u);
+    ASSERT_TRUE(getU64(resp, "executed", n));
+    EXPECT_EQ(n, 3u);
+}
+
 // ----------------------------------------------------------------- server
 
 TEST(ServeServer, HandleLineDispatchesAndSurvivesBadInput)
