@@ -7,10 +7,14 @@
  * writes BENCH_simcore.json with simulated cycles/sec per mode and the
  * event/dense speedup. Each event-mode run also reports the core's
  * host work counters (Gpu::workCounters: events popped, front-end
- * visits elided, SMX ticks, MSHR inserts), so a host-side change shows
- * as less work and not only as less time. A final phase measures cold
- * laperm-serve throughput (every request simulates) since the cold
- * path *is* the simulator.
+ * visits elided, SMX ticks, MSHR inserts, TBs built at dispatch and
+ * the thread ops they emitted), so a host-side change shows as less
+ * work and not only as less time. Each workload's event-mode cells
+ * then run again from one trace forest (gpu/trace_forest.hh), as a
+ * sweep runs them: the forest's builds are counted once, the cells'
+ * replays separately, and every replayed cell must match its build at
+ * dispatch. A final phase measures cold laperm-serve throughput (every
+ * request simulates) since the cold path *is* the simulator.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
@@ -29,6 +33,7 @@
 
 #include "common/log.hh"
 #include "gpu/gpu.hh"
+#include "gpu/trace_forest.hh"
 #include "harness/experiment.hh"
 #include "serve/service/service.hh"
 #include "serve/service/sim_request.hh"
@@ -75,10 +80,11 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Simulate one cell in one mode; returns stats cycles. */
+/** Simulate one cell of @p waves in one mode; returns stats cycles. */
 Cycle
-simulate(const Workload &w, TbPolicy policy, TickMode mode,
-         std::uint64_t seed, double &seconds, WorkCounters &work)
+simulate(const std::vector<LaunchRequest> &waves, TbPolicy policy,
+         TickMode mode, std::uint64_t seed, double &seconds,
+         WorkCounters &work)
 {
     GpuConfig cfg = paperConfig();
     cfg.dynParModel = DynParModel::DTBL;
@@ -87,7 +93,7 @@ simulate(const Workload &w, TbPolicy policy, TickMode mode,
     cfg.tickMode = mode;
     Gpu gpu(cfg);
     const auto t0 = std::chrono::steady_clock::now();
-    gpu.runWaves(w.waves());
+    gpu.runWaves(waves);
     seconds = secondsSince(t0);
     work = gpu.workCounters();
     return gpu.stats().cycles;
@@ -115,17 +121,21 @@ main()
 
     bool identical = true;
     std::vector<Cell> cells;
+    std::uint64_t forestTbs = 0;
+    std::uint64_t forestThreadOps = 0;
+    std::uint64_t forestReplayed = 0;
     for (const char *name : kWorkloads) {
         auto w = createWorkload(name);
         w->setup(scale, seed);
+        const std::size_t first = cells.size();
         for (TbPolicy policy : kPolicies) {
             Cell cell;
             cell.workload = name;
             cell.policy = policy;
             WorkCounters dense_work;
-            const Cycle dense = simulate(*w, policy, TickMode::Dense,
+            const Cycle dense = simulate(w->waves(), policy, TickMode::Dense,
                                          seed, cell.denseSec, dense_work);
-            cell.cycles = simulate(*w, policy, TickMode::Event, seed,
+            cell.cycles = simulate(w->waves(), policy, TickMode::Event, seed,
                                    cell.eventSec, cell.work);
             if (dense != cell.cycles) {
                 std::fprintf(stderr,
@@ -138,7 +148,8 @@ main()
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
                         "event %.3fs  %.2fx  popped %llu  elided %llu  "
-                        "ticks %llu  mshr %llu\n",
+                        "ticks %llu  mshr %llu  built %llu TBs "
+                        "%llu ops\n",
                         name, toString(policy),
                         static_cast<unsigned long long>(cell.cycles),
                         cell.denseSec, cell.eventSec, cell.speedup(),
@@ -148,9 +159,38 @@ main()
                             cell.work.visitsElided),
                         static_cast<unsigned long long>(cell.work.smxTicks),
                         static_cast<unsigned long long>(
-                            cell.work.mshrInserts));
+                            cell.work.mshrInserts),
+                        static_cast<unsigned long long>(cell.work.tbsBuilt),
+                        static_cast<unsigned long long>(
+                            cell.work.threadOps));
             cells.push_back(std::move(cell));
         }
+
+        // The same event-mode cells replaying one forest.
+        const auto t0 = std::chrono::steady_clock::now();
+        const TraceForest forest(w->waves());
+        const double buildSec = secondsSince(t0);
+        std::uint64_t replayed = 0;
+        for (std::size_t i = first; i < cells.size(); ++i) {
+            double sec = 0.0;
+            WorkCounters work;
+            const Cycle cycles = simulate(forest.waves(), cells[i].policy,
+                                          TickMode::Event, seed, sec, work);
+            if (cycles != cells[i].cycles || work.tbsBuilt != 0) {
+                std::fprintf(stderr, "FAIL: %s/%s forest replay diverges\n",
+                             name, toString(cells[i].policy));
+                identical = false;
+            }
+            replayed += work.tbsReplayed;
+        }
+        std::printf("%-14s forest: built %llu TBs, %llu thread ops once "
+                    "(%.3fs); cells replayed %llu TBs\n",
+                    name, static_cast<unsigned long long>(forest.tbsBuilt()),
+                    static_cast<unsigned long long>(forest.threadOps()),
+                    buildSec, static_cast<unsigned long long>(replayed));
+        forestTbs += forest.tbsBuilt();
+        forestThreadOps += forest.threadOps();
+        forestReplayed += replayed;
     }
 
     // Cold-serve throughput: a fresh cache directory per run, so every
@@ -198,6 +238,8 @@ main()
         workTotal.visitsElided += c.work.visitsElided;
         workTotal.smxTicks += c.work.smxTicks;
         workTotal.mshrInserts += c.work.mshrInserts;
+        workTotal.tbsBuilt += c.work.tbsBuilt;
+        workTotal.threadOps += c.work.threadOps;
     }
 
     std::ofstream json("BENCH_simcore.json");
@@ -220,7 +262,9 @@ main()
              << ", \"events_popped\": " << c.work.eventsPopped
              << ", \"visits_elided\": " << c.work.visitsElided
              << ", \"smx_ticks\": " << c.work.smxTicks
-             << ", \"mshr_inserts\": " << c.work.mshrInserts << "}"
+             << ", \"mshr_inserts\": " << c.work.mshrInserts
+             << ", \"tbs_built\": " << c.work.tbsBuilt
+             << ", \"thread_ops\": " << c.work.threadOps << "}"
              << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     json << "  ],\n"
@@ -233,6 +277,11 @@ main()
          << "  \"visits_elided_total\": " << workTotal.visitsElided << ",\n"
          << "  \"smx_ticks_total\": " << workTotal.smxTicks << ",\n"
          << "  \"mshr_inserts_total\": " << workTotal.mshrInserts << ",\n"
+         << "  \"tbs_built_total\": " << workTotal.tbsBuilt << ",\n"
+         << "  \"thread_ops_total\": " << workTotal.threadOps << ",\n"
+         << "  \"forest_tbs_built_total\": " << forestTbs << ",\n"
+         << "  \"forest_thread_ops_total\": " << forestThreadOps << ",\n"
+         << "  \"forest_tbs_replayed_total\": " << forestReplayed << ",\n"
          << "  \"serve_cold_requests\": " << requests << ",\n"
          << "  \"serve_seconds_cold\": " << coldSec << ",\n"
          << "  \"serve_req_per_sec_cold\": "
@@ -250,15 +299,23 @@ main()
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
                 maxSpeedup);
     std::printf("event-mode work: popped %llu  elided %llu  ticks %llu  "
-                "mshr inserts %llu\n",
+                "mshr inserts %llu  TBs built %llu  thread ops %llu\n",
                 static_cast<unsigned long long>(workTotal.eventsPopped),
                 static_cast<unsigned long long>(workTotal.visitsElided),
                 static_cast<unsigned long long>(workTotal.smxTicks),
-                static_cast<unsigned long long>(workTotal.mshrInserts));
+                static_cast<unsigned long long>(workTotal.mshrInserts),
+                static_cast<unsigned long long>(workTotal.tbsBuilt),
+                static_cast<unsigned long long>(workTotal.threadOps));
+    std::printf("forests: built %llu TBs, %llu thread ops once; cells "
+                "replayed %llu TBs\n",
+                static_cast<unsigned long long>(forestTbs),
+                static_cast<unsigned long long>(forestThreadOps),
+                static_cast<unsigned long long>(forestReplayed));
     std::printf("wrote BENCH_simcore.json\n");
 
     if (!identical) {
-        std::fprintf(stderr, "FAIL: tick modes diverged\n");
+        std::fprintf(stderr, "FAIL: tick modes or forest replays "
+                             "diverged\n");
         return 1;
     }
     return 0;

@@ -435,8 +435,16 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
     const std::uint32_t ix = unit.nextTb++;
 
     ThreadBlock *tb = smxs_[smx]->acquireTb();
-    buildThreadBlockInto(*tb, *unit.program, ix, unit.threadsPerTb,
-                         unit.count, ctxScratch_);
+    if (unit.traces) {
+        viewThreadBlockInto(*tb, *unit.traces, ix, unit.threadsPerTb,
+                            unit.regsPerTb, unit.smemPerTb);
+        ++work_.tbsReplayed;
+    } else {
+        work_.threadOps +=
+            buildThreadBlockInto(*tb, *unit.program, ix, unit.threadsPerTb,
+                                 unit.count, ctxScratch_);
+        ++work_.tbsBuilt;
+    }
     tb->uid = nextTbUid_++;
     tb->kernel = unit.kernel;
     tb->priority = unit.priority;

@@ -41,6 +41,12 @@ struct WorkCounters
     std::uint64_t smxTicks = 0;
     /** In-flight fills recorded at eviction, over every cache. */
     std::uint64_t mshrInserts = 0;
+    /** TBs built from their program at dispatch. */
+    std::uint64_t tbsBuilt = 0;
+    /** Thread ops the programs emitted for those builds. */
+    std::uint64_t threadOps = 0;
+    /** TBs dispatched from prebuilt traces (LaunchRequest::traces). */
+    std::uint64_t tbsReplayed = 0;
 };
 
 /**

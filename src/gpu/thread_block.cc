@@ -9,11 +9,17 @@
 
 namespace laperm {
 
+namespace {
+
+/**
+ * Every ThreadBlock field set for TB @p tb_index, and one blank warp
+ * per 32 threads (each knowing its thread count and its TB) for the
+ * caller to point at its ops.
+ */
 void
-buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
-                     std::uint32_t tb_index, std::uint32_t threads_per_tb,
-                     std::uint32_t num_tbs,
-                     std::vector<ThreadCtx> &thread_scratch)
+resetThreadBlock(ThreadBlock &tb, std::uint32_t tb_index,
+                 std::uint32_t threads_per_tb, std::uint32_t regs,
+                 std::uint32_t smem)
 {
     laperm_assert(threads_per_tb > 0, "empty TB");
 
@@ -27,35 +33,52 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
     tb.isDynamic = false;
     tb.tenant = 0;
     tb.numThreads = threads_per_tb;
-    tb.regs = program.regsPerThread() * threads_per_tb;
-    tb.smem = program.smemPerTb();
+    tb.regs = regs;
+    tb.smem = smem;
     tb.warpsAtBarrier = 0;
     tb.warpsDone = 0;
 
     const std::uint32_t num_warps =
         (threads_per_tb + kWarpSize - 1) / kWarpSize;
-    // Resize through the spare pool: dropping a warp would free its op
-    // and line buffers, and a new one would allocate them again.
-    while (tb.warps.size() > num_warps) {
-        tb.spareWarps.push_back(std::move(tb.warps.back()));
-        tb.warps.pop_back();
-    }
-    tb.warps.reserve(num_warps);
-    while (tb.warps.size() < num_warps) {
-        if (tb.spareWarps.empty()) {
-            tb.warps.emplace_back();
-        } else {
-            tb.warps.push_back(std::move(tb.spareWarps.back()));
-            tb.spareWarps.pop_back();
-        }
-    }
+    tb.warps.resize(num_warps);
     for (std::uint32_t w = 0; w < num_warps; ++w) {
-        const std::uint32_t first = w * kWarpSize;
-        const std::uint32_t count =
-            std::min(kWarpSize, threads_per_tb - first);
+        Warp &warp = tb.warps[w];
+        warp = Warp();
+        warp.numThreads = std::min(kWarpSize, threads_per_tb - w * kWarpSize);
+        warp.tb = &tb;
+    }
+}
+
+} // namespace
+
+Warp::operator const WarpTrace &() const
+{
+    const auto w = static_cast<std::size_t>(this - tb->warps.data());
+    laperm_assert(w < tb->traces.size() &&
+                      ops.data() == tb->traces[w].ops.data(),
+                  "warp %zu was not built at dispatch", w);
+    return tb->traces[w];
+}
+
+std::size_t
+buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
+                     std::uint32_t tb_index, std::uint32_t threads_per_tb,
+                     std::uint32_t num_tbs,
+                     std::vector<ThreadCtx> &thread_scratch)
+{
+    resetThreadBlock(tb, tb_index, threads_per_tb,
+                     program.regsPerThread() * threads_per_tb,
+                     program.smemPerTb());
+    if (tb.traces.size() < tb.warps.size())
+        tb.traces.resize(tb.warps.size());
+
+    std::size_t thread_ops = 0;
+    for (std::size_t w = 0; w < tb.warps.size(); ++w) {
+        Warp &warp = tb.warps[w];
+        const auto first = static_cast<std::uint32_t>(w) * kWarpSize;
         // Emit this warp's threads (still in thread order across the
         // TB), then zip them while their traces are hot.
-        for (std::uint32_t l = 0; l < count; ++l) {
+        for (std::uint32_t l = 0; l < warp.numThreads; ++l) {
             if (l < thread_scratch.size())
                 thread_scratch[l].reset(tb_index, first + l,
                                         threads_per_tb, num_tbs);
@@ -63,21 +86,26 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
                 thread_scratch.emplace_back(tb_index, first + l,
                                             threads_per_tb, num_tbs);
             program.emitThread(thread_scratch[l]);
+            thread_ops += thread_scratch[l].ops().size();
         }
-        Warp &warp = tb.warps[w];
-        zipWarp(warp, std::span(thread_scratch).first(count));
-        warp.pc = 0;
-        warp.readyAt = 0;
-        warp.atBarrier = false;
-        warp.done = false;
-        warp.loc = WarpLoc::None;
-        warp.readyIx = 0;
-        warp.age = 0;
-        warp.lastIssue = 0;
-        warp.slot = 0;
-        warp.numThreads = count;
-        warp.tb = &tb;
+        zipWarp(tb.traces[w],
+                std::span(thread_scratch).first(warp.numThreads));
+        warp.ops = tb.traces[w].ops;
     }
+    return thread_ops;
+}
+
+void
+viewThreadBlockInto(ThreadBlock &tb, const LaunchTraces &traces,
+                    std::uint32_t tb_index, std::uint32_t threads_per_tb,
+                    std::uint32_t regs, std::uint32_t smem)
+{
+    resetThreadBlock(tb, tb_index, threads_per_tb, regs, smem);
+    laperm_assert(tb.warps.size() == traces.warpsPerTb,
+                  "TB of %u threads viewing %u-warp traces",
+                  threads_per_tb, traces.warpsPerTb);
+    for (std::uint32_t w = 0; w < traces.warpsPerTb; ++w)
+        tb.warps[w].ops = traces.warp(tb_index, w);
 }
 
 std::unique_ptr<ThreadBlock>

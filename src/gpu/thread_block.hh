@@ -46,10 +46,11 @@ class ThreadBlock
 
     std::vector<Warp> warps;
     /**
-     * Warps a rebuild into fewer warps left over, kept with their
-     * buffers for the next rebuild into more (not part of the TB).
+     * The arrays of a build at dispatch: warps[w] views traces[w]. Never
+     * shrinks, so a block recycled through its SMX's arena reuses every
+     * warp's buffers whatever the size of the TBs it held.
      */
-    std::vector<Warp> spareWarps;
+    std::vector<WarpTrace> traces;
     std::uint32_t warpsAtBarrier = 0;
     std::uint32_t warpsDone = 0;
 
@@ -69,17 +70,31 @@ std::unique_ptr<ThreadBlock> buildThreadBlock(
 
 /**
  * As buildThreadBlock, but (re)builds into @p tb — typically a recycled
- * block from an SMX arena — reusing its warps' arrays and the
+ * block from an SMX arena — reusing its traces' arrays and the
  * caller-provided @p thread_scratch contexts (one warp's worth: each
  * warp's threads are emitted and zipped before the next warp's).
  * Every ThreadBlock and Warp field is reinitialized, so a recycled
  * block is indistinguishable from a freshly allocated one.
+ *
+ * @return the thread ops the program emitted.
  */
-void buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
-                          std::uint32_t tb_index,
-                          std::uint32_t threads_per_tb,
-                          std::uint32_t num_tbs,
-                          std::vector<ThreadCtx> &thread_scratch);
+std::size_t buildThreadBlockInto(ThreadBlock &tb,
+                                 const KernelProgram &program,
+                                 std::uint32_t tb_index,
+                                 std::uint32_t threads_per_tb,
+                                 std::uint32_t num_tbs,
+                                 std::vector<ThreadCtx> &thread_scratch);
+
+/**
+ * Reinitialize @p tb as TB @p tb_index of a launch whose TBs were built
+ * in advance: its warps view @p traces, and no program runs.
+ * @p regs and @p smem are the TB's demand (the program's, as a build
+ * would compute it).
+ */
+void viewThreadBlockInto(ThreadBlock &tb, const LaunchTraces &traces,
+                         std::uint32_t tb_index,
+                         std::uint32_t threads_per_tb, std::uint32_t regs,
+                         std::uint32_t smem);
 
 } // namespace laperm
 

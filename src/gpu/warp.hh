@@ -7,6 +7,7 @@
 #define LAPERM_GPU_WARP_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 #include "kernels/warp_trace.hh"
@@ -25,13 +26,24 @@ enum class WarpLoc : std::uint8_t
 };
 
 /**
- * A warp: its instruction stream (the WarpTrace base, whose ops point
- * into the arrays it owns) plus scheduling state. Move-only, like its
- * trace.
+ * A warp: a view of its instruction stream plus scheduling state. The
+ * ops live either in a LaunchTraces shared by every run of a sweep
+ * input or in the WarpTrace its ThreadBlock keeps for this warp when
+ * the TB is built at dispatch; either outlives the warp's residency,
+ * so moving a warp keeps its view valid. Move-only all the same: the
+ * warp scheduler files warps by address, and a copy would be a second
+ * warp with the same stream and state.
  */
-class Warp : public WarpTrace
+class Warp
 {
   public:
+    Warp() = default;
+    Warp(Warp &&) = default;
+    Warp &operator=(Warp &&) = default;
+    Warp(const Warp &) = delete;
+    Warp &operator=(const Warp &) = delete;
+
+    std::span<const WarpOp> ops;
     std::size_t pc = 0;
 
     /** Earliest cycle the next op may issue. */
@@ -58,6 +70,12 @@ class Warp : public WarpTrace
     ThreadBlock *tb = nullptr;
 
     bool finishedOps() const { return pc >= ops.size(); }
+
+    /**
+     * The WarpTrace a warp built at dispatch views: its TB's buffer for
+     * it (thread_block.hh). A warp replayed from a LaunchTraces has none.
+     */
+    operator const WarpTrace &() const;
 };
 
 } // namespace laperm

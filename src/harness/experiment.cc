@@ -1,13 +1,16 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 
 #include "common/log.hh"
 #include "gpu/gpu.hh"
+#include "gpu/trace_forest.hh"
 #include "harness/thread_pool.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
@@ -72,9 +75,16 @@ hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
     return std::string();
 }
 
+namespace {
+
+/**
+ * runOneRecord with the host waves given: the workload's own, or a
+ * trace forest's copies of them, which carry the prebuilt traces.
+ */
 ResultRecord
-runOneRecord(const Workload &workload, const GpuConfig &cfg,
-             const std::string &trace_dir)
+runWavesRecord(const Workload &workload,
+               const std::vector<LaunchRequest> &waves,
+               const GpuConfig &cfg, const std::string &trace_dir)
 {
     Gpu gpu(cfg);
     std::unique_ptr<obs::TraceCollector> collector;
@@ -86,7 +96,7 @@ runOneRecord(const Workload &workload, const GpuConfig &cfg,
             std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
         gpu.setLocalityTracker(locality.get());
     }
-    gpu.runWaves(workload.waves());
+    gpu.runWaves(waves);
     if (collector) {
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
@@ -104,6 +114,15 @@ runOneRecord(const Workload &workload, const GpuConfig &cfg,
                                    machineHash(cfg));
 }
 
+} // namespace
+
+ResultRecord
+runOneRecord(const Workload &workload, const GpuConfig &cfg,
+             const std::string &trace_dir)
+{
+    return runWavesRecord(workload, workload.waves(), cfg, trace_dir);
+}
+
 RunResult
 runOne(const Workload &workload, const GpuConfig &cfg)
 {
@@ -116,6 +135,21 @@ constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
                                   TbPolicy::SmxBind,
                                   TbPolicy::AdaptiveBind};
 constexpr DynParModel kModels[] = {DynParModel::CDP, DynParModel::DTBL};
+
+/**
+ * One set-up input of a sweep and what its missing cells share. The
+ * first of them to run builds the trace forest; the last one to finish
+ * frees the forest and the input. An input with one missing cell has
+ * nothing to share and builds its TBs at dispatch.
+ */
+struct SweepInput
+{
+    std::unique_ptr<Workload> workload;
+    std::unique_ptr<TraceForest> forest;
+    std::once_flag forestBuilt;
+    std::size_t missingCells = 0;
+    std::atomic<std::size_t> cellsLeft{0};
+};
 
 } // namespace
 
@@ -176,16 +210,22 @@ runMatrixPreset(const std::vector<std::string> &names,
     if (use_cache)
         store.emplace();
     // Fills the slot from the store; false on a miss or without one.
+    // A record on disk counts only if it is this cell's: a foreign or
+    // garbled one is recomputed, and the store overwrites it.
     auto loadCell = [&](std::size_t slot) {
         if (!store)
             return false;
         const GpuConfig cfg = cellConfig(slot);
+        const std::string &name = names[slot / cellsPerWorkload];
         keys[slot] = contentKey(appCellCanonical(
-            names[slot / cellsPerWorkload], cfg.dynParModel, cfg.tbPolicy,
-            scale, seed, cfg));
+            name, cfg.dynParModel, cfg.tbPolicy, scale, seed, cfg));
         std::string payload;
         ResultRecord rec;
-        if (store->probe(keys[slot], payload) == ResultCache::Tier::Miss ||
+        const auto isCell = [&](const std::string &p) {
+            return decodeCellRecord(p, name, cfg, rec);
+        };
+        if (store->probe(keys[slot], payload, isCell) ==
+                ResultCache::Tier::Miss ||
             !ResultRecord::decode(payload, rec)) {
             return false;
         }
@@ -198,29 +238,32 @@ runMatrixPreset(const std::vector<std::string> &names,
     // generates inputs only if one of them is missing. Workloads are
     // immutable after setup() (traces const, programs const), so the
     // cell jobs below const-borrow them concurrently.
-    std::vector<std::unique_ptr<Workload>> workloads(names.size());
+    std::vector<SweepInput> inputs(names.size());
     {
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(jobs, std::max<std::size_t>(
                                             names.size(), 1))));
         for (std::size_t i = 0; i < names.size(); ++i) {
             pool.submit([&, i] {
-                bool needInputs = false;
+                std::size_t needed = 0;
                 for (std::size_t c = 0; c < cellsPerWorkload; ++c)
-                    needInputs = !loadCell(i * cellsPerWorkload + c) ||
-                                 needInputs;
-                if (!needInputs)
+                    needed += !loadCell(i * cellsPerWorkload + c);
+                if (needed == 0)
                     return;
                 auto w = createWorkload(names[i]);
                 w->setup(scale, seed);
-                workloads[i] = std::move(w);
+                inputs[i].workload = std::move(w);
+                inputs[i].missingCells = needed;
+                inputs[i].cellsLeft = needed;
             });
         }
         pool.wait();
     }
 
     // Phase 2: one job per missing cell, each owning its own Gpu and
-    // storing its own record.
+    // storing its own record. Cells of one input replay one trace
+    // forest: policy and model decide only when and where a TB runs,
+    // never what it executes.
     const auto numMissing = static_cast<std::size_t>(
         std::count(missing.begin(), missing.end(), 1));
     if (numMissing == 0)
@@ -234,8 +277,22 @@ runMatrixPreset(const std::vector<std::string> &names,
             pool.submit([&, slot] {
                 const GpuConfig cfg = cellConfig(slot);
                 const std::size_t i = slot / cellsPerWorkload;
-                const ResultRecord rec =
-                    runOneRecord(*workloads[i], cfg, traceDir());
+                SweepInput &in = inputs[i];
+                const std::vector<LaunchRequest> *waves =
+                    &in.workload->waves();
+                if (in.missingCells > 1) {
+                    std::call_once(in.forestBuilt, [&in] {
+                        in.forest = std::make_unique<TraceForest>(
+                            in.workload->waves());
+                    });
+                    waves = &in.forest->waves();
+                }
+                const ResultRecord rec = runWavesRecord(
+                    *in.workload, *waves, cfg, traceDir());
+                if (in.cellsLeft.fetch_sub(1) == 1) {
+                    in.forest.reset();
+                    in.workload.reset();
+                }
                 if (store)
                     store->store(keys[slot], rec.encode());
                 results[slot] = rec.toRunResult();

@@ -222,6 +222,15 @@ ResultRecord::toRunResult() const
     return r;
 }
 
+bool
+decodeCellRecord(const std::string &payload, const std::string &workload,
+                 const GpuConfig &cfg, ResultRecord &out)
+{
+    return ResultRecord::decode(payload, out) && out.workload == workload &&
+           out.model == cfg.dynParModel && out.policy == cfg.tbPolicy &&
+           out.config == machineHash(cfg);
+}
+
 const char *
 statsCsvHeader()
 {
@@ -286,7 +295,8 @@ ResultCache::ResultCache(std::string dir, std::string fingerprint)
 }
 
 ResultCache::Tier
-ResultCache::probe(const std::string &key, std::string &payload)
+ResultCache::probe(const std::string &key, std::string &payload,
+                   const std::function<bool(const std::string &)> &accept)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -305,6 +315,8 @@ ResultCache::probe(const std::string &key, std::string &payload)
     std::ostringstream body;
     body << in.rdbuf();
     payload = body.str();
+    if (accept && !accept(payload))
+        return Tier::Miss;
     // Promote: the next probe of this key is a memory hit, and the
     // Shared tier is only ever credited once per key per incarnation.
     std::lock_guard<std::mutex> lock(mu_);

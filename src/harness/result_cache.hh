@@ -34,6 +34,7 @@
 #define LAPERM_HARNESS_RESULT_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -113,6 +114,16 @@ struct ResultRecord
     RunResult toRunResult() const;
 };
 
+/**
+ * Decode @p payload into @p out and check that it is the record of
+ * @p workload run on @p cfg: same workload, model, policy and machine
+ * hash. A record stored under a cell's key that describes another
+ * cell, or does not decode at all, is not that cell's result.
+ */
+bool decodeCellRecord(const std::string &payload,
+                      const std::string &workload, const GpuConfig &cfg,
+                      ResultRecord &out);
+
 /** Header row matching ResultRecord::csvRow (no trailing newline). */
 const char *statsCsvHeader();
 
@@ -177,8 +188,16 @@ class ResultCache
         Shared, ///< read off disk; the entry was promoted to memory
     };
 
-    /** Look up @p key; fills @p payload unless Miss. */
-    Tier probe(const std::string &key, std::string &payload);
+    /**
+     * Look up @p key; fills @p payload unless Miss. A payload off disk
+     * must also pass @p accept, when given, to count: one that fails
+     * is a Miss and is not promoted, so the caller recomputes it and
+     * store() overwrites the file. Memory-tier entries are not
+     * rechecked; this object stored or accepted each of them.
+     */
+    Tier probe(const std::string &key, std::string &payload,
+               const std::function<bool(const std::string &)> &accept =
+                   nullptr);
 
     /** Write through: disk first, then the memory tier. */
     bool store(const std::string &key, const std::string &payload);

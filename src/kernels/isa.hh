@@ -16,6 +16,7 @@
 namespace laperm {
 
 class KernelProgram;
+struct LaunchTraces;
 
 /** Kinds of per-thread operations. */
 enum class OpKind : std::uint8_t
@@ -54,6 +55,12 @@ struct LaunchRequest
     std::uint32_t threadsPerTb = kWarpSize;
     /** Owning tenant stream (0 = the default single-tenant stream). */
     std::uint32_t tenant = 0;
+    /**
+     * The launch's prebuilt TB traces (kernels/warp_trace.hh), owned by
+     * a trace forest that outlives the run; null means "build each TB
+     * from the program at dispatch".
+     */
+    const LaunchTraces *traces = nullptr;
 };
 
 } // namespace laperm

@@ -19,7 +19,7 @@ namespace laperm {
 /**
  * One warp instruction. Its lines and launches are views into the
  * WarpTrace that built it, valid while that trace lives and is not
- * rebuilt.
+ * rebuilt, or into the LaunchTraces that holds it.
  */
 struct WarpOp
 {
@@ -48,6 +48,33 @@ struct WarpTrace
     WarpTrace &operator=(WarpTrace &&) = default;
     WarpTrace(const WarpTrace &) = delete;
     WarpTrace &operator=(const WarpTrace &) = delete;
+};
+
+/**
+ * The TBs of one launch, built once and replayed by every run that
+ * carries them (LaunchRequest::traces). Each TB has the same number of
+ * warps, ceil(threadsPerTb / 32), so warp w of TB t is warp
+ * t * warpsPerTb + w. Its ops are ops[warpOps[i], warpOps[i + 1]), and
+ * their lines and launches are spans into the lines and launches
+ * arrays here; each of those launches points at its own child
+ * LaunchTraces. Immutable once built, so concurrent runs may share it.
+ */
+struct LaunchTraces
+{
+    std::uint32_t warpsPerTb = 0;
+    std::vector<WarpOp> ops;
+    std::vector<Addr> lines;
+    std::vector<LaunchRequest> launches;
+    /** Per-warp offsets into ops, one past the last warp included. */
+    std::vector<std::uint32_t> warpOps;
+
+    /** The ops of warp @p w of TB @p tb. */
+    std::span<const WarpOp> warp(std::uint32_t tb, std::uint32_t w) const
+    {
+        const std::size_t i = std::size_t(tb) * warpsPerTb + w;
+        return std::span(ops).subspan(warpOps[i],
+                                      warpOps[i + 1] - warpOps[i]);
+    }
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -125,9 +126,20 @@ SimService::run(const SimRequest &req)
     out.key = req.key();
 
     // Cache probe. Skipped for trace requests: a hit would return the
-    // right stats but produce none of the requested artifacts.
+    // right stats but produce none of the requested artifacts. A
+    // single-app record off disk must be this request's; any other is a
+    // miss, and the execution below overwrites it.
     if (req.traceDir.empty()) {
-        const ResultCache::Tier tier = cache_.probe(out.key, out.payload);
+        std::function<bool(const std::string &)> isCell;
+        if (req.tenants.empty()) {
+            isCell = [&req](const std::string &payload) {
+                ResultRecord rec;
+                return decodeCellRecord(payload, req.workload, req.cfg,
+                                        rec);
+            };
+        }
+        const ResultCache::Tier tier =
+            cache_.probe(out.key, out.payload, isCell);
         if (tier != ResultCache::Tier::Miss) {
             cacheHits_.fetch_add(1, std::memory_order_relaxed);
             if (tier == ResultCache::Tier::Memory)

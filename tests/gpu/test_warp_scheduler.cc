@@ -9,10 +9,11 @@ namespace {
 Warp
 makeWarp(std::uint64_t age, Cycle ready = 0)
 {
+    static const WarpOp kOp{};
     Warp w;
     w.age = age;
     w.readyAt = ready;
-    w.ops.resize(1); // non-empty so finishedOps() is false
+    w.ops = std::span(&kOp, 1); // non-empty so finishedOps() is false
     return w;
 }
 

@@ -1,0 +1,196 @@
+/**
+ * @file
+ * A record read off the store's disk tier counts only if it describes
+ * the cell it is stored under (DESIGN.md §15.3). A foreign record (one
+ * cell's bytes under another cell's key) or a garbled one is a miss
+ * for both readers, the sweep and the service: the cell is recomputed
+ * and its file overwritten.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "harness/experiment.hh"
+#include "harness/result_cache.hh"
+#include "serve/service/service.hh"
+#include "serve/service/sim_request.hh"
+#include "sim/presets.hh"
+#include "workloads/registry.hh"
+
+using namespace laperm;
+
+namespace {
+
+constexpr std::uint64_t kSeed = 1;
+constexpr const char kGarbage[] = "v1 workload=join-uniform ipc=oops";
+
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + "laperm_valid_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/** The machine of a k20c sweep cell, with the cell's coordinates. */
+GpuConfig
+cellConfig(DynParModel model, TbPolicy policy)
+{
+    GpuConfig cfg = presetConfig("k20c");
+    cfg.tickMode = paperConfig().tickMode;
+    cfg.dynParModel = model;
+    cfg.tbPolicy = policy;
+    cfg.seed = kSeed;
+    return cfg;
+}
+
+/** The encoded record of @p workload run directly on @p cfg. */
+std::string
+directRecord(const std::string &workload, const GpuConfig &cfg)
+{
+    auto w = createWorkload(workload);
+    w->setup(Scale::Tiny, kSeed);
+    return runOneRecord(*w, cfg, std::string()).encode();
+}
+
+/**
+ * Plant @p payload under join-uniform CDP/RR's sweep key, sweep
+ * join-uniform through the store, and expect the true cell back and on
+ * disk.
+ */
+void
+expectSweepRecomputes(const std::string &payload, const std::string &name)
+{
+    const std::string dir = freshDir(name);
+    const GpuConfig cfg = cellConfig(DynParModel::CDP, TbPolicy::RR);
+    const std::string key = contentKey(appCellCanonical(
+        "join-uniform", cfg.dynParModel, cfg.tbPolicy, Scale::Tiny, kSeed,
+        cfg));
+    ASSERT_TRUE(ResultCache(dir).store(key, payload));
+
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    const std::vector<RunResult> swept =
+        runMatrix({"join-uniform"}, Scale::Tiny, kSeed, true, 2);
+    unsetenv("LAPERM_CACHE_DIR");
+    const std::vector<RunResult> fresh =
+        runMatrix({"join-uniform"}, Scale::Tiny, kSeed, false, 2);
+    ASSERT_EQ(swept.size(), 8u);
+    EXPECT_EQ(swept[0].workload, "join-uniform");
+    EXPECT_EQ(swept, fresh);
+
+    // The planted file now holds the cell's own record.
+    std::string stored;
+    ResultRecord rec;
+    ASSERT_EQ(ResultCache(dir).probe(key, stored), ResultCache::Tier::Shared);
+    EXPECT_TRUE(decodeCellRecord(stored, "join-uniform", cfg, rec));
+    EXPECT_EQ(stored, directRecord("join-uniform", cfg));
+}
+
+/** A bfs-cage request and the service options of these tests. */
+serve::SimRequest
+bfsRequest()
+{
+    serve::SimRequest req;
+    req.workload = "bfs-cage";
+    req.scale = Scale::Tiny;
+    req.seed = kSeed;
+    req.cfg = paperConfig();
+    req.cfg.dynParModel = req.model;
+    req.cfg.tbPolicy = req.policy;
+    req.cfg.seed = kSeed;
+    return req;
+}
+
+serve::ServiceOptions
+serviceOptions(const std::string &dir)
+{
+    serve::ServiceOptions o;
+    o.jobs = 1;
+    o.cacheDir = dir;
+    o.fingerprint = "fp-valid";
+    return o;
+}
+
+/**
+ * Plant @p payload under a bfs-cage request's key; the service must
+ * simulate the request, answer with the true record, and leave it on
+ * disk for the next incarnation.
+ */
+void
+expectServiceRecomputes(const std::string &payload, const std::string &name)
+{
+    const std::string dir = freshDir(name);
+    const serve::SimRequest req = bfsRequest();
+    ASSERT_TRUE(ResultCache(dir, "fp-valid").store(req.key(), payload));
+    const std::string want = directRecord(req.workload, req.cfg);
+    {
+        serve::SimService svc(serviceOptions(dir));
+        const serve::RunOutcome out = svc.run(req);
+        ASSERT_EQ(out.status, serve::RunStatus::Ok) << out.error;
+        EXPECT_FALSE(out.cached);
+        EXPECT_EQ(out.payload, want);
+        const serve::ServiceMetrics m = svc.metrics();
+        EXPECT_EQ(m.executed, 1u);
+        EXPECT_EQ(m.cacheHits, 0u);
+    }
+    {
+        serve::SimService svc(serviceOptions(dir));
+        const serve::RunOutcome out = svc.run(req);
+        ASSERT_EQ(out.status, serve::RunStatus::Ok) << out.error;
+        EXPECT_TRUE(out.cached);
+        EXPECT_EQ(out.payload, want);
+        EXPECT_EQ(svc.metrics().cacheSharedHits, 1u);
+    }
+}
+
+} // namespace
+
+TEST(RecordValidation, DecodeCellRecordChecksEveryCoordinate)
+{
+    const GpuConfig cfg = cellConfig(DynParModel::DTBL, TbPolicy::SmxBind);
+    const std::string rec = directRecord("bfs-cage", cfg);
+    ResultRecord out;
+    EXPECT_TRUE(decodeCellRecord(rec, "bfs-cage", cfg, out));
+    EXPECT_FALSE(decodeCellRecord(rec, "bfs-citation", cfg, out));
+    GpuConfig other = cfg;
+    other.dynParModel = DynParModel::CDP;
+    EXPECT_FALSE(decodeCellRecord(rec, "bfs-cage", other, out));
+    other = cfg;
+    other.tbPolicy = TbPolicy::TbPri;
+    EXPECT_FALSE(decodeCellRecord(rec, "bfs-cage", other, out));
+    other = presetConfig("v100");
+    other.dynParModel = cfg.dynParModel;
+    other.tbPolicy = cfg.tbPolicy;
+    EXPECT_FALSE(decodeCellRecord(rec, "bfs-cage", other, out));
+    EXPECT_FALSE(decodeCellRecord(kGarbage, "join-uniform", cfg, out));
+}
+
+TEST(RecordValidation, SweepRecomputesAForeignRecord)
+{
+    expectSweepRecomputes(
+        directRecord("bfs-cage",
+                     cellConfig(DynParModel::CDP, TbPolicy::RR)),
+        "sweep_foreign");
+}
+
+TEST(RecordValidation, SweepRecomputesAGarbageRecord)
+{
+    expectSweepRecomputes(kGarbage, "sweep_garbage");
+}
+
+TEST(RecordValidation, ServiceRecomputesAForeignRecord)
+{
+    const serve::SimRequest req = bfsRequest();
+    expectServiceRecomputes(directRecord("join-uniform", req.cfg),
+                            "service_foreign");
+}
+
+TEST(RecordValidation, ServiceRecomputesAGarbageRecord)
+{
+    expectServiceRecomputes(kGarbage, "service_garbage");
+}

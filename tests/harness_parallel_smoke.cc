@@ -6,8 +6,9 @@
  * object is TSan-instrumented, keeping the race report clean.
  *
  * Exercises: parallel workload setup, concurrent cells sharing one
- * workload, logging from workers, pool exception propagation, and the
- * result store written and read from pool threads.
+ * workload and its trace forest, logging from workers, pool exception
+ * propagation, and the result store written and read from pool
+ * threads.
  */
 
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/thread_pool.hh"
+#include "workloads/registry.hh"
 
 using namespace laperm;
 
@@ -59,6 +61,26 @@ main()
     if (serial != parallel) {
         std::fprintf(stderr, "FAIL: parallel sweep diverged\n");
         return 1;
+    }
+
+    // The 8 workers above read each input's trace forest concurrently;
+    // every cell must equal runOne's, which builds its TBs at dispatch.
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        auto w = createWorkload(names[i]);
+        w->setup(Scale::Tiny, 3);
+        for (std::size_t c = 0; c < 8; ++c) {
+            const RunResult &cell = parallel[i * 8 + c];
+            GpuConfig cfg = paperConfig();
+            cfg.dynParModel = cell.model;
+            cfg.tbPolicy = cell.policy;
+            cfg.seed = 3;
+            if (!(runOne(*w, cfg) == cell)) {
+                std::fprintf(stderr, "FAIL: %s %s/%s differs from runOne\n",
+                             names[i].c_str(), toString(cell.model),
+                             toString(cell.policy));
+                return 1;
+            }
+        }
     }
 
     // One cached sweep twice on a fresh store: the first stores every
