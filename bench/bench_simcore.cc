@@ -6,19 +6,17 @@
  * Gpu::runWaves (workload setup is amortized outside the timer), and
  * writes BENCH_simcore.json with simulated cycles/sec per mode and the
  * event/dense speedup. Each event-mode run also reports the core's
- * host work counters (Gpu::workCounters: events popped, front-end
+ * host work counters (Gpu::workCounters: event-loop batches, front-end
  * visits elided, SMX ticks, MSHR inserts, TBs built at dispatch and
  * the thread ops they emitted), so a host-side change shows as less
  * work and not only as less time. Each workload's event-mode cells
  * then run again from one trace forest (gpu/trace_forest.hh), as a
  * sweep runs them: the forest's builds are counted once, the cells'
  * replays separately, and every replayed cell must match its build at
- * dispatch. A final phase measures cold laperm-serve throughput (every
- * request simulates) since the cold path *is* the simulator.
+ * dispatch.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
- *   LAPERM_BENCH_REQUESTS  cold serve requests (default 16)
  *
  * Exits nonzero if any cell's statistics diverge between modes.
  */
@@ -26,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -35,8 +32,6 @@
 #include "gpu/gpu.hh"
 #include "gpu/trace_forest.hh"
 #include "harness/experiment.hh"
-#include "serve/service/service.hh"
-#include "serve/service/sim_request.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -49,7 +44,7 @@ namespace {
  * chase-ring latency microbenchmark (not in Table II), whose
  * stall-dominated cycles are the event core's showcase: nearly every
  * cycle has all SMXs parked on DRAM returns, which the dense loop must
- * poll through and the event queue skips.
+ * poll through and the event core sleeps through.
  */
 const char *const kWorkloads[] = {
     "amr-combustion", "bht-points",    "bfs-citation", "clr-cage",
@@ -111,12 +106,6 @@ main()
             return scaleFromString(env);
         return Scale::Small;
     }();
-    std::uint64_t requests = 16;
-    if (const char *env = std::getenv("LAPERM_BENCH_REQUESTS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            requests = static_cast<std::uint64_t>(v);
-    }
     const std::uint64_t seed = 1;
 
     bool identical = true;
@@ -147,14 +136,13 @@ main()
                 identical = false;
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
-                        "event %.3fs  %.2fx  popped %llu  elided %llu  "
+                        "event %.3fs  %.2fx  batches %llu  elided %llu  "
                         "ticks %llu  mshr %llu  built %llu TBs "
                         "%llu ops\n",
                         name, toString(policy),
                         static_cast<unsigned long long>(cell.cycles),
                         cell.denseSec, cell.eventSec, cell.speedup(),
-                        static_cast<unsigned long long>(
-                            cell.work.eventsPopped),
+                        static_cast<unsigned long long>(cell.work.batches),
                         static_cast<unsigned long long>(
                             cell.work.visitsElided),
                         static_cast<unsigned long long>(cell.work.smxTicks),
@@ -193,39 +181,6 @@ main()
         forestReplayed += replayed;
     }
 
-    // Cold-serve throughput: a fresh cache directory per run, so every
-    // request takes the simulate path.
-    const std::string cacheDir = "bench_simcore_cache.tmp";
-    std::filesystem::remove_all(cacheDir);
-    double coldSec = 0.0;
-    {
-        serve::ServiceOptions opts;
-        opts.jobs = 1;
-        opts.cacheDir = cacheDir;
-        opts.fingerprint = "bench-simcore";
-        opts.queueCapacity = requests + 1;
-        serve::SimService svc(opts);
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t i = 0; i < requests; ++i) {
-            serve::SimRequest req;
-            req.workload = "bfs-cage";
-            req.scale = Scale::Tiny;
-            req.seed = i + 1;
-            req.cfg = paperConfig();
-            req.cfg.dynParModel = req.model;
-            req.cfg.tbPolicy = req.policy;
-            req.cfg.seed = req.seed;
-            const serve::RunOutcome out = svc.run(req);
-            if (out.status != serve::RunStatus::Ok || out.cached) {
-                std::fprintf(stderr, "cold request %llu failed\n",
-                             static_cast<unsigned long long>(i));
-                identical = false;
-            }
-        }
-        coldSec = secondsSince(t0);
-    }
-    std::filesystem::remove_all(cacheDir);
-
     double maxSpeedup = 0.0;
     double denseTotal = 0.0;
     double eventTotal = 0.0;
@@ -234,7 +189,7 @@ main()
         maxSpeedup = std::max(maxSpeedup, c.speedup());
         denseTotal += c.denseSec;
         eventTotal += c.eventSec;
-        workTotal.eventsPopped += c.work.eventsPopped;
+        workTotal.batches += c.work.batches;
         workTotal.visitsElided += c.work.visitsElided;
         workTotal.smxTicks += c.work.smxTicks;
         workTotal.mshrInserts += c.work.mshrInserts;
@@ -259,7 +214,7 @@ main()
              << ", \"cycles_per_sec_dense\": " << cyc / c.denseSec
              << ", \"cycles_per_sec_event\": " << cyc / c.eventSec
              << ", \"speedup\": " << c.speedup()
-             << ", \"events_popped\": " << c.work.eventsPopped
+             << ", \"batches\": " << c.work.batches
              << ", \"visits_elided\": " << c.work.visitsElided
              << ", \"smx_ticks\": " << c.work.smxTicks
              << ", \"mshr_inserts\": " << c.work.mshrInserts
@@ -273,7 +228,7 @@ main()
          << "  \"speedup_total\": "
          << (eventTotal > 0.0 ? denseTotal / eventTotal : 0.0) << ",\n"
          << "  \"speedup_max\": " << maxSpeedup << ",\n"
-         << "  \"events_popped_total\": " << workTotal.eventsPopped << ",\n"
+         << "  \"batches_total\": " << workTotal.batches << ",\n"
          << "  \"visits_elided_total\": " << workTotal.visitsElided << ",\n"
          << "  \"smx_ticks_total\": " << workTotal.smxTicks << ",\n"
          << "  \"mshr_inserts_total\": " << workTotal.mshrInserts << ",\n"
@@ -282,25 +237,18 @@ main()
          << "  \"forest_tbs_built_total\": " << forestTbs << ",\n"
          << "  \"forest_thread_ops_total\": " << forestThreadOps << ",\n"
          << "  \"forest_tbs_replayed_total\": " << forestReplayed << ",\n"
-         << "  \"serve_cold_requests\": " << requests << ",\n"
-         << "  \"serve_seconds_cold\": " << coldSec << ",\n"
-         << "  \"serve_req_per_sec_cold\": "
-         << static_cast<double>(requests) / coldSec << ",\n"
          << "  \"stats_identical\": " << (identical ? "true" : "false")
          << "\n"
          << "}\n";
     json.close();
 
-    std::printf("cold serve: %llu requests in %.3f s (%.1f req/s)\n",
-                static_cast<unsigned long long>(requests), coldSec,
-                static_cast<double>(requests) / coldSec);
     std::printf("total: dense %.3fs, event %.3fs (%.2fx, max %.2fx)\n",
                 denseTotal, eventTotal,
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
                 maxSpeedup);
-    std::printf("event-mode work: popped %llu  elided %llu  ticks %llu  "
+    std::printf("event-mode work: batches %llu  elided %llu  ticks %llu  "
                 "mshr inserts %llu  TBs built %llu  thread ops %llu\n",
-                static_cast<unsigned long long>(workTotal.eventsPopped),
+                static_cast<unsigned long long>(workTotal.batches),
                 static_cast<unsigned long long>(workTotal.visitsElided),
                 static_cast<unsigned long long>(workTotal.smxTicks),
                 static_cast<unsigned long long>(workTotal.mshrInserts),

@@ -7,7 +7,7 @@
 namespace laperm {
 
 Gpu::Gpu(const GpuConfig &cfg)
-    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries), wheel_(cfg.numSmx)
+    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries)
 {
     cfg_.validate();
     sched_ = TbScheduler::create(cfg_, *this);
@@ -64,6 +64,47 @@ Gpu::noteSmxDrained(SmxId id)
 }
 
 void
+Gpu::runToIdle(Cycle max_cycles)
+{
+    run(kNoCycle, max_cycles);
+}
+
+void
+Gpu::runUntil(Cycle stop, Cycle max_cycles)
+{
+    laperm_assert(stop != kNoCycle, "runUntil without a stop cycle");
+    run(stop, max_cycles);
+}
+
+void
+Gpu::run(Cycle stop, Cycle max_cycles)
+{
+    const Cycle start = cycle_;
+    const bool event = cfg_.tickMode == TickMode::Event;
+    if (event)
+        armFrontEnd(cycle_);
+    while (!idle() && cycle_ < stop) {
+        if (event)
+            runBatch(stop);
+        else
+            tick();
+        if (cycle_ - start > max_cycles) {
+            laperm_panic("simulation exceeded %llu cycles "
+                         "(undispatched=%llu active=%llu pending=%zu)",
+                         static_cast<unsigned long long>(max_cycles),
+                         static_cast<unsigned long long>(undispatchedTbs_),
+                         static_cast<unsigned long long>(activeTbs_),
+                         launcher_->kmu().size());
+        }
+    }
+    // A no-progress jump may have overshot the slice boundary; the gap
+    // it skipped is eventless, so resuming at stop is timing-neutral
+    // (the next slice recomputes the very same jump).
+    if (cycle_ > stop)
+        cycle_ = stop;
+}
+
+void
 Gpu::tick()
 {
     bool launched = launcher_->tick(cycle_);
@@ -87,16 +128,7 @@ Gpu::tick()
     }
     activeSmxs_.resize(out);
 
-    // Periodically drop MSHR entries no cache client can merge with
-    // anymore. cycle_ lower-bounds every future access timestamp (LSU
-    // issue and downstream latencies only add to it), so trimming at
-    // the device clock is invisible to the timing model — unlike
-    // trimming at access time, where out-of-order L2 timestamps would
-    // turn some merges into misses.
-    if (cycle_ >= nextMshrTrimAt_) {
-        mem_.trimMshrs(cycle_);
-        nextMshrTrimAt_ = cycle_ + cfg_.mshrTrimInterval;
-    }
+    trimMshrsIfDue(cycle_);
 
     if (progress) {
         ++cycle_;
@@ -117,51 +149,20 @@ Gpu::tick()
 }
 
 void
-Gpu::runToIdle(Cycle max_cycles)
+Gpu::trimMshrsIfDue(Cycle now)
 {
-    if (cfg_.tickMode == TickMode::Event) {
-        runEventLoop(max_cycles);
-        return;
+    // Periodically drop MSHR entries no cache client can merge with
+    // anymore. The device clock lower-bounds every future access
+    // timestamp (LSU issue and downstream latencies only add to it),
+    // so trimming at it is invisible to the timing model — unlike
+    // trimming at access time, where out-of-order L2 timestamps would
+    // turn some merges into misses. Being invisible, the trim runs in
+    // the first visited cycle at or past its deadline, which differs
+    // between tick modes.
+    if (now >= nextMshrTrimAt_) {
+        mem_.trimMshrs(now);
+        nextMshrTrimAt_ = now + cfg_.mshrTrimInterval;
     }
-    Cycle start = cycle_;
-    while (!idle()) {
-        tick();
-        if (cycle_ - start > max_cycles) {
-            laperm_panic("simulation exceeded %llu cycles "
-                         "(undispatched=%llu active=%llu pending=%zu)",
-                         static_cast<unsigned long long>(max_cycles),
-                         static_cast<unsigned long long>(undispatchedTbs_),
-                         static_cast<unsigned long long>(activeTbs_),
-                         launcher_->kmu().size());
-        }
-    }
-}
-
-void
-Gpu::runUntil(Cycle stop, Cycle max_cycles)
-{
-    laperm_assert(stop != kNoCycle, "runUntil without a stop cycle");
-    if (cfg_.tickMode == TickMode::Event) {
-        runEventLoop(max_cycles, stop);
-        return;
-    }
-    const Cycle start = cycle_;
-    while (!idle() && cycle_ < stop) {
-        tick();
-        if (cycle_ - start > max_cycles) {
-            laperm_panic("simulation exceeded %llu cycles "
-                         "(undispatched=%llu active=%llu pending=%zu)",
-                         static_cast<unsigned long long>(max_cycles),
-                         static_cast<unsigned long long>(undispatchedTbs_),
-                         static_cast<unsigned long long>(activeTbs_),
-                         launcher_->kmu().size());
-        }
-    }
-    // A no-progress jump may have overshot the slice boundary; the gap
-    // it skipped is eventless, so resuming at stop is timing-neutral
-    // (the next slice recomputes the very same jump).
-    if (cycle_ > stop)
-        cycle_ = stop;
 }
 
 void
@@ -170,17 +171,10 @@ Gpu::advanceTo(Cycle cycle)
     laperm_assert(idle(), "advanceTo with live work");
     laperm_assert(cycle >= cycle_, "advanceTo moving backwards");
     cycle_ = cycle;
-    if (cfg_.tickMode == TickMode::Event) {
-        // Orphaned wakeups from the drained run would surface as batch
-        // times in the past; reset all event-mode state so the next
-        // slice re-arms from the new clock.
-        eq_.clear();
-        wheel_.clear();
-        feArmedAt_ = kNoCycle;
-        maintArmedAt_ = kNoCycle;
-        std::fill(smxArmedAt_.begin(), smxArmedAt_.end(), kNoCycle);
-        feOnNextEvent_ = false;
-    }
+    // A drained device has no SMX armed, but the front end may be armed
+    // inside the skipped gap; the next run re-arms it at the new clock.
+    feArmedAt_ = kNoCycle;
+    feOnNextEvent_ = false;
 }
 
 std::uint64_t
@@ -195,203 +189,146 @@ Gpu::residentThreads() const
 void
 Gpu::armFrontEnd(Cycle cycle)
 {
-    // The front end is due at every non-maintenance batch, so it is a
-    // scalar deadline rather than a queued event (kNoCycle == unarmed).
     feArmedAt_ = std::min(feArmedAt_, cycle);
 }
 
 void
-Gpu::armSmx(SmxId id, Cycle cycle, Cycle now)
+Gpu::armSmx(SmxId id, Cycle cycle)
 {
-    if (cycle >= smxArmedAt_[id])
-        return;
-    smxArmedAt_[id] = cycle;
-    if (cycle - now < WakeWheel::kSpan)
-        wheel_.set(id, cycle);
-    else
-        eq_.schedule(cycle, SimEventKind::SmxTick, id);
-}
-
-void
-Gpu::armMaintenance(Cycle cycle)
-{
-    // Like the front end: one deadline, never two in flight.
-    maintArmedAt_ = std::min(maintArmedAt_, cycle);
+    smxArmedAt_[id] = std::min(smxArmedAt_[id], cycle);
+    smxNextAt_ = std::min(smxNextAt_, cycle);
 }
 
 /**
- * Event-driven replacement for the dense loop. Correctness hinges on
- * the front end (Launcher::tick + TbScheduler::dispatchOne) running at
- * exactly the cycles the dense loop visits — failed dispatch attempts
- * have observable side effects (SMX-Bind cursor rotation, KDU-full
- * stall accounting) — so its arming rules replicate the dense visit
- * set: the successor of every progress cycle, and on a no-progress
- * cycle the same jump target the dense loop computes. SMX ticks with no
- * eligible warp are side-effect-free, so SMXs park on the wake wheel
- * (or, far ahead, the event queue) until their next wakeup instead of
- * being polled.
+ * One batch of the event-driven replacement for the dense loop: the
+ * earliest armed cycle, with every phase due at it in dense order.
+ * Correctness hinges on the front end (Launcher::tick +
+ * TbScheduler::dispatchOne) running at exactly the cycles the dense
+ * loop visits — failed dispatch attempts have observable side effects
+ * (SMX-Bind cursor rotation, KDU-full stall accounting) — so its arming
+ * rules replicate the dense visit set: the successor of every progress
+ * cycle, and on a no-progress cycle the same jump target the dense loop
+ * computes. SMX ticks with no eligible warp are side-effect-free, so an
+ * SMX stays unticked until the cycle it is armed for.
  */
 void
-Gpu::runEventLoop(Cycle max_cycles, Cycle stop)
+Gpu::runBatch(Cycle stop)
 {
-    const Cycle start = cycle_;
-    armFrontEnd(cycle_);
-    armMaintenance(std::max(cycle_, nextMshrTrimAt_));
+    const Cycle t = std::min(feArmedAt_, smxNextAt_);
+    laperm_assert(t != kNoCycle, "no next event with live work");
+    laperm_assert(t >= cycle_, "batch in the past (%llu < %llu)",
+                  static_cast<unsigned long long>(t),
+                  static_cast<unsigned long long>(cycle_));
+    if (t >= stop) {
+        // Slice boundary: every armed cycle is at or past stop, so
+        // pausing here and re-arming on re-entry (run() arms the front
+        // end) replays the dense loop's visit at stop.
+        cycle_ = stop;
+        return;
+    }
+    ++work_.batches;
+    bool progress = false;
 
-    while (!idle()) {
-        // The next batch is the earliest of the two scalar deadlines
-        // and the parked SMXs' wakeups.
-        const Cycle smxAt =
-            std::min(eq_.empty() ? kNoCycle : eq_.top().cycle,
-                     wheel_.next());
-        const Cycle t =
-            std::min({feArmedAt_, smxAt, maintArmedAt_});
-        laperm_assert(t != kNoCycle, "no next event with live work");
-        if (t >= stop) {
-            // Slice boundary: every pending wakeup is at or past stop,
-            // so pausing here and re-arming on re-entry (the top-of-
-            // function arms) replays the dense loop's visit at stop.
-            cycle_ = stop;
-            return;
-        }
-        bool progress = false;
-
-        // Front-end phase: due when armed for this cycle, or — lazy
-        // wake (see feOnNextEvent_) — at the first batch with an SMX
-        // event. A maintenance-only batch is a cycle the dense loop
-        // never visits, so it must not attract a front-end visit.
-        // When both front-end halves prove their calls at t would
-        // observe and mutate nothing (no launch admittable, scheduler
-        // dispatch memo valid), the calls themselves are elided; the
-        // post-batch arming below still runs so SMX-driven progress
-        // (completions invalidate the memo) re-engages the front end
-        // at t+1 exactly as the dense loop would.
-        const bool fe_due =
-            feArmedAt_ == t || (feOnNextEvent_ && smxAt == t);
-        if (fe_due) {
-            feOnNextEvent_ = false;
-            if (feArmedAt_ == t)
-                feArmedAt_ = kNoCycle;
-            if (!launcher_->visitIsNoop(t) || !sched_->visitIsNoop(t)) {
-                bool launched = launcher_->tick(t);
-                bool dispatched = sched_->dispatchOne(t);
-                progress |= launched || dispatched;
-            } else {
-                ++work_.visitsElided;
-            }
-        }
-
-        // SMX phase: tick every SMX due at t in ascending SMX id,
-        // replaying the dense loop's visit order. Two ascending
-        // sources are merged by id: the wheel's SMXs for t and the
-        // queue's entries at t (the queue key orders them). Only the
-        // front end arms an SMX for the cycle being processed, and it
-        // ran above, so the merge sees every SMX due at t.
-        tickNow_.clear();
-        wheel_.take(t, tickNow_);
-        for (std::size_t i = 0;;) {
-            const bool queued = !eq_.empty() && eq_.top().cycle == t;
-            if (!queued && i == tickNow_.size())
-                break;
-            SmxId id;
-            if (queued &&
-                (i == tickNow_.size() || eq_.top().id <= tickNow_[i])) {
-                id = eq_.pop().id;
-                ++work_.eventsPopped;
-            } else {
-                id = tickNow_[i++];
-            }
-            if (smxArmedAt_[id] != t)
-                continue; // stale: re-armed for an earlier cycle
-            smxArmedAt_[id] = kNoCycle;
-            Smx &smx = *smxs_[id];
-            progress |= smx.tick(t);
-            ++work_.smxTicks;
-            if (smx.drained()) {
-                noteSmxDrained(id);
-                continue;
-            }
-            const Cycle next = smx.nextEventAt(t + 1);
-            if (next != kNoCycle)
-                armSmx(id, next, t);
-        }
-
-        if (maintArmedAt_ == t) {
-            maintArmedAt_ = kNoCycle;
-            // See the dense loop for why trimming at the device clock
-            // is invisible to the timing model; because it is, the
-            // exact trim cycles may differ between modes.
-            mem_.trimMshrs(t);
-            nextMshrTrimAt_ = t + cfg_.mshrTrimInterval;
-            armMaintenance(nextMshrTrimAt_);
-        }
-
-        if (fe_due) {
-            if (progress) {
-                // The dense loop visits t+1 next (the "echo" visit:
-                // it usually finds no progress and jumps away). When
-                // both front-end halves prove their calls at t+1 would
-                // observe and mutate nothing — no launch admittable by
-                // then, scheduler dispatch memo still valid — the echo
-                // can be elided outright: its SMX ticks are no-ops as
-                // well (an SMX due at t+1 would be armed, and the
-                // batch would happen anyway). The jump the dense loop
-                // computes out of that visit is replicated below with
-                // the same nextReadyAt calls, evaluated at t+1; its
-                // SMX component is the earliest armed SMX wakeup, via
-                // the lazy wake.
-                if (launcher_->visitIsNoop(t + 1) &&
-                    sched_->visitIsNoop(t + 1)) {
-                    ++work_.visitsElided;
-                    const Cycle target =
-                        std::min(launcher_->nextReadyAt(t + 1),
-                                 sched_->nextReadyAt(t + 1));
-                    if (target != kNoCycle)
-                        armFrontEnd(target);
-                    feOnNextEvent_ = true;
-                } else {
-                    armFrontEnd(t + 1);
-                }
-            } else {
-                // The dense loop's no-progress jump. Its SMX component
-                // (min over active SMXs' nextEventAt) is exactly the
-                // earliest armed SMX event, so the wheel or the queue
-                // supplies it via the lazy wake; only the launcher/
-                // scheduler delays need naming here. Both calls are kept
-                // even though only their min is used: the scheduler's
-                // nextReadyAt prunes internal state, and dense/event
-                // parity requires identical call sequences.
-                const Cycle target =
-                    std::min(launcher_->nextReadyAt(t),
-                             sched_->nextReadyAt(t));
-                if (target != kNoCycle && target > t) {
-                    armFrontEnd(target);
-                } else if (!eq_.empty() || !wheel_.empty()) {
-                    // No nameable delay, but parked SMX events exist:
-                    // the lazy wake below re-engages the front end.
-                } else {
-                    // The dense loop crawls (++cycle) when the jump
-                    // has no target: progress may need repeated
-                    // front-end visits (SMX-Bind examines one SMX per
-                    // cycle, rotating its cursor on failure). With no
-                    // SMX events queued, replicate the crawl or the
-                    // front end would starve.
-                    armFrontEnd(t + 1);
-                }
-                feOnNextEvent_ = true;
-            }
-        }
-
-        cycle_ = t + 1;
-        if (cycle_ - start > max_cycles) {
-            laperm_panic("simulation exceeded %llu cycles "
-                         "(undispatched=%llu active=%llu pending=%zu)",
-                         static_cast<unsigned long long>(max_cycles),
-                         static_cast<unsigned long long>(undispatchedTbs_),
-                         static_cast<unsigned long long>(activeTbs_),
-                         launcher_->kmu().size());
+    // Front-end phase: due when armed for this cycle, or — lazy wake
+    // (see feOnNextEvent_) — at any batch, since a batch the front end
+    // is not armed for has an SMX due. When both front-end halves prove
+    // their calls at t would observe and mutate nothing (no launch
+    // admittable, scheduler dispatch memo valid), the calls themselves
+    // are elided; the post-batch arming below still runs so SMX-driven
+    // progress (completions invalidate the memo) re-engages the front
+    // end at t+1 exactly as the dense loop would.
+    const bool fe_due = feArmedAt_ == t || feOnNextEvent_;
+    if (fe_due) {
+        feOnNextEvent_ = false;
+        if (feArmedAt_ == t)
+            feArmedAt_ = kNoCycle;
+        if (!launcher_->visitIsNoop(t) || !sched_->visitIsNoop(t)) {
+            bool launched = launcher_->tick(t);
+            bool dispatched = sched_->dispatchOne(t);
+            progress |= launched || dispatched;
+        } else {
+            ++work_.visitsElided;
         }
     }
+
+    // SMX phase: one pass in ascending id, the dense loop's tick order,
+    // ticking each SMX armed for t, re-arming it and recomputing the
+    // minimum. Only the front end arms an SMX for the cycle being
+    // processed (a dispatch), and it ran above, so the pass sees every
+    // SMX due at t.
+    if (smxNextAt_ == t) {
+        Cycle next_at = kNoCycle;
+        for (SmxId id = 0; id < cfg_.numSmx; ++id) {
+            Cycle &at = smxArmedAt_[id];
+            if (at == t) {
+                Smx &smx = *smxs_[id];
+                progress |= smx.tick(t);
+                ++work_.smxTicks;
+                if (smx.drained()) {
+                    noteSmxDrained(id);
+                    at = kNoCycle;
+                } else {
+                    at = smx.nextEventAt(t + 1);
+                }
+            }
+            next_at = std::min(next_at, at);
+        }
+        smxNextAt_ = next_at;
+    }
+
+    trimMshrsIfDue(t);
+
+    if (fe_due) {
+        if (progress) {
+            // The dense loop visits t+1 next (the "echo" visit: it
+            // usually finds no progress and jumps away). When both
+            // front-end halves prove their calls at t+1 would observe
+            // and mutate nothing — no launch admittable by then,
+            // scheduler dispatch memo still valid — the echo can be
+            // elided outright: its SMX ticks are no-ops as well (an SMX
+            // due at t+1 would be armed, and the batch would happen
+            // anyway). The jump the dense loop computes out of that
+            // visit is replicated below with the same nextReadyAt
+            // calls, evaluated at t+1; its SMX component is the earliest
+            // armed SMX, via the lazy wake.
+            if (launcher_->visitIsNoop(t + 1) &&
+                sched_->visitIsNoop(t + 1)) {
+                ++work_.visitsElided;
+                const Cycle target =
+                    std::min(launcher_->nextReadyAt(t + 1),
+                             sched_->nextReadyAt(t + 1));
+                if (target != kNoCycle)
+                    armFrontEnd(target);
+                feOnNextEvent_ = true;
+            } else {
+                armFrontEnd(t + 1);
+            }
+        } else {
+            // The dense loop's no-progress jump. Its SMX component (min
+            // over active SMXs' nextEventAt) is exactly the earliest
+            // armed SMX, so the lazy wake supplies it; only the
+            // launcher/scheduler delays need naming here. Both calls
+            // are kept even though only their min is used: the
+            // scheduler's nextReadyAt prunes internal state, and
+            // dense/event parity requires identical call sequences.
+            const Cycle target =
+                std::min(launcher_->nextReadyAt(t),
+                         sched_->nextReadyAt(t));
+            if (target != kNoCycle && target > t) {
+                armFrontEnd(target);
+            } else if (smxNextAt_ == kNoCycle) {
+                // The dense loop crawls (++cycle) when the jump has no
+                // target: progress may need repeated front-end visits
+                // (SMX-Bind examines one SMX per cycle, rotating its
+                // cursor on failure). With no SMX armed, replicate the
+                // crawl or the front end would starve.
+                armFrontEnd(t + 1);
+            }
+            feOnNextEvent_ = true;
+        }
+    }
+
+    cycle_ = t + 1;
 }
 
 void
@@ -473,7 +410,7 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
         // must see the new TB (the dense loop ticks SMXs after
         // dispatch).
         if (cfg_.tickMode == TickMode::Event)
-            armSmx(smx, now, now);
+            armSmx(smx, now);
     }
 }
 

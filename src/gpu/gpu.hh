@@ -14,13 +14,11 @@
 #include "dynpar/launcher.hh"
 #include "gpu/kdu.hh"
 #include "gpu/smx.hh"
-#include "gpu/wake_wheel.hh"
 #include "kernels/thread_ctx.hh"
 #include "mem/mem_system.hh"
 #include "sim/observer.hh"
 #include "sched/tb_scheduler.hh"
 #include "sim/config.hh"
-#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
 namespace laperm {
@@ -33,8 +31,8 @@ namespace laperm {
  */
 struct WorkCounters
 {
-    /** Events popped off the event queue, stale ones included. */
-    std::uint64_t eventsPopped = 0;
+    /** Event-loop batches: the cycles the event core visited. */
+    std::uint64_t batches = 0;
     /** Front-end visits the event loop skipped via visitIsNoop. */
     std::uint64_t visitsElided = 0;
     /** Smx::tick calls, both tick modes. */
@@ -156,16 +154,21 @@ class Gpu : public SmxCallbacks, public DispatchContext
     void dispatchCapacityFreed() override;
 
   private:
-    void tick();
+    /**
+     * The run loop of both tick modes: step until idle or until the
+     * clock reaches @p stop (kNoCycle: no stop).
+     */
+    void run(Cycle stop, Cycle max_cycles);
+    void tick(); ///< one dense-loop step
+    void trimMshrsIfDue(Cycle now);
     bool idle() const;
     void noteSmxBusy(SmxId id);
     void noteSmxDrained(SmxId id);
 
     // --- Event-driven core (DESIGN.md §11) ---
-    void runEventLoop(Cycle max_cycles, Cycle stop = kNoCycle);
+    void runBatch(Cycle stop); ///< one event-loop step
     void armFrontEnd(Cycle cycle);
-    void armSmx(SmxId id, Cycle cycle, Cycle now);
-    void armMaintenance(Cycle cycle);
+    void armSmx(SmxId id, Cycle cycle);
 
     GpuConfig cfg_;
     MemSystem mem_;
@@ -175,38 +178,31 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::vector<std::unique_ptr<Smx>> smxs_;
 
     /**
-     * SMXs with resident TBs, ascending. Only these are ticked and
-     * scanned for the next event; most SMXs idle through the tail of a
-     * wave, so this keeps the per-cycle cost proportional to live work.
-     * Kept sorted so tick order matches the full 0..N-1 scan exactly.
+     * SMXs with resident TBs, ascending. The dense loop ticks and scans
+     * only these; most SMXs idle through the tail of a wave, so this
+     * keeps the per-cycle cost proportional to live work. Kept sorted
+     * so tick order matches the full 0..N-1 scan exactly.
      */
     std::vector<SmxId> activeSmxs_;
     std::vector<bool> smxActive_;
 
-    /** Amortized MSHR garbage collection (see tick()). */
+    /** Amortized MSHR garbage collection (see trimMshrsIfDue()). */
     Cycle nextMshrTrimAt_ = 0;
 
     /**
-     * Event-mode state. Each component tracks the cycle it is armed for
-     * (kNoCycle when unarmed). An SMX wakeup less than
-     * WakeWheel::kSpan cycles ahead of the batch that arms it goes on
-     * the wheel, a later one into the queue. An arm for an earlier
-     * cycle orphans the old entry, which is skipped by comparing its
-     * cycle against the armed cycle (stale-skip).
+     * Event-mode schedule: the cycle each component is armed for
+     * (kNoCycle when unarmed). Arming only ever lowers an entry, and
+     * smxNextAt_ caches the minimum of smxArmedAt_.
      */
-    EventQueue eq_;
-    WakeWheel wheel_;
-    std::vector<SmxId> tickNow_; ///< the batch's SMXs from the wheel
     Cycle feArmedAt_ = kNoCycle;
-    Cycle maintArmedAt_ = kNoCycle;
     std::vector<Cycle> smxArmedAt_;
+    Cycle smxNextAt_ = kNoCycle;
     /**
      * Lazy front-end wake: set when a no-progress front-end visit
      * could not name its next cycle from launcher/scheduler delays
      * alone. The dense jump target's SMX component is exactly the
-     * earliest armed SMX event, so instead of polling every active
-     * SMX's nextEventAt, the front end fires at the next
-     * non-maintenance batch the wheel or the queue surfaces.
+     * earliest armed SMX, so instead of polling every active SMX's
+     * nextEventAt, the front end fires at the next batch.
      */
     bool feOnNextEvent_ = false;
 
@@ -219,7 +215,6 @@ class Gpu : public SmxCallbacks, public DispatchContext
     TbUid nextTbUid_ = 0;
     std::uint64_t undispatchedTbs_ = 0;
     std::uint64_t activeTbs_ = 0;
-    std::uint64_t issuedInstSnapshot_ = 0;
 
     obs::ObserverHub hub_;
     const DispatchGate *gate_ = nullptr;

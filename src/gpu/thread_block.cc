@@ -51,15 +51,6 @@ resetThreadBlock(ThreadBlock &tb, std::uint32_t tb_index,
 
 } // namespace
 
-Warp::operator const WarpTrace &() const
-{
-    const auto w = static_cast<std::size_t>(this - tb->warps.data());
-    laperm_assert(w < tb->traces.size() &&
-                      ops.data() == tb->traces[w].ops.data(),
-                  "warp %zu was not built at dispatch", w);
-    return tb->traces[w];
-}
-
 std::size_t
 buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
                      std::uint32_t tb_index, std::uint32_t threads_per_tb,

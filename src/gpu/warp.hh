@@ -70,12 +70,6 @@ class Warp
     ThreadBlock *tb = nullptr;
 
     bool finishedOps() const { return pc >= ops.size(); }
-
-    /**
-     * The WarpTrace a warp built at dispatch views: its TB's buffer for
-     * it (thread_block.hh). A warp replayed from a LaunchTraces has none.
-     */
-    operator const WarpTrace &() const;
 };
 
 } // namespace laperm

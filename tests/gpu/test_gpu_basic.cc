@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "test_util.hh"
 
 using namespace laperm;

@@ -148,7 +148,7 @@ expectSameRun(const std::vector<LaunchRequest> &waves,
     EXPECT_EQ(wb.tbsBuilt, 0u) << what;
     EXPECT_EQ(wb.threadOps, 0u) << what;
     EXPECT_EQ(wa.tbsBuilt, wb.tbsReplayed) << what;
-    EXPECT_EQ(wa.eventsPopped, wb.eventsPopped) << what;
+    EXPECT_EQ(wa.batches, wb.batches) << what;
 }
 
 std::shared_ptr<const KernelProgram>

@@ -430,10 +430,12 @@ TEST(WarpTrace, SpansSurviveThreadBlockRebuildAndReallocation)
             }
             const std::string what =
                 std::string(when) + " warp " + std::to_string(w);
-            expectSameOps(tb.warps[w],
+            EXPECT_EQ(tb.warps[w].ops.data(), tb.traces[w].ops.data())
+                << what;
+            expectSameOps(tb.traces[w],
                           referenceZip(threads, 0, tb.warps[w].numThreads),
                           what);
-            expectSpansInside(tb.warps[w], what);
+            expectSpansInside(tb.traces[w], what);
         }
     };
 
