@@ -6,19 +6,20 @@
  * Gpu::runWaves (workload setup is amortized outside the timer), and
  * writes BENCH_simcore.json with simulated cycles/sec per mode and the
  * event/dense speedup. Each event-mode run also reports the core's
- * host work counters (Gpu::workCounters: event-loop batches, front-end
- * visits elided, SMX ticks, MSHR inserts, TBs built at dispatch and
- * the thread ops they emitted), so a host-side change shows as less
- * work and not only as less time. Each workload's event-mode cells
- * then run again from one trace forest (gpu/trace_forest.hh), as a
- * sweep runs them: the forest's builds are counted once, the cells'
- * replays separately, and every replayed cell must match its build at
- * dispatch.
+ * host work counters (Gpu::workCounters: run-loop steps, SMX ticks,
+ * MSHR inserts, TBs built at dispatch and the thread ops they
+ * emitted), so a host-side change shows as less work and not only as
+ * less time. Both modes visit the same cycles, so each cell also
+ * prints the dense run's steps beside the event run's. Each
+ * workload's event-mode cells then run again from one trace forest
+ * (gpu/trace_forest.hh), as a sweep runs them: the forest's builds
+ * are counted once, the cells' replays separately, and every replayed
+ * cell must match its build at dispatch.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
  *
- * Exits nonzero if any cell's statistics diverge between modes.
+ * Exits nonzero if any cell's cycles or steps diverge between modes.
  */
 
 #include <chrono>
@@ -58,6 +59,7 @@ struct Cell
     std::string workload;
     TbPolicy policy;
     Cycle cycles = 0;
+    std::uint64_t denseBatches = 0;
     double denseSec = 0.0;
     double eventSec = 0.0;
     WorkCounters work; ///< of the event-mode run
@@ -126,25 +128,31 @@ main()
                                          seed, cell.denseSec, dense_work);
             cell.cycles = simulate(w->waves(), policy, TickMode::Event, seed,
                                    cell.eventSec, cell.work);
-            if (dense != cell.cycles) {
+            cell.denseBatches = dense_work.batches;
+            if (dense != cell.cycles ||
+                cell.denseBatches != cell.work.batches) {
                 std::fprintf(stderr,
-                             "FAIL: %s/%s cycles diverge "
-                             "(dense %llu, event %llu)\n",
+                             "FAIL: %s/%s diverge (dense %llu cycles, "
+                             "%llu batches; event %llu cycles, %llu "
+                             "batches)\n",
                              name, toString(policy),
                              static_cast<unsigned long long>(dense),
-                             static_cast<unsigned long long>(cell.cycles));
+                             static_cast<unsigned long long>(
+                                 cell.denseBatches),
+                             static_cast<unsigned long long>(cell.cycles),
+                             static_cast<unsigned long long>(
+                                 cell.work.batches));
                 identical = false;
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
-                        "event %.3fs  %.2fx  batches %llu  elided %llu  "
+                        "event %.3fs  %.2fx  batches %llu/%llu  "
                         "ticks %llu  mshr %llu  built %llu TBs "
                         "%llu ops\n",
                         name, toString(policy),
                         static_cast<unsigned long long>(cell.cycles),
                         cell.denseSec, cell.eventSec, cell.speedup(),
+                        static_cast<unsigned long long>(cell.denseBatches),
                         static_cast<unsigned long long>(cell.work.batches),
-                        static_cast<unsigned long long>(
-                            cell.work.visitsElided),
                         static_cast<unsigned long long>(cell.work.smxTicks),
                         static_cast<unsigned long long>(
                             cell.work.mshrInserts),
@@ -185,12 +193,13 @@ main()
     double denseTotal = 0.0;
     double eventTotal = 0.0;
     WorkCounters workTotal;
+    std::uint64_t denseBatchesTotal = 0;
     for (const Cell &c : cells) {
         maxSpeedup = std::max(maxSpeedup, c.speedup());
         denseTotal += c.denseSec;
         eventTotal += c.eventSec;
         workTotal.batches += c.work.batches;
-        workTotal.visitsElided += c.work.visitsElided;
+        denseBatchesTotal += c.denseBatches;
         workTotal.smxTicks += c.work.smxTicks;
         workTotal.mshrInserts += c.work.mshrInserts;
         workTotal.tbsBuilt += c.work.tbsBuilt;
@@ -215,7 +224,7 @@ main()
              << ", \"cycles_per_sec_event\": " << cyc / c.eventSec
              << ", \"speedup\": " << c.speedup()
              << ", \"batches\": " << c.work.batches
-             << ", \"visits_elided\": " << c.work.visitsElided
+             << ", \"batches_dense\": " << c.denseBatches
              << ", \"smx_ticks\": " << c.work.smxTicks
              << ", \"mshr_inserts\": " << c.work.mshrInserts
              << ", \"tbs_built\": " << c.work.tbsBuilt
@@ -229,7 +238,7 @@ main()
          << (eventTotal > 0.0 ? denseTotal / eventTotal : 0.0) << ",\n"
          << "  \"speedup_max\": " << maxSpeedup << ",\n"
          << "  \"batches_total\": " << workTotal.batches << ",\n"
-         << "  \"visits_elided_total\": " << workTotal.visitsElided << ",\n"
+         << "  \"batches_dense_total\": " << denseBatchesTotal << ",\n"
          << "  \"smx_ticks_total\": " << workTotal.smxTicks << ",\n"
          << "  \"mshr_inserts_total\": " << workTotal.mshrInserts << ",\n"
          << "  \"tbs_built_total\": " << workTotal.tbsBuilt << ",\n"
@@ -246,10 +255,10 @@ main()
                 denseTotal, eventTotal,
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
                 maxSpeedup);
-    std::printf("event-mode work: batches %llu  elided %llu  ticks %llu  "
+    std::printf("event-mode work: batches %llu (dense %llu)  ticks %llu  "
                 "mshr inserts %llu  TBs built %llu  thread ops %llu\n",
                 static_cast<unsigned long long>(workTotal.batches),
-                static_cast<unsigned long long>(workTotal.visitsElided),
+                static_cast<unsigned long long>(denseBatchesTotal),
                 static_cast<unsigned long long>(workTotal.smxTicks),
                 static_cast<unsigned long long>(workTotal.mshrInserts),
                 static_cast<unsigned long long>(workTotal.tbsBuilt),

@@ -3,9 +3,8 @@
 # rules, DESIGN.md §12) plus the curated clang-tidy profile in
 # .clang-tidy. Exits nonzero on any finding.
 #
-# sim-lint runs all four passes (token, layering, cycle-safety,
-# event-discipline) with per-pass timing and fails fast before the
-# tidy stage.
+# sim-lint runs all three passes (token, layering, cycle-safety) with
+# per-pass timing and fails fast before the tidy stage.
 #
 # clang-tidy is optional: images without LLVM (like the default build
 # container, which ships only gcc) skip that stage with a notice; the

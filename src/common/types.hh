@@ -35,6 +35,9 @@ constexpr TbUid kNoTb = std::numeric_limits<TbUid>::max();
 /** Sentinel SMX id. */
 constexpr SmxId kNoSmx = std::numeric_limits<SmxId>::max();
 
+/** Sentinel tenant id: no tenant (e.g. none gated). */
+constexpr std::uint32_t kNoTenant = std::numeric_limits<std::uint32_t>::max();
+
 /** SIMT width: threads per warp. */
 constexpr std::uint32_t kWarpSize = 32;
 

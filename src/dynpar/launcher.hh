@@ -58,16 +58,6 @@ class Launcher
      */
     Cycle nextReadyAt(Cycle now) const;
 
-    /**
-     * True when a tick at cycle @p c would provably admit nothing and
-     * observe nothing: no pending launch, latent or promoted, has a
-     * readyAt at or before @p c. A ready-but-KDU-blocked launch has
-     * readyAt <= now and keeps this false, preserving its stall
-     * accounting. Lets the event loop elide provably inert front-end
-     * visits (the promote() such a visit would run is a no-op too).
-     */
-    bool visitIsNoop(Cycle c) const { return kmu_.nextReadyAt() > c; }
-
     const Kmu &kmu() const { return kmu_; }
 
   private:

@@ -53,17 +53,6 @@ Gpu::noteSmxBusy(SmxId id)
 }
 
 void
-Gpu::noteSmxDrained(SmxId id)
-{
-    smxActive_[id] = false;
-    auto it =
-        std::lower_bound(activeSmxs_.begin(), activeSmxs_.end(), id);
-    laperm_assert(it != activeSmxs_.end() && *it == id,
-                  "draining an inactive SMX");
-    activeSmxs_.erase(it);
-}
-
-void
 Gpu::runToIdle(Cycle max_cycles)
 {
     run(kNoCycle, max_cycles);
@@ -80,14 +69,8 @@ void
 Gpu::run(Cycle stop, Cycle max_cycles)
 {
     const Cycle start = cycle_;
-    const bool event = cfg_.tickMode == TickMode::Event;
-    if (event)
-        armFrontEnd(cycle_);
     while (!idle() && cycle_ < stop) {
-        if (event)
-            runBatch(stop);
-        else
-            tick();
+        step();
         if (cycle_ - start > max_cycles) {
             laperm_panic("simulation exceeded %llu cycles "
                          "(undispatched=%llu active=%llu pending=%zu)",
@@ -104,48 +87,77 @@ Gpu::run(Cycle stop, Cycle max_cycles)
         cycle_ = stop;
 }
 
+/**
+ * One visited cycle t = cycle_ of either tick mode, in dense phase
+ * order: the front end, the SMX phase, the MSHR trim, then the next
+ * visited cycle. Both modes visit the same cycles by construction,
+ * so the front end — whose failed dispatch attempts have observable
+ * side effects (SMX-Bind cursor rotation, Adaptive-Bind adoption,
+ * KDU-full stall accounting) — runs at exactly the same cycles. The
+ * modes differ only in which SMXs tick: dense ticks every active SMX,
+ * event only those armed for t. An SMX tick with no warp due is
+ * side-effect-free, so the event core skips it.
+ */
 void
-Gpu::tick()
+Gpu::step()
 {
-    bool launched = launcher_->tick(cycle_);
-    bool dispatched = sched_->dispatchOne(cycle_);
-    bool progress = launched || dispatched;
+    const Cycle t = cycle_;
+    const bool event = cfg_.tickMode == TickMode::Event;
+    laperm_assert(!event || smxNextAt_ >= t, "SMX armed in the past");
+    ++work_.batches;
+    bool progress = launcher_->tick(t);
+    progress |= sched_->dispatchOne(t);
 
-    // Tick only SMXs with resident TBs (ticking a drained SMX is a
-    // no-op), compacting ones that drained this cycle. dispatchOne
-    // above is the only way an SMX gains work, so the list is stable
-    // during this loop.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < activeSmxs_.size(); ++i) {
-        const SmxId id = activeSmxs_[i];
-        Smx &smx = *smxs_[id];
-        progress |= smx.tick(cycle_);
-        ++work_.smxTicks;
-        if (smx.drained())
-            smxActive_[id] = false;
-        else
+    // SMX phase, in ascending id, compacting SMXs that drain. Event
+    // mode re-arms each ticked SMX and recomputes the minimum; only a
+    // dispatch arms an SMX for t itself, and the front end ran above.
+    // dispatchOne is the only way an SMX gains work, so the list is
+    // stable during this loop.
+    if (!event || smxNextAt_ == t) {
+        Cycle next_at = kNoCycle;
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < activeSmxs_.size(); ++i) {
+            const SmxId id = activeSmxs_[i];
+            Cycle &at = smxArmedAt_[id];
+            if (!event || at == t) {
+                Smx &smx = *smxs_[id];
+                progress |= smx.tick(t);
+                ++work_.smxTicks;
+                if (smx.drained()) {
+                    smxActive_[id] = false;
+                    at = kNoCycle;
+                    continue;
+                }
+                if (event)
+                    at = smx.nextEventAt(t + 1);
+            }
+            next_at = std::min(next_at, at);
             activeSmxs_[out++] = id;
+        }
+        activeSmxs_.resize(out);
+        smxNextAt_ = next_at;
     }
-    activeSmxs_.resize(out);
 
-    trimMshrsIfDue(cycle_);
+    trimMshrsIfDue(t);
 
     if (progress) {
-        ++cycle_;
+        cycle_ = t + 1;
         return;
     }
 
     // Nothing happened: jump to the next event (warp wakeup, launch
-    // readiness, or an overflow-fetch completion).
+    // readiness, or an overflow-fetch completion). The event core has
+    // the SMX term cached as the earliest armed cycle.
     Cycle next = kNoCycle;
-    for (SmxId id : activeSmxs_)
-        next = std::min(next, smxs_[id]->nextEventAt(cycle_));
-    next = std::min(next, launcher_->nextReadyAt(cycle_));
-    next = std::min(next, sched_->nextReadyAt(cycle_));
-    if (next == kNoCycle || next <= cycle_)
-        ++cycle_;
-    else
-        cycle_ = next;
+    if (event) {
+        next = smxNextAt_;
+    } else {
+        for (SmxId id : activeSmxs_)
+            next = std::min(next, smxs_[id]->nextEventAt(t));
+    }
+    next = std::min(next, launcher_->nextReadyAt(t));
+    next = std::min(next, sched_->nextReadyAt(t));
+    cycle_ = next == kNoCycle || next <= t ? t + 1 : next;
 }
 
 void
@@ -156,9 +168,8 @@ Gpu::trimMshrsIfDue(Cycle now)
     // timestamp (LSU issue and downstream latencies only add to it),
     // so trimming at it is invisible to the timing model — unlike
     // trimming at access time, where out-of-order L2 timestamps would
-    // turn some merges into misses. Being invisible, the trim runs in
-    // the first visited cycle at or past its deadline, which differs
-    // between tick modes.
+    // turn some merges into misses. It runs in the first visited cycle
+    // at or past its deadline, the same cycle in both tick modes.
     if (now >= nextMshrTrimAt_) {
         mem_.trimMshrs(now);
         nextMshrTrimAt_ = now + cfg_.mshrTrimInterval;
@@ -171,10 +182,6 @@ Gpu::advanceTo(Cycle cycle)
     laperm_assert(idle(), "advanceTo with live work");
     laperm_assert(cycle >= cycle_, "advanceTo moving backwards");
     cycle_ = cycle;
-    // A drained device has no SMX armed, but the front end may be armed
-    // inside the skipped gap; the next run re-arms it at the new clock.
-    feArmedAt_ = kNoCycle;
-    feOnNextEvent_ = false;
 }
 
 std::uint64_t
@@ -187,148 +194,10 @@ Gpu::residentThreads() const
 }
 
 void
-Gpu::armFrontEnd(Cycle cycle)
-{
-    feArmedAt_ = std::min(feArmedAt_, cycle);
-}
-
-void
 Gpu::armSmx(SmxId id, Cycle cycle)
 {
     smxArmedAt_[id] = std::min(smxArmedAt_[id], cycle);
     smxNextAt_ = std::min(smxNextAt_, cycle);
-}
-
-/**
- * One batch of the event-driven replacement for the dense loop: the
- * earliest armed cycle, with every phase due at it in dense order.
- * Correctness hinges on the front end (Launcher::tick +
- * TbScheduler::dispatchOne) running at exactly the cycles the dense
- * loop visits — failed dispatch attempts have observable side effects
- * (SMX-Bind cursor rotation, KDU-full stall accounting) — so its arming
- * rules replicate the dense visit set: the successor of every progress
- * cycle, and on a no-progress cycle the same jump target the dense loop
- * computes. SMX ticks with no eligible warp are side-effect-free, so an
- * SMX stays unticked until the cycle it is armed for.
- */
-void
-Gpu::runBatch(Cycle stop)
-{
-    const Cycle t = std::min(feArmedAt_, smxNextAt_);
-    laperm_assert(t != kNoCycle, "no next event with live work");
-    laperm_assert(t >= cycle_, "batch in the past (%llu < %llu)",
-                  static_cast<unsigned long long>(t),
-                  static_cast<unsigned long long>(cycle_));
-    if (t >= stop) {
-        // Slice boundary: every armed cycle is at or past stop, so
-        // pausing here and re-arming on re-entry (run() arms the front
-        // end) replays the dense loop's visit at stop.
-        cycle_ = stop;
-        return;
-    }
-    ++work_.batches;
-    bool progress = false;
-
-    // Front-end phase: due when armed for this cycle, or — lazy wake
-    // (see feOnNextEvent_) — at any batch, since a batch the front end
-    // is not armed for has an SMX due. When both front-end halves prove
-    // their calls at t would observe and mutate nothing (no launch
-    // admittable, scheduler dispatch memo valid), the calls themselves
-    // are elided; the post-batch arming below still runs so SMX-driven
-    // progress (completions invalidate the memo) re-engages the front
-    // end at t+1 exactly as the dense loop would.
-    const bool fe_due = feArmedAt_ == t || feOnNextEvent_;
-    if (fe_due) {
-        feOnNextEvent_ = false;
-        if (feArmedAt_ == t)
-            feArmedAt_ = kNoCycle;
-        if (!launcher_->visitIsNoop(t) || !sched_->visitIsNoop(t)) {
-            bool launched = launcher_->tick(t);
-            bool dispatched = sched_->dispatchOne(t);
-            progress |= launched || dispatched;
-        } else {
-            ++work_.visitsElided;
-        }
-    }
-
-    // SMX phase: one pass in ascending id, the dense loop's tick order,
-    // ticking each SMX armed for t, re-arming it and recomputing the
-    // minimum. Only the front end arms an SMX for the cycle being
-    // processed (a dispatch), and it ran above, so the pass sees every
-    // SMX due at t.
-    if (smxNextAt_ == t) {
-        Cycle next_at = kNoCycle;
-        for (SmxId id = 0; id < cfg_.numSmx; ++id) {
-            Cycle &at = smxArmedAt_[id];
-            if (at == t) {
-                Smx &smx = *smxs_[id];
-                progress |= smx.tick(t);
-                ++work_.smxTicks;
-                if (smx.drained()) {
-                    noteSmxDrained(id);
-                    at = kNoCycle;
-                } else {
-                    at = smx.nextEventAt(t + 1);
-                }
-            }
-            next_at = std::min(next_at, at);
-        }
-        smxNextAt_ = next_at;
-    }
-
-    trimMshrsIfDue(t);
-
-    if (fe_due) {
-        if (progress) {
-            // The dense loop visits t+1 next (the "echo" visit: it
-            // usually finds no progress and jumps away). When both
-            // front-end halves prove their calls at t+1 would observe
-            // and mutate nothing — no launch admittable by then,
-            // scheduler dispatch memo still valid — the echo can be
-            // elided outright: its SMX ticks are no-ops as well (an SMX
-            // due at t+1 would be armed, and the batch would happen
-            // anyway). The jump the dense loop computes out of that
-            // visit is replicated below with the same nextReadyAt
-            // calls, evaluated at t+1; its SMX component is the earliest
-            // armed SMX, via the lazy wake.
-            if (launcher_->visitIsNoop(t + 1) &&
-                sched_->visitIsNoop(t + 1)) {
-                ++work_.visitsElided;
-                const Cycle target =
-                    std::min(launcher_->nextReadyAt(t + 1),
-                             sched_->nextReadyAt(t + 1));
-                if (target != kNoCycle)
-                    armFrontEnd(target);
-                feOnNextEvent_ = true;
-            } else {
-                armFrontEnd(t + 1);
-            }
-        } else {
-            // The dense loop's no-progress jump. Its SMX component (min
-            // over active SMXs' nextEventAt) is exactly the earliest
-            // armed SMX, so the lazy wake supplies it; only the
-            // launcher/scheduler delays need naming here. Both calls
-            // are kept even though only their min is used: the
-            // scheduler's nextReadyAt prunes internal state, and
-            // dense/event parity requires identical call sequences.
-            const Cycle target =
-                std::min(launcher_->nextReadyAt(t),
-                         sched_->nextReadyAt(t));
-            if (target != kNoCycle && target > t) {
-                armFrontEnd(target);
-            } else if (smxNextAt_ == kNoCycle) {
-                // The dense loop crawls (++cycle) when the jump has no
-                // target: progress may need repeated front-end visits
-                // (SMX-Bind examines one SMX per cycle, rotating its
-                // cursor on failure). With no SMX armed, replicate the
-                // crawl or the front end would starve.
-                armFrontEnd(t + 1);
-            }
-            feOnNextEvent_ = true;
-        }
-    }
-
-    cycle_ = t + 1;
 }
 
 void

@@ -31,10 +31,8 @@ namespace laperm {
  */
 struct WorkCounters
 {
-    /** Event-loop batches: the cycles the event core visited. */
+    /** Steps of the run loop: the cycles visited, equal in both modes. */
     std::uint64_t batches = 0;
-    /** Front-end visits the event loop skipped via visitIsNoop. */
-    std::uint64_t visitsElided = 0;
     /** Smx::tick calls, both tick modes. */
     std::uint64_t smxTicks = 0;
     /** In-flight fills recorded at eviction, over every cache. */
@@ -87,8 +85,8 @@ class Gpu : public SmxCallbacks, public DispatchContext
 
     /**
      * Jump an idle device forward to @p cycle (the open-loop arrival
-     * gap). Asserts idleness; all event-mode wakeups are reset so the
-     * next slice re-arms from the new clock.
+     * gap). Asserts idleness; a drained device has no SMX armed, so the
+     * next slice starts from the new clock.
      */
     void advanceTo(Cycle cycle);
 
@@ -99,17 +97,15 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::uint64_t residentThreads() const;
 
     /**
-     * Install (or clear, with nullptr) the tenant dispatch gate. The
-     * gate must outlive the run; flips are only legal between run
-     * slices, followed by noteDispatchGateChanged().
+     * Gate @p tenant's dispatch (kNoTenant: none). Only legal between
+     * run slices. A change may make a blocked unit dispatchable, so
+     * memoized schedulers drop their failed-scan memo.
      */
-    void setDispatchGate(const DispatchGate *gate) { gate_ = gate; }
-
-    /**
-     * A gate flip may have made a previously blocked unit dispatchable;
-     * memoized schedulers must drop their failed-scan memo.
-     */
-    void noteDispatchGateChanged() { sched_->noteCapacityFreed(); }
+    void setGatedTenant(std::uint32_t tenant)
+    {
+        gatedTenant_ = tenant;
+        sched_->noteCapacityFreed();
+    }
 
     /** Convenience: launch each wave and drain it before the next. */
     void runWaves(const std::vector<LaunchRequest> &waves);
@@ -145,7 +141,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
     bool fits(SmxId smx, const DispatchUnit &unit) const override;
     void dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now) override;
     GpuStats &mutableStats() override { return stats_; }
-    const DispatchGate *gate() const override { return gate_; }
+    std::uint32_t gatedTenant() const override { return gatedTenant_; }
 
     // --- SmxCallbacks ---
     void deviceLaunch(const LaunchRequest &req, const ThreadBlock &parent,
@@ -159,15 +155,10 @@ class Gpu : public SmxCallbacks, public DispatchContext
      * clock reaches @p stop (kNoCycle: no stop).
      */
     void run(Cycle stop, Cycle max_cycles);
-    void tick(); ///< one dense-loop step
+    void step(); ///< visit cycle_, then move to the next visited cycle
     void trimMshrsIfDue(Cycle now);
     bool idle() const;
     void noteSmxBusy(SmxId id);
-    void noteSmxDrained(SmxId id);
-
-    // --- Event-driven core (DESIGN.md §11) ---
-    void runBatch(Cycle stop); ///< one event-loop step
-    void armFrontEnd(Cycle cycle);
     void armSmx(SmxId id, Cycle cycle);
 
     GpuConfig cfg_;
@@ -178,10 +169,10 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::vector<std::unique_ptr<Smx>> smxs_;
 
     /**
-     * SMXs with resident TBs, ascending. The dense loop ticks and scans
-     * only these; most SMXs idle through the tail of a wave, so this
-     * keeps the per-cycle cost proportional to live work. Kept sorted
-     * so tick order matches the full 0..N-1 scan exactly.
+     * SMXs with resident TBs, ascending. The SMX phase scans only
+     * these; most SMXs idle through the tail of a wave, so this keeps
+     * the per-cycle cost proportional to live work. Kept sorted so tick
+     * order matches the full 0..N-1 scan exactly.
      */
     std::vector<SmxId> activeSmxs_;
     std::vector<bool> smxActive_;
@@ -190,21 +181,12 @@ class Gpu : public SmxCallbacks, public DispatchContext
     Cycle nextMshrTrimAt_ = 0;
 
     /**
-     * Event-mode schedule: the cycle each component is armed for
+     * Event-mode SMX schedule: the cycle each SMX is armed for
      * (kNoCycle when unarmed). Arming only ever lowers an entry, and
      * smxNextAt_ caches the minimum of smxArmedAt_.
      */
-    Cycle feArmedAt_ = kNoCycle;
     std::vector<Cycle> smxArmedAt_;
     Cycle smxNextAt_ = kNoCycle;
-    /**
-     * Lazy front-end wake: set when a no-progress front-end visit
-     * could not name its next cycle from launcher/scheduler delays
-     * alone. The dense jump target's SMX component is exactly the
-     * earliest armed SMX, so instead of polling every active SMX's
-     * nextEventAt, the front end fires at the next batch.
-     */
-    bool feOnNextEvent_ = false;
 
     /** One warp's thread trace contexts, reused across TB builds. */
     std::vector<ThreadCtx> ctxScratch_;
@@ -217,7 +199,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::uint64_t activeTbs_ = 0;
 
     obs::ObserverHub hub_;
-    const DispatchGate *gate_ = nullptr;
+    std::uint32_t gatedTenant_ = kNoTenant;
 };
 
 } // namespace laperm

@@ -79,16 +79,9 @@ class Smx
 
     SmxId id() const { return id_; }
     const SmxStats &stats() const { return stats_; }
-    std::uint32_t residentTbCount() const
-    {
-        return static_cast<std::uint32_t>(residentTbs_.size());
-    }
 
     /** Threads of all resident TBs (the occupancy numerator). */
     std::uint32_t threadsUsed() const { return threadsUsed_; }
-
-    /** Current TB-residency cap (== maxTbsPerSmx unless throttled). */
-    std::uint32_t effectiveMaxTbs() const { return effectiveMaxTbs_; }
 
   private:
     void executeOp(Warp &warp, Cycle now);

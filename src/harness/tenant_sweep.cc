@@ -96,6 +96,25 @@ decodeTenantSweepTsv(const std::string &tsv,
     return true;
 }
 
+bool
+decodeMixRecord(const std::string &payload, const tenant::MixSpec &mix,
+                const std::string &preset, TbPolicy policy,
+                std::vector<TenantSweepRow> &out)
+{
+    if (!decodeTenantSweepTsv(payload, out) ||
+        out.size() != mix.tenants.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const TenantSweepRow &r = out[i];
+        if (r.mix != mix.name || r.preset != preset || r.policy != policy ||
+            r.tenant != mix.tenants[i].name || r.tenantId != i) {
+            return false;
+        }
+    }
+    return true;
+}
+
 std::vector<TenantSweepRow>
 runTenantSweep(const std::vector<std::string> &mixes,
                const std::vector<std::string> &presets,
@@ -143,10 +162,18 @@ runTenantSweep(const std::vector<std::string> &mixes,
                 cfg.seed = seed;
                 std::string key, payload;
                 if (store) {
+                    // A record on disk counts only if it is this cell's:
+                    // a foreign, garbled or empty one is recomputed, and
+                    // the store overwrites it.
                     key = contentKey(mixCellCanonical(
                         g.mix.name, g.preset, cfg.dynParModel,
                         cfg.tbPolicy, seed, cfg));
-                    if (store->probe(key, payload) !=
+                    const auto isCell = [&](const std::string &p) {
+                        std::vector<TenantSweepRow> rows;
+                        return decodeMixRecord(p, g.mix, g.preset,
+                                               cfg.tbPolicy, rows);
+                    };
+                    if (store->probe(key, payload, isCell) !=
                             ResultCache::Tier::Miss &&
                         decodeTenantSweepTsv(payload, cells[slot])) {
                         return;

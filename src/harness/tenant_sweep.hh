@@ -19,6 +19,7 @@
 
 #include "sim/config.hh"
 #include "tenant/metrics.hh"
+#include "tenant/tenant_spec.hh"
 
 namespace laperm {
 
@@ -52,6 +53,19 @@ std::string encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows);
 /** Parse encodeTenantSweepTsv output; false on a malformed row. */
 bool decodeTenantSweepTsv(const std::string &tsv,
                           std::vector<TenantSweepRow> &out);
+
+/**
+ * Decode @p payload into @p out and check that it is the record of
+ * @p mix run on the preset labelled @p preset under @p policy: one row
+ * per tenant of the mix, in tenant order, each naming the mix, the
+ * preset and the policy. The mix cell's counterpart of
+ * decodeCellRecord: a record stored under a mix cell's key that
+ * describes another cell, is empty or does not decode is not that
+ * cell's result.
+ */
+bool decodeMixRecord(const std::string &payload, const tenant::MixSpec &mix,
+                     const std::string &preset, TbPolicy policy,
+                     std::vector<TenantSweepRow> &out);
 
 /**
  * The rows of one (mix, preset, policy) cell, one per tenant, from the

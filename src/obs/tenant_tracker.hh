@@ -70,11 +70,6 @@ class TenantTracker : public SimObserver
         return c.dispatchedTbs - c.retiredTbs;
     }
 
-    std::uint32_t tenantsSeen() const
-    {
-        return static_cast<std::uint32_t>(perTenant_.size());
-    }
-
   private:
     TenantCounters &slot(std::uint32_t tenant);
 

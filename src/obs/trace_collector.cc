@@ -26,7 +26,6 @@ TraceCollector::onTbRetire(const TbEvent &e)
 void
 TraceCollector::onLaunchQueued(const LaunchEvent &e)
 {
-    queued_.push_back(e);
     noteCycle(e.cycle);
 }
 

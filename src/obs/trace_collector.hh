@@ -67,10 +67,6 @@ class TraceCollector : public SimObserver
     const std::vector<TbEvent> &dispatches() const { return dispatches_; }
     const std::vector<TbEvent> &retires() const { return retires_; }
     const std::vector<StealEvent> &steals() const { return steals_; }
-    const std::vector<LaunchEvent> &launchesQueued() const
-    {
-        return queued_;
-    }
 
     /**
      * Per-launch latency decomposition, in admission order. For DTBL
@@ -117,7 +113,6 @@ class TraceCollector : public SimObserver
   private:
     std::vector<TbEvent> dispatches_;
     std::vector<TbEvent> retires_;
-    std::vector<LaunchEvent> queued_;
     std::vector<LaunchEvent> admitted_;
     std::vector<StealEvent> steals_;
     /** Dispatch cycles per kernel, ascending (emission order). Point

@@ -31,12 +31,6 @@ class RrScheduler : public TbScheduler
     Cycle nextReadyAt(Cycle now) const override;
     void noteCapacityFreed() override { stuck_ = false; }
 
-    /** A memo-valid cycle is exactly dispatchOne's O(1) fast path. */
-    bool visitIsNoop(Cycle c) const override
-    {
-        return stuck_ && c < stuckReadyAt_;
-    }
-
   private:
     /** One TB's resource demand; equal shapes fit identically. */
     struct Shape

@@ -45,8 +45,7 @@ PriorityQueues::prune(std::uint32_t level)
 }
 
 DispatchUnit *
-PriorityQueues::front(Cycle now, bool &blocked_out,
-                      const DispatchGate *gate)
+PriorityQueues::front(Cycle now, bool &blocked_out, std::uint32_t gated)
 {
     blocked_out = false;
     if (entries_ == 0)
@@ -57,7 +56,7 @@ PriorityQueues::front(Cycle now, bool &blocked_out,
         auto &q = levels_[level];
         if (q.empty())
             continue;
-        if (!gate) {
+        if (gated == kNoTenant) {
             DispatchUnit *unit = q.front();
             if (unit->readyAt > now) {
                 // Still in flight from the overflow buffer: not visible
@@ -71,14 +70,14 @@ PriorityQueues::front(Cycle now, bool &blocked_out,
         }
         // Gated scan: the first live ungated entry is the level's only
         // candidate — FIFO is preserved among each tenant's own
-        // entries, gated tenants are passed over like not-yet-ready
+        // entries, the gated tenant is passed over like not-yet-ready
         // ones. Mid-queue exhausted entries (possible once non-head
         // units dispatch) are skipped and reclaimed by prune() when
         // they reach the front.
         for (DispatchUnit *unit : q) {
             if (unit->exhausted())
                 continue;
-            if (gate->blocked(unit->tenant))
+            if (unit->tenant == gated)
                 continue;
             if (unit->readyAt > now) {
                 blocked_out = true;

@@ -15,7 +15,6 @@
 
 #include "common/types.hh"
 #include "sched/dispatch_unit.hh"
-#include "sim/dispatch_gate.hh"
 #include "sim/stats.hh"
 
 namespace laperm {
@@ -53,13 +52,12 @@ class PriorityQueues
      * @param now current cycle.
      * @param blocked_out set to true if a unit exists but is delayed
      *        (readyAt in the future), distinguishing "busy" from empty.
-     * @param gate optional tenant dispatch gate; gated entries are
-     *        passed over (FIFO is preserved among each tenant's own
-     *        entries). With nullptr the scan is the exact ungated
-     *        head-of-level probe.
+     * @param gated the tenant whose entries are passed over (FIFO is
+     *        preserved among each tenant's own entries). With kNoTenant
+     *        the scan is the head-of-level probe.
      */
     DispatchUnit *front(Cycle now, bool &blocked_out,
-                        const DispatchGate *gate = nullptr);
+                        std::uint32_t gated = kNoTenant);
 
     /** Remove @p unit after its final TB was dispatched. */
     void popIfExhausted(DispatchUnit *unit);

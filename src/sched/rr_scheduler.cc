@@ -40,7 +40,7 @@ RrScheduler::dispatchOne(Cycle now)
     }
 
     const std::uint32_t n = ctx_.numSmx();
-    const DispatchGate *gate = ctx_.gate();
+    const std::uint32_t gated = ctx_.gatedTenant();
     std::uint32_t examined = 0;
     Cycle earliestDelayed = kNoCycle;
     blockedShapes_.clear();
@@ -51,9 +51,9 @@ RrScheduler::dispatchOne(Cycle now)
             earliestDelayed = std::min(earliestDelayed, unit->readyAt);
             continue;
         }
-        // A gated tenant's units are skipped like not-yet-ready ones;
-        // gate flips invalidate the memo via noteCapacityFreed().
-        if (gate && gate->blocked(unit->tenant))
+        // The gated tenant's units are skipped like not-yet-ready ones;
+        // Gpu::setGatedTenant invalidates the memo.
+        if (unit->tenant == gated)
             continue;
         // The hardware KDU exposes a bounded window of concurrent
         // kernels; do not scan arbitrarily deep past blocked units.

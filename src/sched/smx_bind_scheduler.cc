@@ -57,9 +57,9 @@ SmxBindScheduler::dispatchOne(Cycle now)
     const std::uint32_t c = cluster(smx);
 
     // Stage 1: highest-priority TB bound to this SMX's cluster.
-    const DispatchGate *gate = ctx_.gate();
+    const std::uint32_t gated = ctx_.gatedTenant();
     bool blocked = false;
-    if (DispatchUnit *unit = perCluster_[c].front(now, blocked, gate)) {
+    if (DispatchUnit *unit = perCluster_[c].front(now, blocked, gated)) {
         if (!ctx_.fits(smx, *unit))
             return false; // the SMX is full; the TB stays bound
         ctx_.dispatchTb(*unit, smx, now);
@@ -70,7 +70,7 @@ SmxBindScheduler::dispatchOne(Cycle now)
 
     // Stage 2: the shared level-0 queue of host-kernel TBs.
     bool host_blocked = false;
-    if (DispatchUnit *unit = hostQueue_.front(now, host_blocked, gate)) {
+    if (DispatchUnit *unit = hostQueue_.front(now, host_blocked, gated)) {
         if (!ctx_.fits(smx, *unit))
             return false;
         ctx_.dispatchTb(*unit, smx, now);
@@ -124,7 +124,7 @@ SmxBindScheduler::dispatchOne(Cycle now)
 
     const std::size_t bi = static_cast<std::size_t>(b);
     bool backup_blocked = false;
-    DispatchUnit *unit = perCluster_[bi].front(now, backup_blocked, gate);
+    DispatchUnit *unit = perCluster_[bi].front(now, backup_blocked, gated);
     if (!unit)
         return false;
     if (!ctx_.fits(smx, *unit))

@@ -35,7 +35,7 @@ bool
 TbPriScheduler::dispatchOne(Cycle now)
 {
     bool blocked = false;
-    DispatchUnit *unit = queues_.front(now, blocked, ctx_.gate());
+    DispatchUnit *unit = queues_.front(now, blocked, ctx_.gatedTenant());
     if (!unit)
         return false;
     const std::uint32_t n = ctx_.numSmx();

@@ -13,7 +13,6 @@
 #include "common/types.hh"
 #include "sched/dispatch_unit.hh"
 #include "sim/config.hh"
-#include "sim/dispatch_gate.hh"
 #include "sim/stats.hh"
 
 namespace laperm {
@@ -42,11 +41,11 @@ class DispatchContext
     virtual obs::ObserverHub &observers() = 0;
 
     /**
-     * Tenant dispatch gate, or nullptr when ungated (the single-tenant
-     * default). Schedulers skip units whose tenant the gate blocks,
-     * exactly as they skip units that are not yet ready.
+     * The one tenant whose dispatch is yielded, or kNoTenant (the
+     * single-tenant default). Schedulers skip its units exactly as they
+     * skip units that are not yet ready.
      */
-    virtual const DispatchGate *gate() const { return nullptr; }
+    virtual std::uint32_t gatedTenant() const { return kNoTenant; }
 };
 
 /**
@@ -81,16 +80,6 @@ class TbScheduler
      * here; purely an optimization hook, so a no-op by default.
      */
     virtual void noteCapacityFreed() {}
-
-    /**
-     * True when a dispatchOne call at cycle @p c would provably return
-     * false with no observable side effect, letting the event loop
-     * elide the visit entirely. Policies whose failed attempts have
-     * visible effects (SMX-Bind cursor rotation, Adaptive-Bind
-     * adoption bookkeeping) must keep the default false so the event
-     * loop keeps replicating every dense-loop visit.
-     */
-    virtual bool visitIsNoop(Cycle) const { return false; }
 
     /** Factory selecting the policy from @p cfg. */
     static std::unique_ptr<TbScheduler> create(const GpuConfig &cfg,

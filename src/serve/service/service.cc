@@ -126,9 +126,9 @@ SimService::run(const SimRequest &req)
     out.key = req.key();
 
     // Cache probe. Skipped for trace requests: a hit would return the
-    // right stats but produce none of the requested artifacts. A
-    // single-app record off disk must be this request's; any other is a
-    // miss, and the execution below overwrites it.
+    // right stats but produce none of the requested artifacts. A record
+    // off disk must be this request's; any other is a miss, and the
+    // execution below overwrites it.
     if (req.traceDir.empty()) {
         std::function<bool(const std::string &)> isCell;
         if (req.tenants.empty()) {
@@ -136,6 +136,14 @@ SimService::run(const SimRequest &req)
                 ResultRecord rec;
                 return decodeCellRecord(payload, req.workload, req.cfg,
                                         rec);
+            };
+        } else {
+            isCell = [&req](const std::string &payload) {
+                std::vector<TenantSweepRow> rows;
+                return decodeMixRecord(payload,
+                                       tenant::builtinMix(req.tenants),
+                                       req.presetName, req.cfg.tbPolicy,
+                                       rows);
             };
         }
         const ResultCache::Tier tier =

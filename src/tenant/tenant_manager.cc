@@ -5,7 +5,6 @@
 #include "common/log.hh"
 #include "gpu/gpu.hh"
 #include "obs/tenant_tracker.hh"
-#include "sim/dispatch_gate.hh"
 #include "tenant/predictor.hh"
 #include "workloads/registry.hh"
 
@@ -13,22 +12,6 @@ namespace laperm {
 namespace tenant {
 
 namespace {
-
-/** The one concrete DispatchGate: at most one tenant gated at a time. */
-class SingleVictimGate : public DispatchGate
-{
-  public:
-    bool blocked(std::uint32_t tenant) const override
-    {
-        return victim_ >= 0 && tenant == static_cast<std::uint32_t>(victim_);
-    }
-
-    int victim() const { return victim_; }
-    void setVictim(int tenant) { victim_ = tenant; }
-
-  private:
-    int victim_ = -1;
-};
 
 /** Observer feeding observed TB runtimes into the per-tenant EWMAs. */
 class PredictorFeed : public obs::SimObserver
@@ -85,9 +68,6 @@ TenantManager::run(Cycle max_cycles)
     PredictorFeed feed(predictors);
     gpu.observers().attach(&tracker);
     gpu.observers().attach(&feed);
-
-    SingleVictimGate gate;
-    gpu.setDispatchGate(&gate);
 
     const std::uint64_t threadCapacity =
         static_cast<std::uint64_t>(cfg_.numSmx) * cfg_.maxThreadsPerSmx;
@@ -179,7 +159,7 @@ TenantManager::run(Cycle max_cycles)
         // lower-priority tenant that is cheapest to drain (predicted
         // drain = EWMA TB runtime x resident TBs; ties break to the
         // lower tenant index). No waiter: clear the gate.
-        int victim = -1;
+        std::uint32_t victim = kNoTenant;
         if (waiter >= 0) {
             const std::uint32_t waiterPri =
                 mix_.tenants[static_cast<std::size_t>(waiter)].priority;
@@ -192,16 +172,14 @@ TenantManager::run(Cycle max_cycles)
                 if (resident == 0)
                     continue;
                 const Cycle cost = predictors[j].predictedDrain(resident);
-                if (victim < 0 || cost < best) {
+                if (victim == kNoTenant || cost < best) {
                     best = cost;
-                    victim = static_cast<int>(j);
+                    victim = static_cast<std::uint32_t>(j);
                 }
             }
         }
-        if (victim != gate.victim()) {
-            gate.setVictim(victim);
-            gpu.noteDispatchGateChanged();
-        }
+        if (victim != gpu.gatedTenant())
+            gpu.setGatedTenant(victim);
 
         // (d) Advance. Done when every stream finished its jobs and the
         // device drained; otherwise run one quantum (clipped to the

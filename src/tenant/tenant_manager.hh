@@ -10,8 +10,8 @@
  *  2. Preemptive TB scheduling: while a higher-priority tenant is held
  *     at admission, the cheapest lower-priority tenant — by predicted
  *     drain cost from the per-tenant integer EWMA runtime predictor —
- *     is gated at TB boundaries (DispatchGate) so its resident TBs
- *     drain without being replaced.
+ *     is gated at TB boundaries (Gpu::setGatedTenant) so its
+ *     resident TBs drain without being replaced.
  *  3. Open-loop arrivals: job i of a stream arrives at
  *     firstArrival + i*period in simulated cycles; queueing delay is
  *     charged to turnaround, never rescheduled away.

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "tools/lint_cycle.hh"
-#include "tools/lint_event.hh"
 #include "tools/lint_layering.hh"
 
 namespace laperm {
@@ -137,9 +136,6 @@ runDriver(const DriverOptions &opts)
     }
     runPass("cycle-safety", [](const LoadedFile &f) {
         return lintCycleSafety(f.path, f.content);
-    });
-    runPass("event-discipline", [](const LoadedFile &f) {
-        return lintEventDiscipline(f.path, f.content);
     });
 
     // --- suppression + audit --------------------------------------

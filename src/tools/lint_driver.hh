@@ -1,13 +1,13 @@
 /**
  * @file
- * sim-lint driver (DESIGN.md §12.5): orchestrates the four analysis
+ * sim-lint driver (DESIGN.md §12.5): orchestrates the three analysis
  * passes over a file set, applies allow() suppressions and audits
  * them.
  *
  * Pipeline per run:
  *   1. load files (explicit list, or every source under <root>/src);
- *   2. token pass, layering pass (when a spec is present), cycle-
- *      safety pass, event-discipline pass — each timed;
+ *   2. token pass, layering pass (when a spec is present) and cycle-
+ *      safety pass — each timed;
  *   3. suppression: drop findings covered by allow()/allow-file()
  *      markers; every marker that suppressed nothing becomes an
  *      unused-allow finding (waivers cannot rot silently);

@@ -29,12 +29,6 @@ ruleName(Rule rule)
         return "cycle-narrow";
     case Rule::CycleSign:
         return "cycle-sign";
-    case Rule::EventPast:
-        return "event-past";
-    case Rule::EventKind:
-        return "event-kind";
-    case Rule::EventTick:
-        return "event-tick";
     case Rule::UnusedAllow:
         return "unused-allow";
     }
@@ -47,8 +41,7 @@ ruleFromName(const std::string &name, Rule &out)
     static const Rule all[] = {
         Rule::BannedRng,   Rule::WallClock,  Rule::UnorderedIter,
         Rule::FpAccum,     Rule::Layering,   Rule::CycleFloat,
-        Rule::CycleNarrow, Rule::CycleSign,  Rule::EventPast,
-        Rule::EventKind,   Rule::EventTick,  Rule::UnusedAllow,
+        Rule::CycleNarrow, Rule::CycleSign,  Rule::UnusedAllow,
     };
     for (Rule r : all) {
         if (name == ruleName(r)) {

@@ -38,9 +38,6 @@
  *  - cycle-float /  cycle-safety pass keeping integer-cycle timing
  *    cycle-narrow /  integer end-to-end (lint_cycle.hh)
  *    cycle-sign
- *  - event-past /   event-discipline pass for EventQueue call sites
- *    event-kind /    (lint_event.hh)
- *    event-tick
  *  - unused-allow   suppression audit: an allow() marker that no
  *                   longer suppresses anything is itself a finding
  *
@@ -77,10 +74,6 @@ enum class Rule
     CycleFloat,
     CycleNarrow,
     CycleSign,
-    // event-discipline pass
-    EventPast,
-    EventKind,
-    EventTick,
     // audit rule (never suppressible)
     UnusedAllow,
 };

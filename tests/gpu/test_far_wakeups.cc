@@ -1,6 +1,6 @@
 /**
  * @file
- * SMX wakeups far from the batch that arms them (DESIGN.md §11.3):
+ * SMX wakeups far from the step that arms them (DESIGN.md §11.3):
  * warps that sleep 1,023, 1,024 and 5,000 cycles on one ALU op give the
  * same canonical record run to idle, in slices that stop inside a
  * sleep, and across an idle gap, in both tick modes.
@@ -27,7 +27,7 @@ constexpr Cycle kGap = 7000;
 /**
  * kTbs one-warp TBs, one per SMX of tinyConfig under RR: TB i loads,
  * sleeps kWaits[i] cycles on one ALU op, and stores, so its SMX is
- * armed exactly that far past the batch that issued the op.
+ * armed exactly that far past the step that issued the op.
  */
 LaunchRequest
 farWaitKernel()
@@ -106,8 +106,10 @@ TEST(FarWakeups, TickModesAgreeAcrossAnIdleGap)
         EXPECT_EQ(dense.record, event.record)
             << "drive " << static_cast<int>(drive);
         EXPECT_EQ(dense.cycles, event.cycles);
-        // The event core sleeps through the waits instead of visiting
-        // them cycle by cycle.
+        // Both loops jump over the waits instead of visiting them cycle
+        // by cycle, and they visit the same cycles.
+        EXPECT_EQ(dense.work.batches, event.work.batches)
+            << "drive " << static_cast<int>(drive);
         EXPECT_LT(event.work.batches, event.cycles / 20)
             << "drive " << static_cast<int>(drive);
     }

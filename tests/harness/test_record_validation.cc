@@ -4,7 +4,9 @@
  * the cell it is stored under (DESIGN.md §15.3). A foreign record (one
  * cell's bytes under another cell's key) or a garbled one is a miss
  * for both readers, the sweep and the service: the cell is recomputed
- * and its file overwritten.
+ * and its file overwritten. The same holds for tenant-mix cells, whose
+ * records are tenant-sweep rows, and for an empty mix record, which
+ * would otherwise decode as zero rows.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +18,12 @@
 
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
+#include "harness/tenant_sweep.hh"
 #include "serve/service/service.hh"
 #include "serve/service/sim_request.hh"
 #include "sim/presets.hh"
+#include "tenant/mixes.hh"
+#include "tenant/tenant_manager.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -148,6 +153,122 @@ expectServiceRecomputes(const std::string &payload, const std::string &name)
     }
 }
 
+/** The machine of a k20c tenant-sweep cell under @p policy. */
+GpuConfig
+mixConfig(TbPolicy policy)
+{
+    GpuConfig cfg = presetConfig("k20c");
+    cfg.tickMode = paperConfig().tickMode;
+    cfg.tbPolicy = policy;
+    cfg.seed = kSeed;
+    return cfg;
+}
+
+/** The encoded record of @p mix on k20c under @p policy, run directly. */
+std::string
+directMixRecord(const std::string &mix, TbPolicy policy)
+{
+    const GpuConfig cfg = mixConfig(policy);
+    const tenant::MixStudy study =
+        tenant::runMixStudy(tenant::builtinMix(mix), cfg);
+    return encodeTenantSweepTsv(
+        tenantSweepRows(mix, "k20c", policy, study.metrics));
+}
+
+/**
+ * Plant @p payload under duo/k20c/RR's tenant-sweep key, sweep duo on
+ * k20c through the store, and expect the true cell back and on disk.
+ */
+void
+expectMixSweepRecomputes(const std::string &payload,
+                         const std::string &name)
+{
+    const std::string dir = freshDir(name);
+    const GpuConfig cfg = mixConfig(TbPolicy::RR);
+    const std::string key = contentKey(mixCellCanonical(
+        "duo", "k20c", cfg.dynParModel, cfg.tbPolicy, kSeed, cfg));
+    ASSERT_TRUE(ResultCache(dir).store(key, payload));
+
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    const std::vector<TenantSweepRow> swept =
+        runTenantSweep({"duo"}, {"k20c"}, kSeed, true, 2);
+    unsetenv("LAPERM_CACHE_DIR");
+    const std::vector<TenantSweepRow> fresh =
+        runTenantSweep({"duo"}, {"k20c"}, kSeed, false, 2);
+    ASSERT_EQ(swept.size(), 8u); // 2 tenants x 4 policies
+    EXPECT_EQ(encodeTenantSweepTsv(swept), encodeTenantSweepTsv(fresh));
+
+    std::string stored;
+    ASSERT_EQ(ResultCache(dir).probe(key, stored), ResultCache::Tier::Shared);
+    EXPECT_EQ(stored, directMixRecord("duo", TbPolicy::RR));
+}
+
+/** A served `tenants` request for duo under RR. */
+serve::SimRequest
+duoRequest()
+{
+    serve::SimRequest req;
+    req.tenants = "duo";
+    req.seed = kSeed;
+    req.cfg = paperConfig();
+    req.cfg.dynParModel = req.model;
+    req.cfg.tbPolicy = req.policy;
+    req.cfg.seed = kSeed;
+    return req;
+}
+
+/**
+ * Plant @p payload under the duo request's key; the service must
+ * simulate the mix, answer with the true record, and leave it on disk
+ * for the next incarnation.
+ */
+void
+expectMixServiceRecomputes(const std::string &payload,
+                           const std::string &name)
+{
+    const std::string dir = freshDir(name);
+    const serve::SimRequest req = duoRequest();
+    std::string err;
+    ASSERT_TRUE(req.validate(err)) << err;
+    ASSERT_TRUE(ResultCache(dir, "fp-valid").store(req.key(), payload));
+    const std::string want = directMixRecord("duo", TbPolicy::RR);
+    {
+        serve::SimService svc(serviceOptions(dir));
+        const serve::RunOutcome out = svc.run(req);
+        ASSERT_EQ(out.status, serve::RunStatus::Ok) << out.error;
+        EXPECT_FALSE(out.cached);
+        EXPECT_EQ(out.payload, want);
+        EXPECT_EQ(svc.metrics().executed, 1u);
+    }
+    {
+        serve::SimService svc(serviceOptions(dir));
+        const serve::RunOutcome out = svc.run(req);
+        ASSERT_EQ(out.status, serve::RunStatus::Ok) << out.error;
+        EXPECT_TRUE(out.cached);
+        EXPECT_EQ(out.payload, want);
+        EXPECT_EQ(svc.metrics().cacheSharedHits, 1u);
+    }
+}
+
+/** The records planted under duo/k20c/RR's key, by test-name suffix. */
+struct MixPlant
+{
+    const char *name;
+    std::string payload;
+};
+
+std::vector<MixPlant>
+mixPlants()
+{
+    return {
+        {"other_mix", directMixRecord("quad", TbPolicy::RR)},
+        {"other_policy", directMixRecord("duo", TbPolicy::TbPri)},
+        {"garbage", kGarbage},
+        {"empty", ""},
+    };
+}
+
 } // namespace
 
 TEST(RecordValidation, DecodeCellRecordChecksEveryCoordinate)
@@ -193,4 +314,47 @@ TEST(RecordValidation, ServiceRecomputesAForeignRecord)
 TEST(RecordValidation, ServiceRecomputesAGarbageRecord)
 {
     expectServiceRecomputes(kGarbage, "service_garbage");
+}
+
+TEST(RecordValidation, DecodeMixRecordChecksEveryRow)
+{
+    const tenant::MixSpec duo = tenant::builtinMix("duo");
+    const std::string rec = directMixRecord("duo", TbPolicy::RR);
+    std::vector<TenantSweepRow> rows;
+    ASSERT_TRUE(decodeMixRecord(rec, duo, "k20c", TbPolicy::RR, rows));
+    EXPECT_EQ(rows.size(), duo.tenants.size());
+    EXPECT_FALSE(decodeMixRecord(rec, duo, "v100", TbPolicy::RR, rows));
+    EXPECT_FALSE(decodeMixRecord(rec, duo, "k20c", TbPolicy::TbPri, rows));
+    EXPECT_FALSE(decodeMixRecord(rec, tenant::builtinMix("quad"), "k20c",
+                                 TbPolicy::RR, rows));
+    // One row short, or the rows out of tenant order.
+    const std::size_t nl = rec.rfind('\n', rec.size() - 2);
+    EXPECT_FALSE(decodeMixRecord(rec.substr(0, nl + 1), duo, "k20c",
+                                 TbPolicy::RR, rows));
+    const std::size_t header = rec.find('\n') + 1;
+    const std::string swapped = rec.substr(0, header) +
+                                rec.substr(nl + 1) +
+                                rec.substr(header, nl + 1 - header);
+    EXPECT_FALSE(
+        decodeMixRecord(swapped, duo, "k20c", TbPolicy::RR, rows));
+    EXPECT_FALSE(decodeMixRecord(kGarbage, duo, "k20c", TbPolicy::RR, rows));
+    EXPECT_FALSE(decodeMixRecord("", duo, "k20c", TbPolicy::RR, rows));
+}
+
+TEST(RecordValidation, MixSweepRecomputesForeignGarbageAndEmptyRecords)
+{
+    for (const MixPlant &p : mixPlants()) {
+        SCOPED_TRACE(p.name);
+        expectMixSweepRecomputes(p.payload,
+                                 std::string("mix_sweep_") + p.name);
+    }
+}
+
+TEST(RecordValidation, MixServiceRecomputesForeignGarbageAndEmptyRecords)
+{
+    for (const MixPlant &p : mixPlants()) {
+        SCOPED_TRACE(p.name);
+        expectMixServiceRecomputes(p.payload,
+                                   std::string("mix_service_") + p.name);
+    }
 }

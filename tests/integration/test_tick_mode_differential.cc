@@ -5,7 +5,8 @@
  * the dense reference loop. Every artifact — the canonical result
  * record behind the CSV report, the observability trace files, and the
  * sweep's stored records — must be byte-identical between --tick-mode
- * dense and event, at any worker count.
+ * dense and event, at any worker count. Both modes visit the same
+ * cycles by construction, so they also take the same number of steps.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "gpu/gpu.hh"
 #include "harness/experiment.hh"
+#include "sim/presets.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -100,8 +103,8 @@ modeConfig(TickMode mode)
 TEST(TickModeDifferential, CanonicalRecordsMatch)
 {
     // bfs-citation exercises the launch-heavy path; chase-ring the
-    // stall-heavy path where the event loop elides almost every
-    // front-end visit.
+    // stall-heavy path where the event core skips almost every SMX
+    // tick.
     for (const char *name : {"bfs-citation", "chase-ring"}) {
         auto w = createWorkload(name);
         w->setup(Scale::Tiny, 3);
@@ -173,3 +176,50 @@ TEST(TickModeDifferential, SweepTsvMatchesAcrossModesAndJobCounts)
     EXPECT_FALSE(tsvs[0].empty());
     EXPECT_EQ(stores[0].size(), 8u); // one record per cell
 }
+
+/**
+ * Equal visits, per preset: for every tiny workload under every policy
+ * and launch model, both tick modes end at the same cycle after the
+ * same number of steps, and the event core ticks no more SMXs than the
+ * dense loop.
+ */
+class EqualVisits : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(EqualVisits, BothTickModesStepThroughTheSameCycles)
+{
+    for (const std::string &name : workloadNames()) {
+        auto w = createWorkload(name);
+        w->setup(Scale::Tiny, 1);
+        for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
+            for (TbPolicy policy :
+                 {TbPolicy::RR, TbPolicy::TbPri, TbPolicy::SmxBind,
+                  TbPolicy::AdaptiveBind}) {
+                Cycle cycles[2];
+                WorkCounters work[2];
+                for (int i = 0; i < 2; ++i) {
+                    GpuConfig cfg = presetConfig(GetParam());
+                    cfg.dynParModel = model;
+                    cfg.tbPolicy = policy;
+                    cfg.seed = 1;
+                    cfg.tickMode = i == 0 ? TickMode::Dense : TickMode::Event;
+                    Gpu gpu(cfg);
+                    gpu.runWaves(w->waves());
+                    cycles[i] = gpu.stats().cycles;
+                    work[i] = gpu.workCounters();
+                }
+                SCOPED_TRACE(name + "/" + toString(model) + "/" +
+                             toString(policy));
+                EXPECT_EQ(cycles[0], cycles[1]);
+                EXPECT_EQ(work[0].batches, work[1].batches);
+                EXPECT_LE(work[1].smxTicks, work[0].smxTicks);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, EqualVisits,
+                         ::testing::Values("k20c", "v100"),
+                         [](const auto &param_info) {
+                             return std::string(param_info.param);
+                         });

@@ -49,9 +49,7 @@ countRule(const std::vector<Finding> &fs, Rule rule)
 TEST(SimLintScope, PathClassification)
 {
     EXPECT_TRUE(classifyPath("src/sim/stats.cc").restricted);
-    // The event-driven core's queue is simulator-proper: determinism
-    // rules bind inside it (DESIGN.md §11).
-    EXPECT_TRUE(classifyPath("src/sim/event_queue.hh").restricted);
+    EXPECT_TRUE(classifyPath("src/sim/observer.hh").restricted);
     EXPECT_TRUE(classifyPath("src/sched/tb_scheduler.cc").restricted);
     EXPECT_TRUE(classifyPath("/abs/repo/src/mem/cache.hh").restricted);
     EXPECT_TRUE(classifyPath("src/gpu/smx.cc").restricted);

@@ -1,7 +1,7 @@
 /**
  * @file
- * sim-lint v2 tests: layering, cycle-safety and event-discipline
- * passes and the suppression audit. Pass-level tests parse fixtures
+ * sim-lint v2 tests: layering and cycle-safety passes and the
+ * suppression audit. Pass-level tests parse fixtures
  * under tests/tools/fixtures/ directly; driver-level tests run the
  * same pipeline the sim_lint CLI (and the sim_lint_repo ctest gate)
  * runs, rooted at the fixture tree so fixtures/layering.toml is picked
@@ -18,7 +18,6 @@
 
 #include "tools/lint_cycle.hh"
 #include "tools/lint_driver.hh"
-#include "tools/lint_event.hh"
 #include "tools/lint_layering.hh"
 #include "tools/sim_lint.hh"
 
@@ -210,37 +209,6 @@ TEST(CyclePass, CycleNameHeuristic)
     EXPECT_FALSE(isCycleName("count"));
 }
 
-// ---------------------------------------------------- event-discipline
-
-TEST(EventPass, PastScheduleMintedKindAndDirectTickAreFlagged)
-{
-    const std::string path = fixture("sched/bad_event_discipline.cc");
-    auto fs = lintEventDiscipline(path, readAll(path));
-    EXPECT_EQ(countRule(fs, Rule::EventPast), 1u);
-    EXPECT_EQ(countRule(fs, Rule::EventKind), 1u);
-    EXPECT_EQ(countRule(fs, Rule::EventTick), 1u);
-}
-
-TEST(EventPass, DisciplinedUsagePassesClean)
-{
-    const std::string path = fixture("sched/good_event_discipline.cc");
-    EXPECT_TRUE(lintEventDiscipline(path, readAll(path)).empty());
-}
-
-TEST(EventPass, OwningFilesAreExempt)
-{
-    // The queue header may construct SimEvents; gpu.cc owns tick().
-    const char *mint = "SimEvent e{static_cast<SimEventKind>(k)};\n";
-    EXPECT_FALSE(
-        lintEventDiscipline("src/sched/other.cc", mint).empty());
-    EXPECT_TRUE(
-        lintEventDiscipline("src/sim/event_queue.hh", mint).empty());
-
-    const char *tick = "void Gpu::run() { gpu->tick(); }\n";
-    EXPECT_FALSE(lintEventDiscipline("src/dynpar/x.cc", tick).empty());
-    EXPECT_TRUE(lintEventDiscipline("src/gpu/gpu.cc", tick).empty());
-}
-
 // ------------------------------------------------------------- driver
 
 DriverOptions
@@ -256,23 +224,18 @@ fixtureDriver(std::initializer_list<const char *> rels)
 TEST(Driver, RunsAllPassesOverExplicitFiles)
 {
     const DriverResult r = runDriver(fixtureDriver(
-        {"mem/bad_layering.cc", "sim/bad_cycle_float.cc",
-         "sched/bad_event_discipline.cc"}));
+        {"mem/bad_layering.cc", "sim/bad_cycle_float.cc"}));
     ASSERT_TRUE(r.error.empty()) << r.error;
-    EXPECT_EQ(r.filesScanned, 3u);
+    EXPECT_EQ(r.filesScanned, 2u);
     EXPECT_EQ(countRule(r.findings, Rule::Layering), 3u);
     EXPECT_EQ(countRule(r.findings, Rule::CycleFloat), 2u);
     EXPECT_EQ(countRule(r.findings, Rule::CycleNarrow), 1u);
     EXPECT_EQ(countRule(r.findings, Rule::CycleSign), 1u);
-    EXPECT_EQ(countRule(r.findings, Rule::EventPast), 1u);
-    EXPECT_EQ(countRule(r.findings, Rule::EventKind), 1u);
-    EXPECT_EQ(countRule(r.findings, Rule::EventTick), 1u);
     // One timing entry per pass, in pipeline order.
-    ASSERT_EQ(r.timings.size(), 4u);
+    ASSERT_EQ(r.timings.size(), 3u);
     EXPECT_EQ(r.timings[0].pass, "token");
     EXPECT_EQ(r.timings[1].pass, "layering");
     EXPECT_EQ(r.timings[2].pass, "cycle-safety");
-    EXPECT_EQ(r.timings[3].pass, "event-discipline");
 }
 
 TEST(Driver, DeterministicAcrossRuns)
@@ -317,7 +280,7 @@ TEST(Driver, MissingSpecIsAConfigurationError)
 }
 
 // Mirror of the sim_lint_repo CLI gate, in-process: the real tree is
-// clean under all four passes with the repo spec.
+// clean under all three passes with the repo spec.
 TEST(DriverRepo, FullPipelineOverRealTreeIsClean)
 {
     DriverOptions opts;
