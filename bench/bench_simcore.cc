@@ -7,19 +7,27 @@
  * writes BENCH_simcore.json with simulated cycles/sec per mode and the
  * event/dense speedup. Each event-mode run also reports the core's
  * host work counters (Gpu::workCounters: run-loop steps, SMX ticks,
- * MSHR inserts, TBs built at dispatch and the thread ops they
- * emitted), so a host-side change shows as less work and not only as
- * less time. Both modes visit the same cycles, so each cell also
- * prints the dense run's steps beside the event run's. Each
- * workload's event-mode cells then run again from one trace forest
- * (gpu/trace_forest.hh), as a sweep runs them: the forest's builds
- * are counted once, the cells' replays separately, and every replayed
- * cell must match its build at dispatch.
+ * MSHR inserts, TBs the simulation thread built at dispatch and the
+ * thread ops they emitted), so a host-side change shows as less work
+ * and not only as less time. Both modes visit the same cycles, so each
+ * cell also prints the dense run's steps beside the event run's.
+ *
+ * Each event-mode cell runs once more beside a builder thread
+ * (harness/trace_builder.hh), timed the same way: its columns are the
+ * nodes the builder and the simulation thread built and the times the
+ * simulation thread waited for a node. Those depend on thread timing,
+ * so they are printed and never compared; the TBs and thread ops built
+ * in total are each node's once, so they must equal the inline run's.
+ * Each workload's event-mode cells then run again from one trace
+ * forest (gpu/trace_forest.hh) built whole, as a sweep runs them: the
+ * forest's builds are counted once, the cells' replays separately, and
+ * every replayed cell must match the inline run.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
  *
- * Exits nonzero if any cell's cycles or steps diverge between modes.
+ * Exits nonzero if any cell's cycles or steps diverge between modes,
+ * or its run beside a builder or its forest replay diverges.
  */
 
 #include <chrono>
@@ -33,6 +41,7 @@
 #include "gpu/gpu.hh"
 #include "gpu/trace_forest.hh"
 #include "harness/experiment.hh"
+#include "harness/trace_builder.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -62,7 +71,9 @@ struct Cell
     std::uint64_t denseBatches = 0;
     double denseSec = 0.0;
     double eventSec = 0.0;
+    double builderSec = 0.0; ///< event mode beside a builder thread
     WorkCounters work; ///< of the event-mode run
+    TraceForest::Counts builder; ///< of the builder run's forest
     double speedup() const
     {
         return eventSec > 0.0 ? denseSec / eventSec : 0.0;
@@ -77,22 +88,51 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Simulate one cell of @p waves in one mode; returns stats cycles. */
-Cycle
-simulate(const std::vector<LaunchRequest> &waves, TbPolicy policy,
-         TickMode mode, std::uint64_t seed, double &seconds,
-         WorkCounters &work)
+GpuConfig
+cellConfig(TbPolicy policy, TickMode mode, std::uint64_t seed)
 {
     GpuConfig cfg = paperConfig();
     cfg.dynParModel = DynParModel::DTBL;
     cfg.tbPolicy = policy;
     cfg.seed = seed;
     cfg.tickMode = mode;
-    Gpu gpu(cfg);
+    return cfg;
+}
+
+/** Simulate one cell of @p waves in one mode; returns stats cycles. */
+Cycle
+simulate(const std::vector<LaunchRequest> &waves, TbPolicy policy,
+         TickMode mode, std::uint64_t seed, double &seconds,
+         WorkCounters &work)
+{
+    Gpu gpu(cellConfig(policy, mode, seed));
     const auto t0 = std::chrono::steady_clock::now();
     gpu.runWaves(waves);
     seconds = secondsSince(t0);
     work = gpu.workCounters();
+    return gpu.stats().cycles;
+}
+
+/**
+ * The event-mode cell of @p waves on a private forest beside a builder
+ * thread; @p tbs and @p thread_ops are what both threads built.
+ */
+Cycle
+simulateWithBuilder(const std::vector<LaunchRequest> &waves,
+                    TbPolicy policy, std::uint64_t seed, double &seconds,
+                    TraceForest::Counts &counts, std::uint64_t &tbs,
+                    std::uint64_t &thread_ops)
+{
+    Gpu gpu(cellConfig(policy, TickMode::Event, seed));
+    const auto t0 = std::chrono::steady_clock::now();
+    TraceForest forest(waves);
+    TraceBuilder builder(forest);
+    gpu.runForest(forest);
+    builder.finish();
+    seconds = secondsSince(t0);
+    counts = forest.counts();
+    tbs = forest.tbsBuilt();
+    thread_ops = forest.threadOps();
     return gpu.stats().cycles;
 }
 
@@ -129,6 +169,22 @@ main()
             cell.cycles = simulate(w->waves(), policy, TickMode::Event, seed,
                                    cell.eventSec, cell.work);
             cell.denseBatches = dense_work.batches;
+            std::uint64_t tbs = 0;
+            std::uint64_t ops = 0;
+            const Cycle ahead =
+                simulateWithBuilder(w->waves(), policy, seed,
+                                    cell.builderSec, cell.builder, tbs, ops);
+            if (ahead != cell.cycles || tbs != cell.work.tbsBuilt ||
+                ops != cell.work.threadOps) {
+                std::fprintf(stderr,
+                             "FAIL: %s/%s beside a builder: %llu cycles, "
+                             "%llu TBs, %llu ops built\n",
+                             name, toString(policy),
+                             static_cast<unsigned long long>(ahead),
+                             static_cast<unsigned long long>(tbs),
+                             static_cast<unsigned long long>(ops));
+                identical = false;
+            }
             if (dense != cell.cycles ||
                 cell.denseBatches != cell.work.batches) {
                 std::fprintf(stderr,
@@ -145,12 +201,20 @@ main()
                 identical = false;
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
-                        "event %.3fs  %.2fx  batches %llu/%llu  "
+                        "event %.3fs  %.2fx  builder %.3fs (nodes "
+                        "%llu ahead, %llu inline, %llu waits)  "
+                        "batches %llu/%llu  "
                         "ticks %llu  mshr %llu  built %llu TBs "
                         "%llu ops\n",
                         name, toString(policy),
                         static_cast<unsigned long long>(cell.cycles),
                         cell.denseSec, cell.eventSec, cell.speedup(),
+                        cell.builderSec,
+                        static_cast<unsigned long long>(
+                            cell.builder.nodesAhead),
+                        static_cast<unsigned long long>(
+                            cell.builder.nodesOnDemand),
+                        static_cast<unsigned long long>(cell.builder.waits),
                         static_cast<unsigned long long>(cell.denseBatches),
                         static_cast<unsigned long long>(cell.work.batches),
                         static_cast<unsigned long long>(cell.work.smxTicks),
@@ -164,7 +228,8 @@ main()
 
         // The same event-mode cells replaying one forest.
         const auto t0 = std::chrono::steady_clock::now();
-        const TraceForest forest(w->waves());
+        TraceForest forest(w->waves());
+        forest.buildAll();
         const double buildSec = secondsSince(t0);
         std::uint64_t replayed = 0;
         for (std::size_t i = first; i < cells.size(); ++i) {
@@ -192,12 +257,14 @@ main()
     double maxSpeedup = 0.0;
     double denseTotal = 0.0;
     double eventTotal = 0.0;
+    double builderTotal = 0.0;
     WorkCounters workTotal;
     std::uint64_t denseBatchesTotal = 0;
     for (const Cell &c : cells) {
         maxSpeedup = std::max(maxSpeedup, c.speedup());
         denseTotal += c.denseSec;
         eventTotal += c.eventSec;
+        builderTotal += c.builderSec;
         workTotal.batches += c.work.batches;
         denseBatchesTotal += c.denseBatches;
         workTotal.smxTicks += c.work.smxTicks;
@@ -220,6 +287,7 @@ main()
              << "\", \"cycles\": " << c.cycles
              << ", \"seconds_dense\": " << c.denseSec
              << ", \"seconds_event\": " << c.eventSec
+             << ", \"seconds_builder\": " << c.builderSec
              << ", \"cycles_per_sec_dense\": " << cyc / c.denseSec
              << ", \"cycles_per_sec_event\": " << cyc / c.eventSec
              << ", \"speedup\": " << c.speedup()
@@ -234,6 +302,7 @@ main()
     json << "  ],\n"
          << "  \"seconds_dense_total\": " << denseTotal << ",\n"
          << "  \"seconds_event_total\": " << eventTotal << ",\n"
+         << "  \"seconds_builder_total\": " << builderTotal << ",\n"
          << "  \"speedup_total\": "
          << (eventTotal > 0.0 ? denseTotal / eventTotal : 0.0) << ",\n"
          << "  \"speedup_max\": " << maxSpeedup << ",\n"
@@ -251,10 +320,11 @@ main()
          << "}\n";
     json.close();
 
-    std::printf("total: dense %.3fs, event %.3fs (%.2fx, max %.2fx)\n",
+    std::printf("total: dense %.3fs, event %.3fs (%.2fx, max %.2fx), "
+                "event beside a builder %.3fs\n",
                 denseTotal, eventTotal,
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
-                maxSpeedup);
+                maxSpeedup, builderTotal);
     std::printf("event-mode work: batches %llu (dense %llu)  ticks %llu  "
                 "mshr inserts %llu  TBs built %llu  thread ops %llu\n",
                 static_cast<unsigned long long>(workTotal.batches),
@@ -271,8 +341,8 @@ main()
     std::printf("wrote BENCH_simcore.json\n");
 
     if (!identical) {
-        std::fprintf(stderr, "FAIL: tick modes or forest replays "
-                             "diverged\n");
+        std::fprintf(stderr, "FAIL: tick modes, builder runs or forest "
+                             "replays diverged\n");
         return 1;
     }
     return 0;

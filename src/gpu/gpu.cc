@@ -32,7 +32,18 @@ Gpu::setLocalityTracker(obs::MemObserver *tracker)
 void
 Gpu::launchHostKernel(const LaunchRequest &req)
 {
-    launcher_->hostLaunch(req, cycle_);
+    if (req.traces != nullptr) {
+        laperm_assert(forest_ == nullptr,
+                      "replaying a shared forest in a private run");
+        launcher_->hostLaunch(req, cycle_);
+        return;
+    }
+    if (!own_)
+        own_ = std::make_unique<TraceForest>();
+    laperm_assert(forest_ == nullptr || forest_ == own_.get(),
+                  "adopting a launch into a run of another forest");
+    forest_ = own_.get();
+    launcher_->hostLaunch(own_->adopt(req), cycle_);
 }
 
 bool
@@ -209,6 +220,18 @@ Gpu::runWaves(const std::vector<LaunchRequest> &waves)
     }
 }
 
+void
+Gpu::runForest(TraceForest &forest)
+{
+    laperm_assert(forest_ == nullptr || forest_ == &forest,
+                  "running a second private forest");
+    forest_ = &forest;
+    for (const LaunchRequest &wave : forest.waves()) {
+        launcher_->hostLaunch(wave, cycle_);
+        runToIdle();
+    }
+}
+
 WorkCounters
 Gpu::workCounters() const
 {
@@ -240,17 +263,18 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
     laperm_assert(!unit.exhausted(), "dispatching an exhausted unit");
     const std::uint32_t ix = unit.nextTb++;
 
-    ThreadBlock *tb = smxs_[smx]->acquireTb();
-    if (unit.traces) {
-        viewThreadBlockInto(*tb, *unit.traces, ix, unit.threadsPerTb,
-                            unit.regsPerTb, unit.smemPerTb);
-        ++work_.tbsReplayed;
-    } else {
-        work_.threadOps +=
-            buildThreadBlockInto(*tb, *unit.program, ix, unit.threadsPerTb,
-                                 unit.count, ctxScratch_);
-        ++work_.tbsBuilt;
+    LaunchTraces &launch = *unit.traces;
+    if (!launch.ready()) {
+        laperm_assert(forest_ != nullptr, "dispatching unbuilt traces");
+        const TraceForest::Built built = forest_->ensure(launch);
+        work_.tbsBuilt += built.tbs;
+        work_.threadOps += built.threadOps;
     }
+    ThreadBlock *tb = smxs_[smx]->acquireTb();
+    viewThreadBlockInto(*tb, launch, ix, unit.threadsPerTb, unit.regsPerTb,
+                        unit.smemPerTb);
+    tb->launch = &launch;
+    ++work_.tbsReplayed;
     tb->uid = nextTbUid_++;
     tb->kernel = unit.kernel;
     tb->priority = unit.priority;
@@ -304,6 +328,11 @@ Gpu::tbCompleted(ThreadBlock &tb, Cycle now)
                        tb.dispatchCycle, tb.tenant});
     }
     kdu_.tbFinished(tb.kernel);
+    // A private run frees a launch's traces with its last TB; every
+    // warp of it has retired, and its pending children hold their own
+    // requests.
+    if (forest_ != nullptr && --tb.launch->tbsLeft == 0)
+        forest_->retire(*tb.launch);
     laperm_assert(activeTbs_ > 0, "active TB underflow");
     --activeTbs_;
     // The SMX just freed this TB's resources; a memoized scheduler

@@ -14,7 +14,7 @@
 #include "dynpar/launcher.hh"
 #include "gpu/kdu.hh"
 #include "gpu/smx.hh"
-#include "kernels/thread_ctx.hh"
+#include "gpu/trace_forest.hh"
 #include "mem/mem_system.hh"
 #include "sim/observer.hh"
 #include "sched/tb_scheduler.hh"
@@ -37,11 +37,15 @@ struct WorkCounters
     std::uint64_t smxTicks = 0;
     /** In-flight fills recorded at eviction, over every cache. */
     std::uint64_t mshrInserts = 0;
-    /** TBs built from their program at dispatch. */
+    /**
+     * TBs the simulation thread built at dispatch (TraceForest::ensure):
+     * every TB of a private run without a builder thread, fewer beside
+     * one, none when it replays a shared forest.
+     */
     std::uint64_t tbsBuilt = 0;
     /** Thread ops the programs emitted for those builds. */
     std::uint64_t threadOps = 0;
-    /** TBs dispatched from prebuilt traces (LaunchRequest::traces). */
+    /** TBs dispatched, each replaying its launch's traces. */
     std::uint64_t tbsReplayed = 0;
 };
 
@@ -64,7 +68,13 @@ class Gpu : public SmxCallbacks, public DispatchContext
     Gpu(const Gpu &) = delete;
     Gpu &operator=(const Gpu &) = delete;
 
-    /** Enqueue a host kernel (models a <<<>>> launch + its grid). */
+    /**
+     * Enqueue a host kernel (models a <<<>>> launch + its grid). A
+     * request without traces is adopted into this Gpu's own forest,
+     * whose nodes it builds at dispatch and frees once they retire. A
+     * request with traces replays a shared forest, built beforehand;
+     * a Gpu does one or the other.
+     */
     void launchHostKernel(const LaunchRequest &req);
 
     /**
@@ -109,6 +119,15 @@ class Gpu : public SmxCallbacks, public DispatchContext
 
     /** Convenience: launch each wave and drain it before the next. */
     void runWaves(const std::vector<LaunchRequest> &waves);
+
+    /**
+     * runWaves over @p forest's waves, with @p forest private to this
+     * run: the Gpu builds each node no other thread has (ensure) and
+     * frees each once its last TB retires (retire). A builder thread
+     * may run forest.buildAhead() meanwhile. The forest must outlive
+     * the Gpu's run.
+     */
+    void runForest(TraceForest &forest);
 
     /** Finalized statistics (also flushes cache/SMX counters). */
     const GpuStats &stats();
@@ -188,8 +207,13 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::vector<Cycle> smxArmedAt_;
     Cycle smxNextAt_ = kNoCycle;
 
-    /** One warp's thread trace contexts, reused across TB builds. */
-    std::vector<ThreadCtx> ctxScratch_;
+    /** Adopts host launches without traces; made at the first. */
+    std::unique_ptr<TraceForest> own_;
+    /**
+     * The private forest this run builds at dispatch and retires: own_
+     * or runForest's. Null while the Gpu replays shared forests.
+     */
+    TraceForest *forest_ = nullptr;
 
     GpuStats stats_;
     WorkCounters work_;

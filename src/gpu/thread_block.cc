@@ -25,6 +25,7 @@ resetThreadBlock(ThreadBlock &tb, std::uint32_t tb_index,
 
     tb.uid = 0;
     tb.kernel = nullptr;
+    tb.launch = nullptr;
     tb.tbIndex = tb_index;
     tb.smx = kNoSmx;
     tb.dispatchCycle = 0;

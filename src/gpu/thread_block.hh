@@ -44,11 +44,14 @@ class ThreadBlock
     std::uint32_t regs = 0; ///< registers reserved on the SMX
     std::uint32_t smem = 0; ///< shared memory reserved on the SMX
 
+    /** The launch whose traces its warps replay. */
+    LaunchTraces *launch = nullptr;
+
     std::vector<Warp> warps;
     /**
-     * The arrays of a build at dispatch: warps[w] views traces[w]. Never
-     * shrinks, so a block recycled through its SMX's arena reuses every
-     * warp's buffers whatever the size of the TBs it held.
+     * The arrays of a build (buildThreadBlockInto): warps[w] views
+     * traces[w]. Never shrinks, so a block rebuilt again and again
+     * reuses every warp's buffers whatever the size of its TBs.
      */
     std::vector<WarpTrace> traces;
     std::uint32_t warpsAtBarrier = 0;

@@ -12,6 +12,7 @@
 #include "gpu/gpu.hh"
 #include "gpu/trace_forest.hh"
 #include "harness/thread_pool.hh"
+#include "harness/trace_builder.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
 #include "sim/config_loader.hh"
@@ -78,13 +79,14 @@ hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
 namespace {
 
 /**
- * runOneRecord with the host waves given: the workload's own, or a
- * trace forest's copies of them, which carry the prebuilt traces.
+ * One run of @p workload, replaying @p forest: a private one, which
+ * the run builds beside a builder thread and frees as it goes, or a
+ * sweep input's shared one, built beforehand.
  */
 ResultRecord
-runWavesRecord(const Workload &workload,
-               const std::vector<LaunchRequest> &waves,
-               const GpuConfig &cfg, const std::string &trace_dir)
+runForestRecord(const Workload &workload, TraceForest &forest,
+                bool private_forest, const GpuConfig &cfg,
+                const std::string &trace_dir)
 {
     Gpu gpu(cfg);
     std::unique_ptr<obs::TraceCollector> collector;
@@ -96,7 +98,10 @@ runWavesRecord(const Workload &workload,
             std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
         gpu.setLocalityTracker(locality.get());
     }
-    gpu.runWaves(waves);
+    if (private_forest)
+        gpu.runForest(forest);
+    else
+        gpu.runWaves(forest.waves());
     if (collector) {
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
@@ -120,7 +125,12 @@ ResultRecord
 runOneRecord(const Workload &workload, const GpuConfig &cfg,
              const std::string &trace_dir)
 {
-    return runWavesRecord(workload, workload.waves(), cfg, trace_dir);
+    TraceForest forest(workload.waves());
+    TraceBuilder builder(forest);
+    ResultRecord rec =
+        runForestRecord(workload, forest, true, cfg, trace_dir);
+    builder.finish();
+    return rec;
 }
 
 RunResult
@@ -138,9 +148,9 @@ constexpr DynParModel kModels[] = {DynParModel::CDP, DynParModel::DTBL};
 
 /**
  * One set-up input of a sweep and what its missing cells share. The
- * first of them to run builds the trace forest; the last one to finish
- * frees the forest and the input. An input with one missing cell has
- * nothing to share and builds its TBs at dispatch.
+ * first of them to run builds the whole trace forest; the last one to
+ * finish frees the forest and the input. An input with one missing
+ * cell has nothing to share and runs as runOneRecord does.
  */
 struct SweepInput
 {
@@ -278,17 +288,18 @@ runMatrixPreset(const std::vector<std::string> &names,
                 const GpuConfig cfg = cellConfig(slot);
                 const std::size_t i = slot / cellsPerWorkload;
                 SweepInput &in = inputs[i];
-                const std::vector<LaunchRequest> *waves =
-                    &in.workload->waves();
+                ResultRecord rec;
                 if (in.missingCells > 1) {
                     std::call_once(in.forestBuilt, [&in] {
                         in.forest = std::make_unique<TraceForest>(
                             in.workload->waves());
+                        in.forest->buildAll();
                     });
-                    waves = &in.forest->waves();
+                    rec = runForestRecord(*in.workload, *in.forest, false,
+                                          cfg, traceDir());
+                } else {
+                    rec = runOneRecord(*in.workload, cfg, traceDir());
                 }
-                const ResultRecord rec = runWavesRecord(
-                    *in.workload, *waves, cfg, traceDir());
                 if (in.cellsLeft.fetch_sub(1) == 1) {
                     in.forest.reset();
                     in.workload.reset();

@@ -56,11 +56,11 @@ struct LaunchRequest
     /** Owning tenant stream (0 = the default single-tenant stream). */
     std::uint32_t tenant = 0;
     /**
-     * The launch's prebuilt TB traces (kernels/warp_trace.hh), owned by
-     * a trace forest that outlives the run; null means "build each TB
-     * from the program at dispatch".
+     * The launch's node in a trace forest (gpu/trace_forest.hh) that
+     * outlives the run. A host launch without one is adopted into the
+     * Gpu's own forest; a device launch always has one.
      */
-    const LaunchTraces *traces = nullptr;
+    LaunchTraces *traces = nullptr;
 };
 
 } // namespace laperm

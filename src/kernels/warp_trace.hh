@@ -8,6 +8,8 @@
 #ifndef LAPERM_KERNELS_WARP_TRACE_HH
 #define LAPERM_KERNELS_WARP_TRACE_HH
 
+#include <atomic>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,22 +53,61 @@ struct WarpTrace
 };
 
 /**
- * The TBs of one launch, built once and replayed by every run that
- * carries them (LaunchRequest::traces). Each TB has the same number of
- * warps, ceil(threadsPerTb / 32), so warp w of TB t is warp
- * t * warpsPerTb + w. Its ops are ops[warpOps[i], warpOps[i + 1]), and
- * their lines and launches are spans into the lines and launches
- * arrays here; each of those launches points at its own child
- * LaunchTraces. Immutable once built, so concurrent runs may share it.
+ * The TBs of one launch: one node of a trace forest
+ * (gpu/trace_forest.hh). A node is created unbuilt, carrying the shape
+ * its build needs, because its parent's arrays may be freed before it
+ * is built. One build fills its arrays, creates one unbuilt child node
+ * per launch its TBs make, and publishes it Ready with release
+ * semantics; readers acquire that state before they touch the arrays.
+ *
+ * Each TB has the same number of warps, ceil(threadsPerTb / 32), so
+ * warp w of TB t is warp t * warpsPerTb + w. Its ops are
+ * ops[warpOps[i], warpOps[i + 1]), and their lines and launches are
+ * spans into the lines and launches arrays here; each of those
+ * launches points at its child node in children. A Ready node is
+ * immutable, so concurrent runs may share it; a private run frees its
+ * arrays once its last TB retires (Retired), but never its children.
  */
 struct LaunchTraces
 {
+    enum class State : std::uint8_t
+    {
+        Unbuilt,  ///< shape only; claimable by any thread
+        Building, ///< claimed: one thread is building it
+        Ready,    ///< arrays and children published
+        Retired,  ///< arrays freed; children still live
+    };
+
+    /** The launch's shape: what a build needs. */
+    std::shared_ptr<const KernelProgram> program;
+    std::uint32_t numTbs = 0;
+    std::uint32_t threadsPerTb = 0;
+
+    std::atomic<State> state{State::Unbuilt};
+
+    // Written by the build before it publishes Ready.
+    /** Built ahead of its dispatch: its bytes count against a budget. */
+    bool builtAhead = false;
     std::uint32_t warpsPerTb = 0;
     std::vector<WarpOp> ops;
     std::vector<Addr> lines;
     std::vector<LaunchRequest> launches;
     /** Per-warp offsets into ops, one past the last warp included. */
     std::vector<std::uint32_t> warpOps;
+    /** One node per entry of launches, in order. */
+    std::unique_ptr<LaunchTraces[]> children;
+    std::uint32_t numChildren = 0;
+
+    /** TBs not yet retired, counted down by the private run only. */
+    std::uint32_t tbsLeft = 0;
+    /** Next in the forest's list of retired nodes to free. */
+    LaunchTraces *nextRetired = nullptr;
+
+    /** Whether the arrays are published (acquires them if so). */
+    bool ready() const
+    {
+        return state.load(std::memory_order_acquire) == State::Ready;
+    }
 
     /** The ops of warp @p w of TB @p tb. */
     std::span<const WarpOp> warp(std::uint32_t tb, std::uint32_t w) const

@@ -26,8 +26,8 @@ struct DispatchUnit
     KernelInstance *kernel = nullptr;
     /** The launch's own program instance (kernel arguments). */
     std::shared_ptr<const KernelProgram> program;
-    /** Its prebuilt TB traces, or null to build each TB at dispatch. */
-    const LaunchTraces *traces = nullptr;
+    /** Its node in a trace forest: what every TB replays. */
+    LaunchTraces *traces = nullptr;
 
     /** First TB of this unit within the kernel's global TB pool. */
     std::uint32_t firstTb = 0;

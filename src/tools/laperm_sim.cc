@@ -53,9 +53,12 @@
  *     --locality FILE       locality-attribution counter TSV
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,8 @@
 #include "harness/result_cache.hh"
 #include "harness/run_spec.hh"
 #include "harness/table.hh"
+#include "harness/thread_pool.hh"
+#include "harness/trace_builder.hh"
 #include "harness/tenant_sweep.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
@@ -119,7 +124,8 @@ usage(const char *argv0)
 }
 
 void
-report(const Options &opt, const Workload &w, const GpuStats &s)
+report(const Options &opt, const Workload &w, const GpuStats &s,
+       std::string &out)
 {
     const RunSpec &run = opt.run;
     if (opt.csv) {
@@ -130,47 +136,47 @@ report(const Options &opt, const Workload &w, const GpuStats &s)
         // default-machine CSV byte-identical across releases.
         const ResultRecord rec = ResultRecord::fromStats(
             w.fullName(), run.model, run.policy, s, machineHash(run.cfg));
-        std::printf("%s\n", rec.customMachine()
-                                ? rec.csvRowWithConfig().c_str()
-                                : rec.csvRow().c_str());
+        out += rec.customMachine() ? rec.csvRowWithConfig()
+                                   : rec.csvRow();
+        out += '\n';
         return;
     }
-    std::printf("=== %s  (%s, %s, scale %s, seed %llu)\n",
-                w.fullName().c_str(), toString(run.model),
-                toString(run.policy), toString(run.scale),
-                static_cast<unsigned long long>(run.seed));
+    out += logFormat("=== %s  (%s, %s, scale %s, seed %llu)\n",
+                     w.fullName().c_str(), toString(run.model),
+                     toString(run.policy), toString(run.scale),
+                     static_cast<unsigned long long>(run.seed));
     if (machineHash(run.cfg) != defaultMachineHash())
-        std::printf("  machine           %s  [%s]\n",
-                    run.cfg.summary().c_str(),
-                    machineHash(run.cfg).c_str());
-    std::printf("  cycles            %llu\n",
-                static_cast<unsigned long long>(s.cycles));
-    std::printf("  IPC               %.3f\n", s.ipc());
-    std::printf("  L1 hit rate       %.2f%%  (%llu accesses)\n",
-                100.0 * s.l1Total().hitRate(),
-                static_cast<unsigned long long>(s.l1Total().accesses));
-    std::printf("  L2 hit rate       %.2f%%  (%llu accesses)\n",
-                100.0 * s.l2.hitRate(),
-                static_cast<unsigned long long>(s.l2.accesses));
-    std::printf("  DRAM reads/writes %llu / %llu (avg queue %.1f cyc)\n",
-                static_cast<unsigned long long>(s.dram.reads),
-                static_cast<unsigned long long>(s.dram.writes),
-                s.dram.avgQueueCycles());
-    std::printf("  SMX utilization   %.2f%% (imbalance %.2f%%)\n",
-                100.0 * s.avgSmxUtilization(),
-                100.0 * s.smxImbalance());
-    std::printf("  kernels launched  %llu (device launches %llu, "
-                "coalesced %llu)\n",
-                static_cast<unsigned long long>(s.kernelsLaunched),
-                static_cast<unsigned long long>(s.deviceLaunches),
-                static_cast<unsigned long long>(s.dtblCoalesced));
-    std::printf("  dynamic TBs       %llu (bound %llu, stolen %llu)\n",
-                static_cast<unsigned long long>(s.dynamicTbs),
-                static_cast<unsigned long long>(s.boundDispatches),
-                static_cast<unsigned long long>(s.unboundDispatches));
-    std::printf("  queue overflows   %llu, KDU-full stalls %llu\n",
-                static_cast<unsigned long long>(s.queueOverflows),
-                static_cast<unsigned long long>(s.kduFullStalls));
+        out += logFormat("  machine           %s  [%s]\n",
+                         run.cfg.summary().c_str(),
+                         machineHash(run.cfg).c_str());
+    out += logFormat("  cycles            %llu\n",
+                     static_cast<unsigned long long>(s.cycles));
+    out += logFormat("  IPC               %.3f\n", s.ipc());
+    out += logFormat("  L1 hit rate       %.2f%%  (%llu accesses)\n",
+                     100.0 * s.l1Total().hitRate(),
+                     static_cast<unsigned long long>(s.l1Total().accesses));
+    out += logFormat("  L2 hit rate       %.2f%%  (%llu accesses)\n",
+                     100.0 * s.l2.hitRate(),
+                     static_cast<unsigned long long>(s.l2.accesses));
+    out += logFormat("  DRAM reads/writes %llu / %llu (avg queue %.1f cyc)\n",
+                     static_cast<unsigned long long>(s.dram.reads),
+                     static_cast<unsigned long long>(s.dram.writes),
+                     s.dram.avgQueueCycles());
+    out += logFormat("  SMX utilization   %.2f%% (imbalance %.2f%%)\n",
+                     100.0 * s.avgSmxUtilization(),
+                     100.0 * s.smxImbalance());
+    out += logFormat("  kernels launched  %llu (device launches %llu, "
+                     "coalesced %llu)\n",
+                     static_cast<unsigned long long>(s.kernelsLaunched),
+                     static_cast<unsigned long long>(s.deviceLaunches),
+                     static_cast<unsigned long long>(s.dtblCoalesced));
+    out += logFormat("  dynamic TBs       %llu (bound %llu, stolen %llu)\n",
+                     static_cast<unsigned long long>(s.dynamicTbs),
+                     static_cast<unsigned long long>(s.boundDispatches),
+                     static_cast<unsigned long long>(s.unboundDispatches));
+    out += logFormat("  queue overflows   %llu, KDU-full stalls %llu\n",
+                     static_cast<unsigned long long>(s.queueOverflows),
+                     static_cast<unsigned long long>(s.kduFullStalls));
 }
 
 /**
@@ -238,6 +244,87 @@ runTenants(const Options &opt)
         }
     }
     return 0;
+}
+
+/**
+ * What one workload's run prints, held back so a suite run on the pool
+ * prints in registry order.
+ */
+struct Output
+{
+    std::string out; ///< the report or CSV row
+    std::string err; ///< notices of the files written
+};
+
+/**
+ * Run @p w beside a builder thread and write its per-workload files;
+ * with @p prefixed (--workload all) each file name is prefixed with
+ * the workload name ("bfs-citation.<file>").
+ */
+Output
+runWorkload(const Options &opt, const Workload &w, bool prefixed)
+{
+    const RunSpec &run = opt.run;
+    const std::string name = w.fullName();
+    Output o;
+    auto out_path = [&](const std::string &path) {
+        return prefixed ? name + "." + path : path;
+    };
+    auto note = [&o](bool ok, const char *what, const std::string &path) {
+        o.err += ok ? logFormat("%s: %s\n", what, path.c_str())
+                    : logFormat("warn: could not write %s '%s'\n", what,
+                                path.c_str());
+    };
+
+    // Declared first, so the builder starts while the Gpu is set up and
+    // the forest outlives the run.
+    TraceForest forest(w.waves());
+    TraceBuilder builder(forest);
+    Gpu gpu(run.cfg);
+    std::unique_ptr<obs::TraceCollector> collector;
+    if (opt.wantsCollector()) {
+        collector = std::make_unique<obs::TraceCollector>();
+        gpu.observers().attach(collector.get());
+    }
+    std::unique_ptr<obs::LocalityTracker> locality;
+    if (!opt.localityPath.empty()) {
+        locality = std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
+        gpu.setLocalityTracker(locality.get());
+    }
+    gpu.runForest(forest);
+    builder.finish();
+    report(opt, w, gpu.stats(), o.out);
+    if (collector) {
+        if (!opt.tracePath.empty()) {
+            const std::string path = out_path(opt.tracePath);
+            if (!collector->writeDispatchCsv(path))
+                o.err += logFormat("warn: could not write trace '%s'\n",
+                                   path.c_str());
+            else
+                o.err += logFormat("dispatch trace: %s (%zu events)\n",
+                                   path.c_str(),
+                                   collector->dispatches().size());
+        }
+        if (!opt.traceJsonPath.empty()) {
+            const std::string path = out_path(opt.traceJsonPath);
+            note(collector->writeChromeTrace(path), "chrome trace", path);
+        }
+        if (!opt.intervalsPath.empty()) {
+            const std::string path = out_path(opt.intervalsPath);
+            note(collector->writeIntervalTsv(path, opt.interval),
+                 "interval metrics", path);
+        }
+        if (!opt.latencyPath.empty()) {
+            const std::string path = out_path(opt.latencyPath);
+            note(collector->writeLaunchLatencyTsv(path),
+                 "launch-latency histogram", path);
+        }
+    }
+    if (locality) {
+        const std::string path = out_path(opt.localityPath);
+        note(locality->writeTsv(path), "locality attribution", path);
+    }
+    return o;
 }
 
 } // namespace
@@ -315,71 +402,61 @@ main(int argc, char **argv)
                     machineHash(run.cfg) != defaultMachineHash()
                         ? statsCsvHeaderWithConfig()
                         : statsCsvHeader());
-    // With --workload all, each per-workload output file is prefixed
-    // with the workload name ("bfs-citation.<file>").
-    auto out_path = [&](const std::string &name,
-                        const std::string &path) {
-        return names.size() == 1 ? path : name + "." + path;
-    };
-    auto write_or_warn = [](bool ok, const char *what,
-                            const std::string &path) {
-        if (!ok)
-            laperm_warn("could not write %s '%s'", what, path.c_str());
-        else
-            std::fprintf(stderr, "%s: %s\n", what, path.c_str());
-    };
+    std::fflush(stdout);
 
-    for (const auto &name : names) {
-        auto w = createWorkload(name);
-        w->setup(run.scale, run.seed);
-        Gpu gpu(run.cfg);
-        std::unique_ptr<obs::TraceCollector> collector;
-        if (opt.wantsCollector()) {
-            collector = std::make_unique<obs::TraceCollector>();
-            gpu.observers().attach(collector.get());
+    // The suite runs on the pool, one job per workload, and prints each
+    // workload's output once every workload before it has printed, so
+    // the output is the same at any job count. A fatal in a job
+    // surfaces here, on this thread, once the pool has drained.
+    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
+        ThreadPool::defaultJobs(), names.size())));
+    auto drain = [&pool] {
+        try {
+            pool.wait();
+        } catch (const FatalError &e) {
+            laperm_fatal("%s", e.what());
         }
-        std::unique_ptr<obs::LocalityTracker> locality;
-        if (!opt.localityPath.empty()) {
-            locality =
-                std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
-            gpu.setLocalityTracker(locality.get());
-        }
-        gpu.runWaves(w->waves());
-        report(opt, *w, gpu.stats());
-        if (collector) {
-            if (!opt.tracePath.empty()) {
-                std::string path = out_path(name, opt.tracePath);
-                if (!collector->writeDispatchCsv(path))
-                    laperm_warn("could not write trace '%s'",
-                                path.c_str());
-                else
-                    std::fprintf(stderr,
-                                 "dispatch trace: %s (%zu events)\n",
-                                 path.c_str(),
-                                 collector->dispatches().size());
-            }
-            if (!opt.traceJsonPath.empty()) {
-                std::string path = out_path(name, opt.traceJsonPath);
-                write_or_warn(collector->writeChromeTrace(path),
-                              "chrome trace", path);
-            }
-            if (!opt.intervalsPath.empty()) {
-                std::string path = out_path(name, opt.intervalsPath);
-                write_or_warn(
-                    collector->writeIntervalTsv(path, opt.interval),
-                    "interval metrics", path);
-            }
-            if (!opt.latencyPath.empty()) {
-                std::string path = out_path(name, opt.latencyPath);
-                write_or_warn(collector->writeLaunchLatencyTsv(path),
-                              "launch-latency histogram", path);
-            }
-        }
-        if (locality) {
-            std::string path = out_path(name, opt.localityPath);
-            write_or_warn(locality->writeTsv(path),
-                          "locality attribution", path);
-        }
+    };
+    std::vector<std::unique_ptr<Workload>> inputs(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        pool.submit([&, i] {
+            const FatalThrows fatal_throws;
+            inputs[i] = createWorkload(names[i]);
+            inputs[i]->setup(run.scale, run.seed);
+        });
     }
+    drain();
+
+    // Longest first: the suite ends with its longest run, which must
+    // not start last. A workload's simulated footprint stands in for
+    // its cost; it needs no simulation.
+    std::vector<std::size_t> order(names.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return inputs[a]->footprintBytes() >
+                                inputs[b]->footprintBytes();
+                     });
+    std::mutex mu;
+    std::vector<Output> outputs(names.size());
+    std::vector<char> done(names.size(), 0);
+    std::size_t printed = 0;
+    for (std::size_t i : order) {
+        pool.submit([&, i] {
+            const FatalThrows fatal_throws;
+            Output o = runWorkload(opt, *inputs[i], names.size() > 1);
+            inputs[i].reset();
+            const std::lock_guard<std::mutex> lock(mu);
+            outputs[i] = std::move(o);
+            done[i] = 1;
+            for (; printed < names.size() && done[printed]; ++printed) {
+                std::fputs(outputs[printed].out.c_str(), stdout);
+                std::fflush(stdout);
+                std::fputs(outputs[printed].err.c_str(), stderr);
+                outputs[printed] = Output();
+            }
+        });
+    }
+    drain();
     return 0;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Trace forests (gpu/trace_forest.hh): every prebuilt TB equals the
- * build at dispatch of the same TB, recursively through every launch,
- * and a run that replays a forest is the run that builds on demand.
+ * Trace forests (gpu/trace_forest.hh): every prebuilt TB equals a
+ * build of the same TB, recursively through every launch, and a run
+ * that replays a built forest is the run whose own forest builds each
+ * launch at its first dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -141,13 +142,16 @@ expectSameRun(const std::vector<LaunchRequest> &waves,
     EXPECT_EQ(a.l2.hits, b.l2.hits) << what;
     EXPECT_EQ(a.ipc(), b.ipc()) << what;
 
-    // The replay builds nothing; the build at dispatch replays nothing.
+    // Both runs replay every TB; only the Gpu's own forest builds, each
+    // TB once, and the shared forest's replay builds nothing.
     const WorkCounters wa = built.workCounters();
     const WorkCounters wb = replayed.workCounters();
-    EXPECT_EQ(wa.tbsReplayed, 0u) << what;
+    EXPECT_EQ(wa.tbsReplayed, forest.tbsBuilt()) << what;
+    EXPECT_EQ(wb.tbsReplayed, forest.tbsBuilt()) << what;
+    EXPECT_EQ(wa.tbsBuilt, forest.tbsBuilt()) << what;
+    EXPECT_EQ(wa.threadOps, forest.threadOps()) << what;
     EXPECT_EQ(wb.tbsBuilt, 0u) << what;
     EXPECT_EQ(wb.threadOps, 0u) << what;
-    EXPECT_EQ(wa.tbsBuilt, wb.tbsReplayed) << what;
     EXPECT_EQ(wa.batches, wb.batches) << what;
 }
 
@@ -172,7 +176,8 @@ TEST(TraceForest, EveryTinyWorkloadMatchesItsBuildsAtDispatch)
     for (const std::string &name : workloadNames()) {
         auto w = createWorkload(name);
         w->setup(Scale::Tiny, 1);
-        const TraceForest forest(w->waves());
+        TraceForest forest(w->waves());
+        forest.buildAll();
         const Walked walked = walkForest(forest, w->waves(), name);
         EXPECT_GT(walked.tbs, 0u) << name;
     }
@@ -184,7 +189,8 @@ TEST(TraceForest, RunsReplayingAForestMatchBuildsAtDispatch)
     for (const char *name : {"bfs-cage", "bht-points"}) {
         auto w = createWorkload(name);
         w->setup(Scale::Tiny, 1);
-        const TraceForest forest(w->waves());
+        TraceForest forest(w->waves());
+        forest.buildAll();
         for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
             GpuConfig cfg = paperConfig();
             cfg.dynParModel = model;
@@ -203,7 +209,8 @@ TEST(TraceForest, PartialWarpOfAFortyEightThreadTb)
             c.alu(1 + c.threadIndex() % 5);
         },
         3, 48)};
-    const TraceForest forest(waves);
+    TraceForest forest(waves);
+    forest.buildAll();
     EXPECT_EQ(forest.waves()[0].traces->warpsPerTb, 2u);
     EXPECT_EQ(walkForest(forest, waves, "48 threads").tbs,
               3u);
@@ -219,7 +226,8 @@ TEST(TraceForest, BarrierSplitsTheStream)
             c.ld(0x20000 + 128 * (c.threadsPerTb() - 1 - c.threadIndex()));
         },
         4, 96)};
-    const TraceForest forest(waves);
+    TraceForest forest(waves);
+    forest.buildAll();
     walkForest(forest, waves, "barrier");
     const WarpOp &second = forest.waves()[0].traces->warp(0, 0)[1];
     EXPECT_EQ(second.kind, OpKind::Bar);
@@ -243,7 +251,8 @@ TEST(TraceForest, LaunchesNestedThreeDeep)
     });
     const std::vector<LaunchRequest> waves = {
         {nest(nest(nest(leaf, 1), 2), 1), 2, 64}};
-    const TraceForest forest(waves);
+    TraceForest forest(waves);
+    forest.buildAll();
     // 2 host TBs x 4 launches, each 1 TB x 2 launches of 2 TBs, each
     // TB launching 2 one-TB leaves.
     const Walked walked = walkForest(forest, waves, "nest");
@@ -268,7 +277,8 @@ TEST(TraceForest, ThreadsWithoutOps)
             },
             2, 64),
         lambdaLaunch([](ThreadCtx &) {}, 3, 40)};
-    const TraceForest forest(waves);
+    TraceForest forest(waves);
+    forest.buildAll();
     walkForest(forest, waves, "no ops");
     const LaunchTraces &empty = *forest.waves()[1].traces;
     EXPECT_TRUE(empty.ops.empty());

@@ -7,8 +7,10 @@
  *
  * Exercises: parallel workload setup, concurrent cells sharing one
  * workload and its trace forest, logging from workers, pool exception
- * propagation, and the result store written and read from pool
- * threads.
+ * propagation, the result store written and read from pool threads,
+ * and private runs beside a builder thread (harness/trace_builder.hh):
+ * one as runOneRecord runs it, one whose builder may hold one byte,
+ * and one that throws mid-run.
  */
 
 #include <cstdio>
@@ -21,11 +23,114 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "gpu/gpu.hh"
 #include "harness/experiment.hh"
 #include "harness/thread_pool.hh"
+#include "harness/trace_builder.hh"
+#include "kernels/lambda_program.hh"
+#include "sim/config_loader.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
+
+namespace {
+
+std::string
+recordOf(const Workload &w, const GpuConfig &cfg, Gpu &gpu)
+{
+    return ResultRecord::fromStats(w.fullName(), cfg.dynParModel,
+                                   cfg.tbPolicy, gpu.stats(),
+                                   machineHash(cfg))
+        .encode();
+}
+
+/** The run without a builder: the Gpu's own forest, built at dispatch. */
+std::string
+inlineRecord(const Workload &w, const GpuConfig &cfg)
+{
+    Gpu gpu(cfg);
+    gpu.runWaves(w.waves());
+    return recordOf(w, cfg, gpu);
+}
+
+/** One host wave whose TBs each launch a 128-thread child TB. */
+class NestWorkload : public Workload
+{
+  public:
+    NestWorkload()
+    {
+        const auto inner = std::make_shared<LambdaProgram>(
+            "child", allocateFunctionId(), [](ThreadCtx &c) {
+                c.st(0x200000 + 4 * c.globalThreadIndex());
+            });
+        const auto outer = std::make_shared<LambdaProgram>(
+            "parent", allocateFunctionId(), [inner](ThreadCtx &c) {
+                c.ld(0x100000 + 4 * c.globalThreadIndex());
+                if (c.threadIndex() == 0)
+                    c.launch({inner, 1, 128});
+            });
+        waves_.push_back({outer, 64, 64});
+    }
+    std::string app() const override { return "lambda"; }
+    std::string input() const override { return "nest"; }
+    void setup(Scale, std::uint64_t) override {}
+    void setMemoryBase(Addr) override {}
+    const std::vector<LaunchRequest> &waves() const override
+    {
+        return waves_;
+    }
+    std::size_t footprintBytes() const override { return 0; }
+
+  private:
+    std::vector<LaunchRequest> waves_;
+};
+
+/** The three builder-thread runs; false after printing a failure. */
+bool
+builderRuns()
+{
+    auto w = createWorkload("bfs-citation");
+    w->setup(Scale::Tiny, 3);
+    GpuConfig cfg = paperConfig();
+    cfg.tbPolicy = TbPolicy::AdaptiveBind;
+    cfg.seed = 3;
+    const std::string want = inlineRecord(*w, cfg);
+    if (runOneRecord(*w, cfg, std::string()).encode() != want) {
+        std::fprintf(stderr, "FAIL: a run beside a builder diverged\n");
+        return false;
+    }
+    {
+        TraceForest forest(w->waves());
+        TraceBuilder builder(forest, 1);
+        Gpu gpu(cfg);
+        gpu.runForest(forest);
+        builder.finish();
+        if (recordOf(*w, cfg, gpu) != want) {
+            std::fprintf(stderr, "FAIL: a one-byte-budget run diverged\n");
+            return false;
+        }
+    }
+    // A machine that holds the host TBs but not their children: the
+    // first device launch throws while the builder runs.
+    const NestWorkload nest;
+    GpuConfig misfit = cfg;
+    misfit.maxThreadsPerSmx = 64;
+    const FatalThrows fatal_throws;
+    bool threw = false;
+    try {
+        (void)runOneRecord(nest, misfit, std::string());
+    } catch (const FatalError &) {
+        threw = true;
+    }
+    if (!threw || runOneRecord(nest, cfg, std::string()).encode() !=
+                      inlineRecord(nest, cfg)) {
+        std::fprintf(stderr, "FAIL: a run that throws mid-run\n");
+        return false;
+    }
+    return true;
+}
+
+} // namespace
 
 int
 main()
@@ -82,6 +187,9 @@ main()
             }
         }
     }
+
+    if (!builderRuns())
+        return 1;
 
     // One cached sweep twice on a fresh store: the first stores every
     // cell from the pool, the second probes them from the pool.
