@@ -18,10 +18,10 @@
  * simulation thread waited for a node. Those depend on thread timing,
  * so they are printed and never compared; the TBs and thread ops built
  * in total are each node's once, so they must equal the inline run's.
- * Each workload's event-mode cells then run again from one trace
- * forest (gpu/trace_forest.hh) built whole, as a sweep runs them: the
- * forest's builds are counted once, the cells' replays separately, and
- * every replayed cell must match the inline run.
+ * Each workload's event-mode cells then run again from one shared
+ * trace forest (gpu/trace_forest.hh) built whole before they start:
+ * the forest's builds are counted once, the cells' replays separately,
+ * and every replayed cell must match the inline run and build nothing.
  *
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
@@ -136,6 +136,17 @@ simulateWithBuilder(const std::vector<LaunchRequest> &waves,
     return gpu.stats().cycles;
 }
 
+/** The event-mode cell replaying @p forest, shared by its workload's. */
+Cycle
+replayForest(TraceForest &forest, TbPolicy policy, std::uint64_t seed,
+             WorkCounters &work)
+{
+    Gpu gpu(cellConfig(policy, TickMode::Event, seed));
+    gpu.runForest(forest);
+    work = gpu.workCounters();
+    return gpu.stats().cycles;
+}
+
 } // namespace
 
 int
@@ -228,15 +239,14 @@ main()
 
         // The same event-mode cells replaying one forest.
         const auto t0 = std::chrono::steady_clock::now();
-        TraceForest forest(w->waves());
+        TraceForest forest(w->waves(), TraceForest::Sharing::Shared);
         forest.buildAll();
         const double buildSec = secondsSince(t0);
         std::uint64_t replayed = 0;
         for (std::size_t i = first; i < cells.size(); ++i) {
-            double sec = 0.0;
             WorkCounters work;
-            const Cycle cycles = simulate(forest.waves(), cells[i].policy,
-                                          TickMode::Event, seed, sec, work);
+            const Cycle cycles =
+                replayForest(forest, cells[i].policy, seed, work);
             if (cycles != cells[i].cycles || work.tbsBuilt != 0) {
                 std::fprintf(stderr, "FAIL: %s/%s forest replay diverges\n",
                              name, toString(cells[i].policy));

@@ -20,6 +20,9 @@
 #   8. protocol shutdown; the daemon must exit cleanly and remove its
 #      socket
 #
+# Before step 1, a --jobs above ThreadPool::kMaxJobs (1024) must exit
+# 2 while parsing its flags, before it starts any thread.
+#
 # Step 7 is the tier distinction only a process restart can exercise:
 # a live daemon answers repeats from memory (cache_mem_hits), so the
 # shared-tier counter stays zero until a process that did NOT execute
@@ -72,6 +75,16 @@ start_daemon() {
     cat "$WORK/daemon.log" >&2 || true
     exit 1
 }
+
+rc=0
+"$SERVED" --jobs 1025 --listen "unix:$WORK/never.sock" \
+    >"$WORK/jobs.log" 2>&1 || rc=$?
+if [ "$rc" != 2 ] || [ -e "$WORK/never.sock" ]; then
+    echo "serve_smoke: --jobs 1025 exited $rc, want 2" >&2
+    cat "$WORK/jobs.log" >&2
+    exit 1
+fi
+echo "serve_smoke: --jobs 1025 refused: $(cat "$WORK/jobs.log")"
 
 start_daemon
 "$SUBMIT" --connect "$EP" --ping

@@ -32,12 +32,6 @@ Gpu::setLocalityTracker(obs::MemObserver *tracker)
 void
 Gpu::launchHostKernel(const LaunchRequest &req)
 {
-    if (req.traces != nullptr) {
-        laperm_assert(forest_ == nullptr,
-                      "replaying a shared forest in a private run");
-        launcher_->hostLaunch(req, cycle_);
-        return;
-    }
     if (!own_)
         own_ = std::make_unique<TraceForest>();
     laperm_assert(forest_ == nullptr || forest_ == own_.get(),
@@ -224,8 +218,9 @@ void
 Gpu::runForest(TraceForest &forest)
 {
     laperm_assert(forest_ == nullptr || forest_ == &forest,
-                  "running a second private forest");
+                  "running a second forest");
     forest_ = &forest;
+    forest.start();
     for (const LaunchRequest &wave : forest.waves()) {
         launcher_->hostLaunch(wave, cycle_);
         runToIdle();
@@ -266,7 +261,7 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
     LaunchTraces &launch = *unit.traces;
     if (!launch.ready()) {
         laperm_assert(forest_ != nullptr, "dispatching unbuilt traces");
-        const TraceForest::Built built = forest_->ensure(launch);
+        const TraceForest::Built built = forest_->ensure(launch, scratch_);
         work_.tbsBuilt += built.tbs;
         work_.threadOps += built.threadOps;
     }
@@ -330,8 +325,9 @@ Gpu::tbCompleted(ThreadBlock &tb, Cycle now)
     kdu_.tbFinished(tb.kernel);
     // A private run frees a launch's traces with its last TB; every
     // warp of it has retired, and its pending children hold their own
-    // requests.
-    if (forest_ != nullptr && --tb.launch->tbsLeft == 0)
+    // requests. A shared forest's runs retire nothing, so two of them
+    // never count down one tbsLeft.
+    if (!forest_->shared() && --tb.launch->tbsLeft == 0)
         forest_->retire(*tb.launch);
     laperm_assert(activeTbs_ > 0, "active TB underflow");
     --activeTbs_;

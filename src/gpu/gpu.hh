@@ -40,7 +40,8 @@ struct WorkCounters
     /**
      * TBs the simulation thread built at dispatch (TraceForest::ensure):
      * every TB of a private run without a builder thread, fewer beside
-     * one, none when it replays a shared forest.
+     * one; in a shared forest, those of the nodes neither its builder
+     * nor another cell built first.
      */
     std::uint64_t tbsBuilt = 0;
     /** Thread ops the programs emitted for those builds. */
@@ -69,11 +70,10 @@ class Gpu : public SmxCallbacks, public DispatchContext
     Gpu &operator=(const Gpu &) = delete;
 
     /**
-     * Enqueue a host kernel (models a <<<>>> launch + its grid). A
-     * request without traces is adopted into this Gpu's own forest,
-     * whose nodes it builds at dispatch and frees once they retire. A
-     * request with traces replays a shared forest, built beforehand;
-     * a Gpu does one or the other.
+     * Enqueue a host kernel (models a <<<>>> launch + its grid). The
+     * request, which has no traces, is adopted into this Gpu's own
+     * private forest, whose nodes it builds at dispatch and frees once
+     * they retire. To replay another forest, use runForest.
      */
     void launchHostKernel(const LaunchRequest &req);
 
@@ -121,11 +121,13 @@ class Gpu : public SmxCallbacks, public DispatchContext
     void runWaves(const std::vector<LaunchRequest> &waves);
 
     /**
-     * runWaves over @p forest's waves, with @p forest private to this
-     * run: the Gpu builds each node no other thread has (ensure) and
-     * frees each once its last TB retires (retire). A builder thread
-     * may run forest.buildAhead() meanwhile. The forest must outlive
-     * the Gpu's run.
+     * Start a run of @p forest (TraceForest::start) and replay its
+     * waves, each drained before the next. The Gpu builds each node no
+     * other thread has built (ensure). A private forest's node is freed
+     * once its last TB retires (retire); a shared forest's runs retire
+     * nothing, so other Gpus may replay it at the same time. A builder
+     * thread may run forest.buildAhead() meanwhile. The forest must
+     * outlive the Gpu's run.
      */
     void runForest(TraceForest &forest);
 
@@ -207,13 +209,16 @@ class Gpu : public SmxCallbacks, public DispatchContext
     std::vector<Cycle> smxArmedAt_;
     Cycle smxNextAt_ = kNoCycle;
 
-    /** Adopts host launches without traces; made at the first. */
+    /** Adopts host launches (launchHostKernel); made at the first. */
     std::unique_ptr<TraceForest> own_;
     /**
-     * The private forest this run builds at dispatch and retires: own_
-     * or runForest's. Null while the Gpu replays shared forests.
+     * The forest this run replays: own_ or runForest's. The run builds
+     * its unbuilt nodes at dispatch, and retires its nodes if it is
+     * private. Null until the first launch.
      */
     TraceForest *forest_ = nullptr;
+    /** ensure()'s build arrays, this Gpu's thread only. */
+    TraceForest::Scratch scratch_;
 
     GpuStats stats_;
     WorkCounters work_;

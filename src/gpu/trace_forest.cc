@@ -9,20 +9,6 @@
 
 namespace laperm {
 
-/**
- * One driver's build arrays, reused across its nodes. A launch is
- * built into them, then copied into its node at its exact size, so no
- * node carries a growing vector's slack.
- */
-struct TraceForest::Scratch
-{
-    ThreadBlock tb;
-    std::vector<ThreadCtx> threads;
-    std::vector<WarpOp> ops;
-    std::vector<Addr> lines;
-    std::vector<LaunchRequest> launches;
-};
-
 namespace {
 
 using State = LaunchTraces::State;
@@ -92,10 +78,11 @@ releaseArrays(LaunchTraces &node)
 
 } // namespace
 
-TraceForest::TraceForest() : onDemand_(std::make_unique<Scratch>()) {}
+TraceForest::TraceForest() = default;
 
-TraceForest::TraceForest(const std::vector<LaunchRequest> &waves)
-    : TraceForest()
+TraceForest::TraceForest(const std::vector<LaunchRequest> &waves,
+                         Sharing sharing)
+    : shared_(sharing == Sharing::Shared)
 {
     waves_.reserve(waves.size());
     for (const LaunchRequest &wave : waves)
@@ -193,7 +180,11 @@ TraceForest::build(LaunchTraces &node, Scratch &s, bool ahead)
         throw;
     }
     built.tbs = node.numTbs;
-    node.builtAhead = ahead;
+    // A shared forest's count stops when its first run starts: nothing
+    // it builds is ever returned, and its runs replay all of it.
+    const bool counted =
+        ahead && !(shared_ && started_.load(std::memory_order_acquire));
+    node.builtAhead = counted;
     tbsBuilt_.fetch_add(built.tbs, std::memory_order_relaxed);
     threadOps_.fetch_add(built.threadOps, std::memory_order_relaxed);
     (ahead ? nodesAhead_ : nodesOnDemand_)
@@ -202,7 +193,7 @@ TraceForest::build(LaunchTraces &node, Scratch &s, bool ahead)
     const std::size_t bytes = arrayBytes(node);
     raiseTo(largestNodeBytes_, bytes);
     raiseTo(peakLiveBytes_, liveBytes_.fetch_add(bytes) + bytes);
-    if (ahead)
+    if (counted)
         raiseTo(peakAheadBytes_, aheadBytes_.fetch_add(bytes) + bytes);
     node.state.store(State::Ready, std::memory_order_release);
     node.state.notify_all();
@@ -214,13 +205,17 @@ TraceForest::waitForBudget(std::size_t budget)
 {
     bool paused = false;
     for (;;) {
-        // Read the epoch first: a retire or stop after it bumps it, so
-        // the wait below returns at once instead of missing it.
+        // Read the epoch first: a retire, start or stop after it bumps
+        // it, so the wait below returns at once instead of missing it.
         const std::uint32_t epoch =
             budgetEpoch_.load(std::memory_order_acquire);
         freeRetired();
         if (stopped_.load(std::memory_order_acquire))
             return false;
+        // A shared forest's runs retire nothing: once one starts, its
+        // builder builds the rest.
+        if (shared_ && started_.load(std::memory_order_acquire))
+            return true;
         // Once paused, resume at half the budget: the run then wakes
         // this thread once per half budget it retires, not per node.
         const std::size_t limit = paused ? budget / 2 : budget;
@@ -309,6 +304,28 @@ TraceForest::buildAhead(std::size_t budget)
 }
 
 void
+TraceForest::start()
+{
+    if (!started_.exchange(true, std::memory_order_acq_rel))
+        wakeBuilder();
+}
+
+bool
+TraceForest::awaitStart()
+{
+    for (;;) {
+        // Read the epoch first, as waitForBudget does.
+        const std::uint32_t epoch =
+            budgetEpoch_.load(std::memory_order_acquire);
+        if (stopped_.load(std::memory_order_acquire))
+            return false;
+        if (started_.load(std::memory_order_acquire))
+            return true;
+        budgetEpoch_.wait(epoch, std::memory_order_acquire);
+    }
+}
+
+void
 TraceForest::stop()
 {
     stopped_.store(true, std::memory_order_release);
@@ -316,7 +333,7 @@ TraceForest::stop()
 }
 
 TraceForest::Built
-TraceForest::ensure(LaunchTraces &node)
+TraceForest::ensure(LaunchTraces &node, Scratch &scratch)
 {
     bool waited = false;
     for (;;) {
@@ -325,7 +342,7 @@ TraceForest::ensure(LaunchTraces &node)
             return {};
           case State::Unbuilt:
             if (claim(node))
-                return build(node, *onDemand_, false);
+                return build(node, scratch, false);
             break; // lost the claim: look again
           case State::Building:
             if (!waited) {
@@ -344,6 +361,7 @@ TraceForest::ensure(LaunchTraces &node)
 void
 TraceForest::retire(LaunchTraces &node)
 {
+    laperm_assert(!shared_, "retiring a node of a shared forest");
     laperm_assert(node.state.load(std::memory_order_relaxed) ==
                       State::Ready,
                   "retiring a launch that is not Ready");

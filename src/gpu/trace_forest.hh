@@ -7,13 +7,18 @@
  * shape, never on when, where or by which thread it is built, so every
  * way of building a forest gives the same bytes.
  *
+ * A forest is private to one run, which frees each node with its last
+ * TB, or shared by a sweep input's concurrent cells, which retire
+ * nothing; the last owner frees a shared forest whole.
+ *
  * One function builds a node; four drivers call it:
- *  - buildAll() builds the whole forest, which a sweep then shares
- *    among its cells;
- *  - buildAhead() runs on a second thread beside a private run and
- *    builds ahead of dispatch, up to a byte budget;
- *  - ensure() runs on the simulation thread at dispatch: it builds an
- *    unbuilt node itself and waits only for one being built elsewhere;
+ *  - buildAll() builds the whole forest (tests and benchmarks);
+ *  - buildAhead() runs on a builder thread beside the runs and builds
+ *    ahead of their dispatch, up to a byte budget: a private run's
+ *    forest, or a sweep's shared ones one after another;
+ *  - ensure() runs on a simulation thread at dispatch: it builds an
+ *    unbuilt node itself, into its own scratch, and waits only for one
+ *    being built elsewhere;
  *  - retire() frees a private run's node once its last TB retires.
  */
 
@@ -24,9 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
+#include "gpu/thread_block.hh"
 #include "kernels/isa.hh"
 #include "kernels/warp_trace.hh"
 
@@ -37,12 +42,37 @@ class TraceForest
   public:
     /**
      * The heap that nodes buildAhead built and the run has not retired
-     * may hold before it pauses. It bounds how far ahead the builder
+     * may hold before it pauses; for a shared forest, what it may build
+     * before the first run starts. It bounds how far ahead the builder
      * runs, not the forest: node headers (about 150 bytes per launch)
      * live as long as the forest, whichever thread built them, and are
      * not counted.
      */
     static constexpr std::size_t kBuildAheadBytes = std::size_t(32) << 20;
+
+    /** Who replays a forest. */
+    enum class Sharing
+    {
+        /** One run, which frees each node with its last TB (retire). */
+        Private,
+        /** A sweep input's concurrent cells; nothing retires. */
+        Shared,
+    };
+
+    /**
+     * One thread's build arrays, reused across its nodes. A launch is
+     * built into them, then copied into its node at its exact size, so
+     * no node carries a growing vector's slack. Every thread that
+     * builds brings its own: buildAhead has one, a Gpu another.
+     */
+    struct Scratch
+    {
+        ThreadBlock tb;
+        std::vector<ThreadCtx> threads;
+        std::vector<WarpOp> ops;
+        std::vector<Addr> lines;
+        std::vector<LaunchRequest> launches;
+    };
 
     /** Work one ensure() call did on the calling thread. */
     struct Built
@@ -63,10 +93,11 @@ class TraceForest
         std::size_t largestNodeBytes = 0;
     };
 
-    /** An empty forest; adopt() adds its roots (a Gpu's own forest). */
+    /** An empty private forest; adopt() adds its roots (a Gpu's own). */
     TraceForest();
     /** A forest over @p waves, every node unbuilt. */
-    explicit TraceForest(const std::vector<LaunchRequest> &waves);
+    explicit TraceForest(const std::vector<LaunchRequest> &waves,
+                         Sharing sharing = Sharing::Private);
     ~TraceForest();
 
     TraceForest(const TraceForest &) = delete;
@@ -84,6 +115,9 @@ class TraceForest
      */
     const std::vector<LaunchRequest> &waves() const { return waves_; }
 
+    /** Whether the forest is shared (nothing retires). */
+    bool shared() const { return shared_; }
+
     /** Build every node not yet built, on the calling thread. */
     void buildAll();
 
@@ -92,22 +126,39 @@ class TraceForest
      * another thread has claimed. Between nodes, pause while the nodes
      * this driver built and the run has not retired hold more than
      * @p budget bytes, so a node in progress always completes, and
-     * resume once they hold half of it. Between nodes it also frees
-     * the arrays of the nodes retired meanwhile. Returns when stop() is
-     * called or every node is built. Any thread may run it, one at a
-     * time.
+     * resume once they hold half of it. A shared forest retires
+     * nothing: it pauses only until its first run starts, and then
+     * builds the rest. Between nodes it also frees the arrays of the
+     * nodes retired meanwhile. Returns when stop() is called or every
+     * node is built. Any thread may run it, one at a time.
      */
     void buildAhead(std::size_t budget = kBuildAheadBytes);
 
-    /** Make buildAhead() return after the node it is building. */
+    /**
+     * A run of this forest starts (Gpu::runForest): a shared forest's
+     * builder stops counting its bytes, and a paused one resumes.
+     */
+    void start();
+
+    /**
+     * Block until a run starts; false if stop() comes first. A builder
+     * of several forests waits here before it starts the next one.
+     */
+    bool awaitStart();
+
+    /**
+     * Make buildAhead() return after the node it is building, and
+     * awaitStart() at once.
+     */
     void stop();
 
     /**
-     * Make @p node Ready: return at once if it is, build it if it is
-     * unbuilt, wait if another thread is building it. The simulation
-     * thread's driver, run at dispatch.
+     * Make @p node Ready: return at once if it is, build it into
+     * @p scratch if it is unbuilt, wait if another thread is building
+     * it. A simulation thread's driver, run at dispatch; the cells of
+     * a shared forest call it concurrently, each with its own scratch.
      */
-    Built ensure(LaunchTraces &node);
+    Built ensure(LaunchTraces &node, Scratch &scratch);
 
     /**
      * Free @p node's arrays once a private run's last TB of it has
@@ -132,8 +183,6 @@ class TraceForest
     Counts counts() const;
 
   private:
-    struct Scratch;
-
     /** Claim @p node for this thread if it is unbuilt. */
     static bool claim(LaunchTraces &node);
     /** Build a claimed node and publish it Ready. */
@@ -145,11 +194,10 @@ class TraceForest
     /** Free the arrays of the nodes retired while buildAhead ran. */
     void freeRetired();
 
+    const bool shared_ = false;
     std::vector<LaunchRequest> waves_;
     /** The roots; a deque, so they never move. */
     std::deque<LaunchTraces> roots_;
-    /** ensure()'s build scratch, simulation thread only. */
-    std::unique_ptr<Scratch> onDemand_;
 
     std::atomic<std::uint64_t> tbsBuilt_{0};
     std::atomic<std::uint64_t> threadOps_{0};
@@ -166,6 +214,8 @@ class TraceForest
     std::atomic<std::size_t> largestNodeBytes_{0};
 
     std::atomic<bool> stopped_{false};
+    /** A run has started (start()). */
+    std::atomic<bool> started_{false};
     /** A buildAhead is running: it frees retired nodes' arrays. */
     std::atomic<bool> building_{false};
     /** Retired nodes whose arrays buildAhead frees, a stack. */
@@ -173,9 +223,9 @@ class TraceForest
     /** The aheadBytes_ at which a paused buildAhead resumes. */
     std::atomic<std::size_t> resumeAt_{0};
     /**
-     * Bumped by every event a paused buildAhead waits for (a retire
-     * that takes aheadBytes_ to resumeAt_, stop()), so it sleeps on one
-     * word and misses none of them.
+     * Bumped by every event a paused buildAhead or an awaitStart waits
+     * for (a retire that takes aheadBytes_ to resumeAt_, start(),
+     * stop()), so it sleeps on one word and misses none of them.
      */
     std::atomic<std::uint32_t> budgetEpoch_{0};
 };

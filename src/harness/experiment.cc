@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 
 #include "common/log.hh"
@@ -78,15 +77,10 @@ hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
 
 namespace {
 
-/**
- * One run of @p workload, replaying @p forest: a private one, which
- * the run builds beside a builder thread and frees as it goes, or a
- * sweep input's shared one, built beforehand.
- */
+/** One run of @p workload, replaying @p forest, private or shared. */
 ResultRecord
 runForestRecord(const Workload &workload, TraceForest &forest,
-                bool private_forest, const GpuConfig &cfg,
-                const std::string &trace_dir)
+                const GpuConfig &cfg, const std::string &trace_dir)
 {
     Gpu gpu(cfg);
     std::unique_ptr<obs::TraceCollector> collector;
@@ -98,10 +92,7 @@ runForestRecord(const Workload &workload, TraceForest &forest,
             std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
         gpu.setLocalityTracker(locality.get());
     }
-    if (private_forest)
-        gpu.runForest(forest);
-    else
-        gpu.runWaves(forest.waves());
+    gpu.runForest(forest);
     if (collector) {
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
@@ -127,8 +118,7 @@ runOneRecord(const Workload &workload, const GpuConfig &cfg,
 {
     TraceForest forest(workload.waves());
     TraceBuilder builder(forest);
-    ResultRecord rec =
-        runForestRecord(workload, forest, true, cfg, trace_dir);
+    ResultRecord rec = runForestRecord(workload, forest, cfg, trace_dir);
     builder.finish();
     return rec;
 }
@@ -147,16 +137,17 @@ constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
 constexpr DynParModel kModels[] = {DynParModel::CDP, DynParModel::DTBL};
 
 /**
- * One set-up input of a sweep and what its missing cells share. The
- * first of them to run builds the whole trace forest; the last one to
- * finish frees the forest and the input. An input with one missing
- * cell has nothing to share and runs as runOneRecord does.
+ * One set-up input of a sweep and what its missing cells share: a
+ * shared trace forest, which the sweep's builder thread builds ahead
+ * and the cells replay. The last cell to finish frees the input and
+ * drops its hold on the forest; the forest's last owner frees it. An
+ * input with one missing cell has nothing to share and runs as
+ * runOneRecord does.
  */
 struct SweepInput
 {
     std::unique_ptr<Workload> workload;
-    std::unique_ptr<TraceForest> forest;
-    std::once_flag forestBuilt;
+    std::shared_ptr<TraceForest> forest;
     std::size_t missingCells = 0;
     std::atomic<std::size_t> cellsLeft{0};
 };
@@ -271,13 +262,23 @@ runMatrixPreset(const std::vector<std::string> &names,
     }
 
     // Phase 2: one job per missing cell, each owning its own Gpu and
-    // storing its own record. Cells of one input replay one trace
-    // forest: policy and model decide only when and where a TB runs,
-    // never what it executes.
+    // storing its own record. Cells of one input replay one shared
+    // trace forest: policy and model decide only when and where a TB
+    // runs, never what it executes. One builder thread builds the
+    // forests ahead in the order the pool takes their cells.
     const auto numMissing = static_cast<std::size_t>(
         std::count(missing.begin(), missing.end(), 1));
     if (numMissing == 0)
         return results;
+    std::vector<std::shared_ptr<TraceForest>> forests;
+    for (SweepInput &in : inputs) {
+        if (in.missingCells > 1) {
+            in.forest = std::make_shared<TraceForest>(
+                in.workload->waves(), TraceForest::Sharing::Shared);
+            forests.push_back(in.forest);
+        }
+    }
+    TraceBuilder builder(std::move(forests));
     {
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(jobs, numMissing)));
@@ -289,14 +290,9 @@ runMatrixPreset(const std::vector<std::string> &names,
                 const std::size_t i = slot / cellsPerWorkload;
                 SweepInput &in = inputs[i];
                 ResultRecord rec;
-                if (in.missingCells > 1) {
-                    std::call_once(in.forestBuilt, [&in] {
-                        in.forest = std::make_unique<TraceForest>(
-                            in.workload->waves());
-                        in.forest->buildAll();
-                    });
-                    rec = runForestRecord(*in.workload, *in.forest, false,
-                                          cfg, traceDir());
+                if (in.forest) {
+                    rec = runForestRecord(*in.workload, *in.forest, cfg,
+                                          traceDir());
                 } else {
                     rec = runOneRecord(*in.workload, cfg, traceDir());
                 }
@@ -315,6 +311,7 @@ runMatrixPreset(const std::vector<std::string> &names,
         }
         pool.wait();
     }
+    builder.finish();
     return results;
 }
 

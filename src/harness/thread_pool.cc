@@ -1,6 +1,10 @@
 #include "harness/thread_pool.hh"
 
+#include <cstdint>
 #include <cstdlib>
+
+#include "common/log.hh"
+#include "common/parse_uint.hh"
 
 namespace laperm {
 
@@ -79,8 +83,11 @@ ThreadPool::workerLoop()
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("LAPERM_JOBS")) {
-        long v = std::atol(env);
+    if (const char *env = std::getenv("LAPERM_JOBS"); env && *env) {
+        std::uint64_t v = 0;
+        if (!parseUInt(env, kMaxJobs, v))
+            laperm_fatal("bad LAPERM_JOBS '%s' (want 0 to %u)", env,
+                         kMaxJobs);
         if (v > 0)
             return static_cast<unsigned>(v);
     }

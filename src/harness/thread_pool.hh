@@ -50,9 +50,14 @@ class ThreadPool
         return static_cast<unsigned>(threads_.size());
     }
 
+    /** The most workers a job count from user input may ask for. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
-     * Worker count selected by the LAPERM_JOBS environment variable;
-     * falls back to std::thread::hardware_concurrency() (min 1).
+     * Worker count selected by the LAPERM_JOBS environment variable, 1
+     * to kMaxJobs. Unset, empty or 0 selects
+     * std::thread::hardware_concurrency() (min 1), the API's jobs = 0;
+     * any other value is a fatal config error.
      */
     static unsigned defaultJobs();
 

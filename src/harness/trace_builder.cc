@@ -7,27 +7,62 @@
 namespace laperm {
 
 TraceBuilder::TraceBuilder(TraceForest &forest, std::size_t budget)
-    : forest_(forest), thread_([this, budget] {
-          try {
-              // A fatal here must not end the process: the simulation
-              // thread meets the same error when it builds the node.
-              const FatalThrows fatal_throws;
-              forest_.buildAhead(budget);
-          } catch (...) {
-              error_ = std::current_exception();
-          }
-      })
+    // An owner-less pointer: the caller's forest outlives the builder.
+    : TraceBuilder({std::shared_ptr<TraceForest>(
+                       std::shared_ptr<TraceForest>(), &forest)},
+                   budget)
+{
+}
+
+TraceBuilder::TraceBuilder(std::vector<std::shared_ptr<TraceForest>> forests,
+                           std::size_t budget)
+    : forests_(std::move(forests)), thread_([this, budget] { run(budget); })
 {
 }
 
 TraceBuilder::~TraceBuilder() { join(); }
 
 void
+TraceBuilder::run(std::size_t budget)
+{
+    try {
+        // A fatal here must not end the process: the simulation
+        // thread meets the same error when it builds the node.
+        const FatalThrows fatal_throws;
+        for (std::size_t i = 0; i < forests_.size(); ++i) {
+            std::shared_ptr<TraceForest> forest;
+            {
+                const std::lock_guard<std::mutex> lock(mu_);
+                if (stopping_)
+                    return;
+                forest = forests_[i];
+            }
+            forest->buildAhead(budget);
+            // The next forest waits for a run of this one, so at most
+            // one forest that no run has started is being built.
+            if (i + 1 < forests_.size() && !forest->awaitStart())
+                return;
+            const std::lock_guard<std::mutex> lock(mu_);
+            forests_[i].reset();
+        }
+    } catch (...) {
+        error_ = std::current_exception();
+    }
+}
+
+void
 TraceBuilder::join()
 {
     if (!thread_.joinable())
         return;
-    forest_.stop();
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        stopping_ = true;
+        for (const std::shared_ptr<TraceForest> &forest : forests_) {
+            if (forest)
+                forest->stop();
+        }
+    }
     thread_.join();
 }
 

@@ -10,7 +10,8 @@
  *   laperm_served [options]
  *     --listen ENDPOINT    unix:PATH | tcp:HOST:PORT | bare path
  *                          (default unix:laperm_served.sock)
- *     --jobs N             worker threads (default: hardware)
+ *     --jobs N             worker threads, at most 1024 (default 0:
+ *                          LAPERM_JOBS, else hardware)
  *     --queue-capacity N   admission bound before shedding (default 64)
  *     --timeout-ms N       per-request waiter bound (default 120000)
  *     --cache-dir DIR      result cache root (default $LAPERM_CACHE_DIR
@@ -26,6 +27,7 @@
 
 #include "common/log.hh"
 #include "common/parse_uint.hh"
+#include "harness/thread_pool.hh"
 #include "serve/service/service_handler.hh"
 #include "serve/session/server.hh"
 
@@ -88,7 +90,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(a, "--jobs")) {
-            service.jobs = static_cast<unsigned>(parse_uint(i, UINT32_MAX));
+            service.jobs =
+                static_cast<unsigned>(parse_uint(i, ThreadPool::kMaxJobs));
         } else if (!std::strcmp(a, "--queue-capacity")) {
             service.queueCapacity =
                 static_cast<std::size_t>(parse_uint(i, UINT32_MAX));

@@ -2,13 +2,18 @@
  * @file
  * The build regimes of a trace forest (gpu/trace_forest.hh) give the
  * same bytes: every launch's traces are a pure function of its
- * program and shape, whichever thread builds them and when. Also the
- * builder thread's budget and its exit paths (harness/trace_builder.hh).
+ * program and shape, whichever thread builds them and when, and a
+ * shared forest's cells may replay it on several threads at once.
+ * Also the builder thread's budget, its gate between a sweep's forests
+ * and its exit paths (harness/trace_builder.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -126,13 +131,87 @@ childBody(ThreadCtx &c)
     c.st(0x200000 + 4 * c.globalThreadIndex());
 }
 
+constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
+                                  TbPolicy::SmxBind,
+                                  TbPolicy::AdaptiveBind};
+
+/** The 8 cells of a sweep input, model-major as the sweep orders them. */
+std::vector<GpuConfig>
+sweepCells()
+{
+    std::vector<GpuConfig> cells;
+    for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
+        for (TbPolicy policy : kPolicies) {
+            GpuConfig cfg = paperConfig();
+            cfg.dynParModel = model;
+            cfg.tbPolicy = policy;
+            cells.push_back(cfg);
+        }
+    }
+    return cells;
+}
+
+/** How a shared forest's cells meet its builds. */
+enum class SharedRegime
+{
+    Builder,       ///< beside a builder thread at the default budget
+    OneByteBudget, ///< the builder holds one node until a cell starts
+    BuiltBefore,   ///< the forest is built whole before the cells start
+    CellsOnly,     ///< no builder: the cells build every node
+};
+
+/** Nodes of @p forest, and those of them not Ready. */
+struct NodeTally
+{
+    std::uint64_t nodes = 0;
+    std::uint64_t notReady = 0;
+};
+
+NodeTally
+tallyNodes(const TraceForest &forest)
+{
+    NodeTally tally;
+    std::vector<const LaunchTraces *> todo;
+    for (const LaunchRequest &wave : forest.waves())
+        todo.push_back(wave.traces);
+    while (!todo.empty()) {
+        const LaunchTraces &node = *todo.back();
+        todo.pop_back();
+        ++tally.nodes;
+        if (!node.ready())
+            ++tally.notReady;
+        for (std::uint32_t i = 0; i < node.numChildren; ++i)
+            todo.push_back(&node.children[i]);
+    }
+    return tally;
+}
+
+/** Wait up to 10 s for @p done; whether it came. */
+template <typename Done>
+bool
+eventually(Done done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** Give a builder thread time to build, if it is free to. */
+void
+letItRun()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
 } // namespace
 
 TEST(TraceBuilder, EveryRegimeGivesTheSameRecords)
 {
-    constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
-                                      TbPolicy::SmxBind,
-                                      TbPolicy::AdaptiveBind};
     for (const std::string &name : workloadNames()) {
         auto w = createWorkload(name);
         w->setup(Scale::Tiny, 1);
@@ -192,6 +271,173 @@ TEST(TraceBuilder, PeakBytesStayWithinTheBudgetPlusOneNode)
         const std::size_t node = r.counts.largestNodeBytes;
         EXPECT_LE(r.counts.peakAheadBytes, budget + node);
         EXPECT_LE(r.counts.peakLiveBytes, inlinePeak + budget + node);
+    }
+}
+
+TEST(TraceBuilder, SharedForestCellsOnFourThreadsMatchTheirInlineRuns)
+{
+    const std::vector<GpuConfig> cells = sweepCells();
+    for (const std::string &name : workloadNames()) {
+        auto w = createWorkload(name);
+        w->setup(Scale::Tiny, 1);
+        std::vector<std::string> want;
+        std::uint64_t wholeTbs = 0;
+        for (const GpuConfig &cfg : cells) {
+            const RegimeRun r = runIn(Regime::NoBuilder, *w, cfg);
+            want.push_back(r.record);
+            wholeTbs = r.tbsBuilt;
+        }
+        for (SharedRegime regime :
+             {SharedRegime::Builder, SharedRegime::OneByteBudget,
+              SharedRegime::BuiltBefore, SharedRegime::CellsOnly}) {
+            const std::string at =
+                name + " regime " + std::to_string(static_cast<int>(regime));
+            auto forest = std::make_shared<TraceForest>(
+                w->waves(), TraceForest::Sharing::Shared);
+            if (regime == SharedRegime::BuiltBefore)
+                forest->buildAll();
+            std::unique_ptr<TraceBuilder> builder;
+            if (regime == SharedRegime::Builder ||
+                regime == SharedRegime::OneByteBudget) {
+                builder = std::make_unique<TraceBuilder>(
+                    std::vector{forest},
+                    regime == SharedRegime::OneByteBudget
+                        ? 1
+                        : TraceForest::kBuildAheadBytes);
+            }
+            std::vector<std::string> got(cells.size());
+            std::vector<std::uint64_t> replayed(cells.size());
+            {
+                ThreadPool pool(4);
+                for (std::size_t c = 0; c < cells.size(); ++c) {
+                    pool.submit([&, c] {
+                        Gpu gpu(cells[c]);
+                        gpu.runForest(*forest);
+                        got[c] = recordOf(*w, cells[c], gpu);
+                        replayed[c] = gpu.workCounters().tbsReplayed;
+                    });
+                }
+                pool.wait();
+            }
+            if (builder)
+                builder->finish();
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+                EXPECT_EQ(got[c], want[c]) << at << " cell " << c;
+                EXPECT_EQ(replayed[c], wholeTbs) << at << " cell " << c;
+            }
+            // Each node built once, by one thread, and none retired.
+            const NodeTally tally = tallyNodes(*forest);
+            const TraceForest::Counts counts = forest->counts();
+            EXPECT_EQ(forest->tbsBuilt(), wholeTbs) << at;
+            EXPECT_EQ(counts.nodesAhead + counts.nodesOnDemand, tally.nodes)
+                << at;
+            EXPECT_EQ(tally.notReady, 0u) << at;
+            if (regime == SharedRegime::CellsOnly) {
+                EXPECT_EQ(counts.nodesOnDemand, tally.nodes) << at;
+            }
+            if (regime == SharedRegime::BuiltBefore) {
+                EXPECT_EQ(counts.nodesOnDemand, 0u) << at;
+            }
+        }
+    }
+}
+
+TEST(TraceBuilder, ASharedForestWaitsWithinTheBudgetForItsFirstRun)
+{
+    auto w = createWorkload("bfs-citation");
+    w->setup(Scale::Tiny, 1);
+    const GpuConfig cfg = paperConfig();
+    TraceForest whole(w->waves());
+    whole.buildAll();
+    const std::size_t budget = whole.counts().peakLiveBytes / 8;
+    ASSERT_GT(whole.counts().peakLiveBytes,
+              budget + whole.counts().largestNodeBytes);
+
+    auto forest = std::make_shared<TraceForest>(
+        w->waves(), TraceForest::Sharing::Shared);
+    TraceBuilder builder(std::vector{forest}, budget);
+    // Past the budget, the builder pauses: no run has started and none
+    // of a shared forest's nodes retires.
+    ASSERT_TRUE(eventually(
+        [&] { return forest->counts().peakAheadBytes > budget; }));
+    letItRun();
+    const std::uint64_t paused = forest->tbsBuilt();
+    letItRun();
+    EXPECT_EQ(forest->tbsBuilt(), paused);
+    EXPECT_LT(paused, whole.tbsBuilt());
+    const TraceForest::Counts ahead = forest->counts();
+    EXPECT_LE(ahead.peakAheadBytes, budget + ahead.largestNodeBytes);
+
+    // A run's start wakes it, and it builds the rest uncounted.
+    forest->start();
+    EXPECT_TRUE(eventually(
+        [&] { return forest->tbsBuilt() == whole.tbsBuilt(); }));
+    builder.finish();
+    EXPECT_EQ(forest->counts().nodesOnDemand, 0u);
+    EXPECT_EQ(forest->counts().peakAheadBytes, ahead.peakAheadBytes);
+
+    Gpu gpu(cfg);
+    gpu.runForest(*forest);
+    EXPECT_EQ(recordOf(*w, cfg, gpu),
+              runIn(Regime::NoBuilder, *w, cfg).record);
+    EXPECT_EQ(gpu.workCounters().tbsBuilt, 0u);
+}
+
+TEST(TraceBuilder, TheNextSharedForestWaitsForARunOfThePrevious)
+{
+    auto a = createWorkload("bfs-cage");
+    auto b = createWorkload("join-uniform");
+    a->setup(Scale::Tiny, 1);
+    b->setup(Scale::Tiny, 1);
+    TraceForest wholeA(a->waves());
+    TraceForest wholeB(b->waves());
+    wholeA.buildAll();
+    wholeB.buildAll();
+    ASSERT_LT(wholeA.counts().peakLiveBytes, TraceForest::kBuildAheadBytes);
+
+    auto first = std::make_shared<TraceForest>(
+        a->waves(), TraceForest::Sharing::Shared);
+    auto second = std::make_shared<TraceForest>(
+        b->waves(), TraceForest::Sharing::Shared);
+    TraceBuilder builder(std::vector{first, second});
+    ASSERT_TRUE(eventually(
+        [&] { return first->tbsBuilt() == wholeA.tbsBuilt(); }));
+    letItRun();
+    EXPECT_EQ(second->tbsBuilt(), 0u);
+
+    first->start(); // as its first cell does
+    EXPECT_TRUE(eventually(
+        [&] { return second->tbsBuilt() == wholeB.tbsBuilt(); }));
+    builder.finish();
+    EXPECT_EQ(second->counts().nodesOnDemand, 0u);
+}
+
+TEST(TraceBuilder, FinishEndsTheBudgetPauseAndTheWaitForARun)
+{
+    auto w = createWorkload("bfs-cage");
+    w->setup(Scale::Tiny, 1);
+    TraceForest whole(w->waves());
+    whole.buildAll();
+    {
+        // Paused on a one-byte budget, which no run's start lifts.
+        auto forest = std::make_shared<TraceForest>(
+            w->waves(), TraceForest::Sharing::Shared);
+        TraceBuilder builder(std::vector{forest}, 1);
+        ASSERT_TRUE(eventually([&] { return forest->tbsBuilt() > 0; }));
+        builder.finish();
+        EXPECT_LT(forest->tbsBuilt(), whole.tbsBuilt());
+    }
+    {
+        // Waiting for a run of the first forest before the second.
+        auto first = std::make_shared<TraceForest>(
+            w->waves(), TraceForest::Sharing::Shared);
+        auto second = std::make_shared<TraceForest>(
+            w->waves(), TraceForest::Sharing::Shared);
+        TraceBuilder builder(std::vector{first, second});
+        ASSERT_TRUE(eventually(
+            [&] { return first->tbsBuilt() == whole.tbsBuilt(); }));
+        builder.finish();
+        EXPECT_EQ(second->tbsBuilt(), 0u);
     }
 }
 

@@ -125,14 +125,13 @@ walkForest(const TraceForest &forest,
 
 /** The forest replay and the build at dispatch simulate alike. */
 void
-expectSameRun(const std::vector<LaunchRequest> &waves,
-              const TraceForest &forest, const GpuConfig &cfg,
-              const std::string &what)
+expectSameRun(const std::vector<LaunchRequest> &waves, TraceForest &forest,
+              const GpuConfig &cfg, const std::string &what)
 {
     Gpu built(cfg);
     built.runWaves(waves);
     Gpu replayed(cfg);
-    replayed.runWaves(forest.waves());
+    replayed.runForest(forest);
     const GpuStats &a = built.stats();
     const GpuStats &b = replayed.stats();
     EXPECT_EQ(a.cycles, b.cycles) << what;
@@ -189,7 +188,7 @@ TEST(TraceForest, RunsReplayingAForestMatchBuildsAtDispatch)
     for (const char *name : {"bfs-cage", "bht-points"}) {
         auto w = createWorkload(name);
         w->setup(Scale::Tiny, 1);
-        TraceForest forest(w->waves());
+        TraceForest forest(w->waves(), TraceForest::Sharing::Shared);
         forest.buildAll();
         for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
             GpuConfig cfg = paperConfig();
@@ -209,7 +208,7 @@ TEST(TraceForest, PartialWarpOfAFortyEightThreadTb)
             c.alu(1 + c.threadIndex() % 5);
         },
         3, 48)};
-    TraceForest forest(waves);
+    TraceForest forest(waves, TraceForest::Sharing::Shared);
     forest.buildAll();
     EXPECT_EQ(forest.waves()[0].traces->warpsPerTb, 2u);
     EXPECT_EQ(walkForest(forest, waves, "48 threads").tbs,
@@ -226,7 +225,7 @@ TEST(TraceForest, BarrierSplitsTheStream)
             c.ld(0x20000 + 128 * (c.threadsPerTb() - 1 - c.threadIndex()));
         },
         4, 96)};
-    TraceForest forest(waves);
+    TraceForest forest(waves, TraceForest::Sharing::Shared);
     forest.buildAll();
     walkForest(forest, waves, "barrier");
     const WarpOp &second = forest.waves()[0].traces->warp(0, 0)[1];
@@ -251,7 +250,7 @@ TEST(TraceForest, LaunchesNestedThreeDeep)
     });
     const std::vector<LaunchRequest> waves = {
         {nest(nest(nest(leaf, 1), 2), 1), 2, 64}};
-    TraceForest forest(waves);
+    TraceForest forest(waves, TraceForest::Sharing::Shared);
     forest.buildAll();
     // 2 host TBs x 4 launches, each 1 TB x 2 launches of 2 TBs, each
     // TB launching 2 one-TB leaves.
@@ -277,7 +276,7 @@ TEST(TraceForest, ThreadsWithoutOps)
             },
             2, 64),
         lambdaLaunch([](ThreadCtx &) {}, 3, 40)};
-    TraceForest forest(waves);
+    TraceForest forest(waves, TraceForest::Sharing::Shared);
     forest.buildAll();
     walkForest(forest, waves, "no ops");
     const LaunchTraces &empty = *forest.waves()[1].traces;

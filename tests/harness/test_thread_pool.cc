@@ -3,8 +3,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "harness/thread_pool.hh"
 
 using namespace laperm;
@@ -83,4 +85,28 @@ TEST(ThreadPool, DefaultJobsHonorsEnv)
     EXPECT_GE(ThreadPool::defaultJobs(), 1u);
     unsetenv("LAPERM_JOBS");
     EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+}
+
+TEST(ThreadPool, DefaultJobsRejectsAnEnvOutsideItsRange)
+{
+    // No pool starts here: each value is only parsed.
+    const FatalThrows fatal_throws;
+    setenv("LAPERM_JOBS", "1024", 1);
+    EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::kMaxJobs);
+    setenv("LAPERM_JOBS", "", 1); // empty: as unset
+    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    const std::string above = std::to_string(ThreadPool::kMaxJobs + 1);
+    for (const char *bad :
+         {"12abc", "-3", " 4", "abc", "99999999999", above.c_str()}) {
+        setenv("LAPERM_JOBS", bad, 1);
+        try {
+            ThreadPool::defaultJobs();
+            ADD_FAILURE() << "LAPERM_JOBS='" << bad << "' accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("LAPERM_JOBS"), std::string::npos) << what;
+            EXPECT_NE(what.find("0 to 1024"), std::string::npos) << what;
+        }
+    }
+    unsetenv("LAPERM_JOBS");
 }

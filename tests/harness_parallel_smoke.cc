@@ -6,11 +6,14 @@
  * object is TSan-instrumented, keeping the race report clean.
  *
  * Exercises: parallel workload setup, concurrent cells sharing one
- * workload and its trace forest, logging from workers, pool exception
- * propagation, the result store written and read from pool threads,
- * and private runs beside a builder thread (harness/trace_builder.hh):
- * one as runOneRecord runs it, one whose builder may hold one byte,
- * and one that throws mid-run.
+ * workload and its trace forest beside the sweep's builder thread
+ * (four inputs on two workers, so the builder waits for each next
+ * forest's first cell and two cells ensure nodes of one forest at
+ * once), logging from workers, pool exception propagation, the result
+ * store written and read from pool threads, and private runs beside a
+ * builder thread (harness/trace_builder.hh): one as runOneRecord runs
+ * it, one whose builder may hold one byte, and one that throws
+ * mid-run.
  */
 
 #include <cstdio>
@@ -159,17 +162,19 @@ main()
         }
     }
 
-    // Two workloads x 8 cells, 8 workers vs 1 worker must agree.
-    const std::vector<std::string> names = {"bfs-cage", "join-uniform"};
+    // Four workloads x 8 cells, 2 workers vs 1 worker must agree.
+    const std::vector<std::string> names = {"bfs-cage", "join-uniform",
+                                            "clr-cage", "regx-strings"};
     auto serial = runMatrix(names, Scale::Tiny, 3, false, 1);
-    auto parallel = runMatrix(names, Scale::Tiny, 3, false, 8);
+    auto parallel = runMatrix(names, Scale::Tiny, 3, false, 2);
     if (serial != parallel) {
         std::fprintf(stderr, "FAIL: parallel sweep diverged\n");
         return 1;
     }
 
-    // The 8 workers above read each input's trace forest concurrently;
-    // every cell must equal runOne's, which builds its TBs at dispatch.
+    // The 2 workers above replay each input's shared forest at once,
+    // beside the builder; every cell must equal runOne's, a private
+    // run.
     for (std::size_t i = 0; i < names.size(); ++i) {
         auto w = createWorkload(names[i]);
         w->setup(Scale::Tiny, 3);
