@@ -10,7 +10,9 @@
  * MSHR inserts, TBs the simulation thread built at dispatch and the
  * thread ops they emitted), so a host-side change shows as less work
  * and not only as less time. Both modes visit the same cycles, so each
- * cell also prints the dense run's steps beside the event run's.
+ * cell also prints the dense run's steps beside the event run's, and
+ * how many of them made no progress (nothing admitted, dispatched,
+ * issued or retired), which must match too.
  *
  * Each event-mode cell runs once more beside a builder thread
  * (harness/trace_builder.hh), timed the same way: its columns are the
@@ -26,8 +28,9 @@
  * Environment:
  *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
  *
- * Exits nonzero if any cell's cycles or steps diverge between modes,
- * or its run beside a builder or its forest replay diverges.
+ * Exits nonzero if any cell's cycles, steps or no-progress steps
+ * diverge between modes, or its run beside a builder or its forest
+ * replay diverges.
  */
 
 #include <chrono>
@@ -69,6 +72,7 @@ struct Cell
     TbPolicy policy;
     Cycle cycles = 0;
     std::uint64_t denseBatches = 0;
+    std::uint64_t denseNoProgress = 0;
     double denseSec = 0.0;
     double eventSec = 0.0;
     double builderSec = 0.0; ///< event mode beside a builder thread
@@ -180,6 +184,7 @@ main()
             cell.cycles = simulate(w->waves(), policy, TickMode::Event, seed,
                                    cell.eventSec, cell.work);
             cell.denseBatches = dense_work.batches;
+            cell.denseNoProgress = dense_work.noProgressSteps;
             std::uint64_t tbs = 0;
             std::uint64_t ops = 0;
             const Cycle ahead =
@@ -197,24 +202,30 @@ main()
                 identical = false;
             }
             if (dense != cell.cycles ||
-                cell.denseBatches != cell.work.batches) {
+                cell.denseBatches != cell.work.batches ||
+                cell.denseNoProgress != cell.work.noProgressSteps) {
                 std::fprintf(stderr,
                              "FAIL: %s/%s diverge (dense %llu cycles, "
-                             "%llu batches; event %llu cycles, %llu "
-                             "batches)\n",
+                             "%llu batches, %llu without progress; event "
+                             "%llu cycles, %llu batches, %llu without "
+                             "progress)\n",
                              name, toString(policy),
                              static_cast<unsigned long long>(dense),
                              static_cast<unsigned long long>(
                                  cell.denseBatches),
+                             static_cast<unsigned long long>(
+                                 cell.denseNoProgress),
                              static_cast<unsigned long long>(cell.cycles),
                              static_cast<unsigned long long>(
-                                 cell.work.batches));
+                                 cell.work.batches),
+                             static_cast<unsigned long long>(
+                                 cell.work.noProgressSteps));
                 identical = false;
             }
             std::printf("%-14s %-13s %9llu cyc  dense %.3fs  "
                         "event %.3fs  %.2fx  builder %.3fs (nodes "
                         "%llu ahead, %llu inline, %llu waits)  "
-                        "batches %llu/%llu  "
+                        "batches %llu/%llu (no progress %llu)  "
                         "ticks %llu  mshr %llu  built %llu TBs "
                         "%llu ops\n",
                         name, toString(policy),
@@ -228,6 +239,8 @@ main()
                         static_cast<unsigned long long>(cell.builder.waits),
                         static_cast<unsigned long long>(cell.denseBatches),
                         static_cast<unsigned long long>(cell.work.batches),
+                        static_cast<unsigned long long>(
+                            cell.work.noProgressSteps),
                         static_cast<unsigned long long>(cell.work.smxTicks),
                         static_cast<unsigned long long>(
                             cell.work.mshrInserts),
@@ -276,6 +289,7 @@ main()
         eventTotal += c.eventSec;
         builderTotal += c.builderSec;
         workTotal.batches += c.work.batches;
+        workTotal.noProgressSteps += c.work.noProgressSteps;
         denseBatchesTotal += c.denseBatches;
         workTotal.smxTicks += c.work.smxTicks;
         workTotal.mshrInserts += c.work.mshrInserts;
@@ -303,6 +317,7 @@ main()
              << ", \"speedup\": " << c.speedup()
              << ", \"batches\": " << c.work.batches
              << ", \"batches_dense\": " << c.denseBatches
+             << ", \"no_progress_steps\": " << c.work.noProgressSteps
              << ", \"smx_ticks\": " << c.work.smxTicks
              << ", \"mshr_inserts\": " << c.work.mshrInserts
              << ", \"tbs_built\": " << c.work.tbsBuilt
@@ -318,6 +333,8 @@ main()
          << "  \"speedup_max\": " << maxSpeedup << ",\n"
          << "  \"batches_total\": " << workTotal.batches << ",\n"
          << "  \"batches_dense_total\": " << denseBatchesTotal << ",\n"
+         << "  \"no_progress_steps_total\": " << workTotal.noProgressSteps
+         << ",\n"
          << "  \"smx_ticks_total\": " << workTotal.smxTicks << ",\n"
          << "  \"mshr_inserts_total\": " << workTotal.mshrInserts << ",\n"
          << "  \"tbs_built_total\": " << workTotal.tbsBuilt << ",\n"
@@ -335,10 +352,12 @@ main()
                 denseTotal, eventTotal,
                 eventTotal > 0.0 ? denseTotal / eventTotal : 0.0,
                 maxSpeedup, builderTotal);
-    std::printf("event-mode work: batches %llu (dense %llu)  ticks %llu  "
-                "mshr inserts %llu  TBs built %llu  thread ops %llu\n",
+    std::printf("event-mode work: batches %llu (dense %llu, no progress "
+                "%llu)  ticks %llu  mshr inserts %llu  TBs built %llu  "
+                "thread ops %llu\n",
                 static_cast<unsigned long long>(workTotal.batches),
                 static_cast<unsigned long long>(denseBatchesTotal),
+                static_cast<unsigned long long>(workTotal.noProgressSteps),
                 static_cast<unsigned long long>(workTotal.smxTicks),
                 static_cast<unsigned long long>(workTotal.mshrInserts),
                 static_cast<unsigned long long>(workTotal.tbsBuilt),

@@ -149,6 +149,7 @@ Gpu::step()
         cycle_ = t + 1;
         return;
     }
+    ++work_.noProgressSteps;
 
     // Nothing happened: jump to the next event (warp wakeup, launch
     // readiness, or an overflow-fetch completion). The event core has

@@ -33,6 +33,11 @@ struct WorkCounters
 {
     /** Steps of the run loop: the cycles visited, equal in both modes. */
     std::uint64_t batches = 0;
+    /**
+     * Of those, the steps at which nothing was admitted, dispatched,
+     * issued or retired, equal in both modes.
+     */
+    std::uint64_t noProgressSteps = 0;
     /** Smx::tick calls, both tick modes. */
     std::uint64_t smxTicks = 0;
     /** In-flight fills recorded at eviction, over every cache. */

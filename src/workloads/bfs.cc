@@ -24,7 +24,8 @@ namespace {
 /** Immutable per-instance data shared by all BFS kernel programs. */
 struct BfsData
 {
-    Csr csr;
+    /** The input graph, shared by every workload holding it. */
+    std::shared_ptr<const Csr> csr;
     GraphLayout layout;
     BfsResult result;
     /** First worklist slot of each level's frontier. */
@@ -44,7 +45,7 @@ emitEdgeVisit(ThreadCtx &ctx, const BfsData &d, std::uint32_t u,
 {
     const GraphLayout &l = d.layout;
     ctx.ld(l.colAddr(edge), 4);
-    std::uint32_t v = d.csr.cols()[edge];
+    std::uint32_t v = d.csr->cols()[edge];
     // Duplicate-culling via the status mask [29]: a dense, heavily
     // shared structure — the main sibling-footprint overlap.
     ctx.ld(l.maskAddr(v), 1);
@@ -81,8 +82,8 @@ class BfsChildProgram : public KernelProgram
     {
         const BfsData &d = *data_;
         const GraphLayout &l = d.layout;
-        const std::uint64_t base = d.csr.offset(u_);
-        const std::uint32_t deg = d.csr.degree(u_);
+        const std::uint64_t base = d.csr->offset(u_);
+        const std::uint32_t deg = d.csr->degree(u_);
         const std::uint32_t stride = ctx.numTbs() * ctx.threadsPerTb();
         const std::uint32_t next_level = d.result.level[u_] + 1;
 
@@ -123,7 +124,7 @@ class BfsTopProgram : public KernelProgram
         if (i >= frontier.size())
             return;
         const std::uint32_t u = frontier[i];
-        const std::uint32_t deg = d.csr.degree(u);
+        const std::uint32_t deg = d.csr->degree(u);
 
         ctx.ld(l.worklistAddr(d.frontierStart[level_] + i), 4);
         ctx.ld(l.rowAddr(u), 8);
@@ -137,7 +138,7 @@ class BfsTopProgram : public KernelProgram
             ctx.launch({std::make_shared<BfsChildProgram>(data_, u),
                         childTbCount(deg), kChildTbThreads});
         } else {
-            const std::uint64_t base = d.csr.offset(u);
+            const std::uint64_t base = d.csr->offset(u);
             for (std::uint32_t j = 0; j < deg; ++j)
                 emitEdgeVisit(ctx, d, u, base + j, level_ + 1);
         }
@@ -169,13 +170,14 @@ BfsWorkload::setup(Scale scale, std::uint64_t seed)
     seed_ = seed;
 
     auto data = std::make_shared<BfsData>();
-    data->csr = buildGraphInput(input_, scale, seed);
-    data->layout.allocate(mem_, data->csr, false);
-    data->result = bfs(data->csr, pickSource(data->csr));
+    data->csr = sharedGraphInput(input_, scale, seed);
+    const Csr &csr = *data->csr;
+    data->layout.allocate(mem_, csr, false);
+    data->result = bfs(csr, pickSource(csr));
     data->childFuncId = allocateFunctionId();
     data->topFuncId = allocateFunctionId();
 
-    const std::uint32_t n = data->csr.numVertices();
+    const std::uint32_t n = csr.numVertices();
     data->discoverer.assign(n, kUnreached);
     data->posInFrontier.assign(n, 0);
     data->frontierStart.assign(data->result.frontiers.size() + 1, 0);
@@ -187,7 +189,7 @@ BfsWorkload::setup(Scale scale, std::uint64_t seed)
             data->posInFrontier[front[i]] =
                 static_cast<std::uint32_t>(i);
         for (std::uint32_t u : front) {
-            for (std::uint32_t v : data->csr.neighbors(u)) {
+            for (std::uint32_t v : csr.neighbors(u)) {
                 if (data->result.level[v] == lvl + 1 &&
                     data->discoverer[v] == kUnreached) {
                     data->discoverer[v] = u;

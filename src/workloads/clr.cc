@@ -23,7 +23,8 @@ namespace {
 
 struct ClrData
 {
-    Csr csr;
+    /** The input graph, shared by every workload holding it. */
+    std::shared_ptr<const Csr> csr;
     GraphLayout layout;
     ColoringResult result;
     std::vector<std::uint64_t> roundStart;
@@ -40,7 +41,7 @@ emitNeighborScan(ThreadCtx &ctx, const ClrData &d, std::uint64_t edge,
 {
     const GraphLayout &l = d.layout;
     ctx.ld(l.colAddr(edge), 4);
-    std::uint32_t v = d.csr.cols()[edge];
+    std::uint32_t v = d.csr->cols()[edge];
     // The colored-status mask is the dense shared structure every
     // scan probes first.
     ctx.ld(l.maskAddr(v), 1);
@@ -74,8 +75,8 @@ class ClrChildProgram : public KernelProgram
     {
         const ClrData &d = *data_;
         const GraphLayout &l = d.layout;
-        const std::uint64_t base = d.csr.offset(u_);
-        const std::uint32_t deg = d.csr.degree(u_);
+        const std::uint64_t base = d.csr->offset(u_);
+        const std::uint32_t deg = d.csr->degree(u_);
         const std::uint32_t stride = ctx.numTbs() * ctx.threadsPerTb();
 
         ctx.ld(l.paramAddr(u_), 16);
@@ -120,10 +121,10 @@ class ClrTopProgram : public KernelProgram
         if (i >= round.size())
             return;
         const std::uint32_t u = round[i];
-        const std::uint32_t deg = d.csr.degree(u);
+        const std::uint32_t deg = d.csr->degree(u);
 
         ctx.ld(l.worklistAddr((d.roundStart[round_] + i) %
-                              d.csr.numVertices()),
+                              d.csr->numVertices()),
                4);
         ctx.ld(l.rowAddr(u), 8);
         ctx.ld(l.prioAddr(u), 8);
@@ -135,7 +136,7 @@ class ClrTopProgram : public KernelProgram
                                                           round_),
                         childTbCount(deg), kChildTbThreads});
         } else {
-            const std::uint64_t base = d.csr.offset(u);
+            const std::uint64_t base = d.csr->offset(u);
             for (std::uint32_t j = 0; j < deg; ++j)
                 emitNeighborScan(ctx, d, base + j, round_);
             ctx.alu(4);
@@ -170,13 +171,14 @@ ClrWorkload::setup(Scale scale, std::uint64_t seed)
     seed_ = seed;
 
     auto data = std::make_shared<ClrData>();
-    data->csr = buildGraphInput(input_, scale, seed);
-    data->layout.allocate(mem_, data->csr, false);
-    data->result = jpColoring(data->csr, seed ^ 0xC010F);
+    data->csr = sharedGraphInput(input_, scale, seed);
+    const Csr &csr = *data->csr;
+    data->layout.allocate(mem_, csr, false);
+    data->result = jpColoring(csr, seed ^ 0xC010F);
     data->childFuncId = allocateFunctionId();
     data->topFuncId = allocateFunctionId();
 
-    data->roundOf.assign(data->csr.numVertices(), kUnreached);
+    data->roundOf.assign(csr.numVertices(), kUnreached);
     for (std::size_t r = 0; r < data->result.rounds.size(); ++r) {
         for (std::uint32_t v : data->result.rounds[r])
             data->roundOf[v] = static_cast<std::uint32_t>(r);
@@ -194,7 +196,7 @@ ClrWorkload::setup(Scale scale, std::uint64_t seed)
     for (std::size_t r = 0; r < data->result.rounds.size(); ++r) {
         data->roundStart[r + 1] =
             (data->roundStart[r] + data->result.rounds[r].size()) %
-            data->csr.numVertices();
+            csr.numVertices();
     }
 
     std::uint32_t rounds = static_cast<std::uint32_t>(

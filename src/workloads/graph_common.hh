@@ -3,13 +3,16 @@
  * Shared data layout and input construction for the graph workloads
  * (BFS, SSSP, CLR): the CSR arrays in simulated memory plus the
  * per-vertex child-parameter buffer the parent writes and children
- * read (the paper's Section III temporal-locality pattern).
+ * read (the paper's Section III temporal-locality pattern), and the
+ * host graphs those workloads share while they are alive.
  */
 
 #ifndef LAPERM_WORKLOADS_GRAPH_COMMON_HH
 #define LAPERM_WORKLOADS_GRAPH_COMMON_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/bump_alloc.hh"
@@ -75,6 +78,24 @@ struct GraphLayout
  */
 Csr buildGraphInput(const std::string &input, Scale scale,
                     std::uint64_t seed);
+
+/**
+ * buildGraphInput(@p input, @p scale, @p seed), shared by every caller
+ * that holds it at the same time. The first caller of a key builds the
+ * graph while later callers of that key wait; a graph someone still
+ * holds is handed out again; a graph is freed with its last holder,
+ * and its entry goes with it, so the registry keeps nothing alive. A
+ * build that fails raises in its caller and in every waiter and leaves
+ * no entry: a FatalError raises again through laperm_fatal, so each
+ * waiter throws or exits as its own FatalThrows scope decides.
+ * Thread-safe.
+ */
+std::shared_ptr<const Csr> sharedGraphInput(const std::string &input,
+                                            Scale scale,
+                                            std::uint64_t seed);
+
+/** Keys sharedGraphInput has an entry for: graphs held or in flight. */
+std::size_t sharedGraphEntries();
 
 /** A well-connected source vertex (highest degree). */
 std::uint32_t pickSource(const Csr &csr);

@@ -22,7 +22,8 @@ namespace {
 
 struct SsspData
 {
-    Csr csr;
+    /** The input graph, shared by every workload holding it. */
+    std::shared_ptr<const Csr> csr;
     std::vector<std::uint32_t> weights;
     GraphLayout layout;
     SsspResult result;
@@ -44,7 +45,7 @@ emitRelax(ThreadCtx &ctx, const SsspData &d, std::uint32_t round,
     const GraphLayout &l = d.layout;
     ctx.ld(l.colAddr(edge), 4);
     ctx.ld(l.weightAddr(edge), 4);
-    std::uint32_t v = d.csr.cols()[edge];
+    std::uint32_t v = d.csr->cols()[edge];
     ctx.ld(l.vdataAddr(v), 4); // dist[v]
     ctx.alu(3);
     if (round < d.relaxed.size() &&
@@ -55,7 +56,7 @@ emitRelax(ThreadCtx &ctx, const SsspData &d, std::uint32_t round,
         ctx.ld(l.maskAddr(v), 1);
         ctx.st(l.maskAddr(v), 1);
         std::uint64_t slot =
-            (d.roundStart[round + 1] + v) % d.csr.numVertices();
+            (d.roundStart[round + 1] + v) % d.csr->numVertices();
         ctx.st(l.worklistAddr(slot), 4);
     }
 }
@@ -80,8 +81,8 @@ class SsspChildProgram : public KernelProgram
     {
         const SsspData &d = *data_;
         const GraphLayout &l = d.layout;
-        const std::uint64_t base = d.csr.offset(u_);
-        const std::uint32_t deg = d.csr.degree(u_);
+        const std::uint64_t base = d.csr->offset(u_);
+        const std::uint32_t deg = d.csr->degree(u_);
         const std::uint32_t stride = ctx.numTbs() * ctx.threadsPerTb();
 
         ctx.ld(l.paramAddr(u_), 16); // parent-written (u, dist[u])
@@ -121,10 +122,10 @@ class SsspTopProgram : public KernelProgram
         if (i >= active.size())
             return;
         const std::uint32_t u = active[i];
-        const std::uint32_t deg = d.csr.degree(u);
+        const std::uint32_t deg = d.csr->degree(u);
 
         ctx.ld(l.worklistAddr((d.roundStart[round_] + i) %
-                              d.csr.numVertices()),
+                              d.csr->numVertices()),
                4);
         ctx.ld(l.rowAddr(u), 8);
         ctx.ld(l.vdataAddr(u), 4); // dist[u]
@@ -136,7 +137,7 @@ class SsspTopProgram : public KernelProgram
                                                            round_),
                         childTbCount(deg), kChildTbThreads});
         } else {
-            const std::uint64_t base = d.csr.offset(u);
+            const std::uint64_t base = d.csr->offset(u);
             for (std::uint32_t j = 0; j < deg; ++j)
                 emitRelax(ctx, d, round_, base + j);
         }
@@ -168,9 +169,10 @@ SsspWorkload::setup(Scale scale, std::uint64_t seed)
     seed_ = seed;
 
     auto data = std::make_shared<SsspData>();
-    data->csr = buildGraphInput(input_, scale, seed);
-    data->weights = genEdgeWeights(data->csr, 64, seed ^ 0x55);
-    data->layout.allocate(mem_, data->csr, true);
+    data->csr = sharedGraphInput(input_, scale, seed);
+    const Csr &csr = *data->csr;
+    data->weights = genEdgeWeights(csr, 64, seed ^ 0x55);
+    data->layout.allocate(mem_, csr, true);
     data->childFuncId = allocateFunctionId();
     data->topFuncId = allocateFunctionId();
 
@@ -181,21 +183,20 @@ SsspWorkload::setup(Scale scale, std::uint64_t seed)
       case Scale::Huge: max_rounds = 18; break;
       default: max_rounds = 14; break;
     }
-    data->result =
-        sssp(data->csr, data->weights, pickSource(data->csr), max_rounds);
+    data->result = sssp(csr, data->weights, pickSource(csr), max_rounds);
 
     // Re-run the relaxation schedule to record which edges update.
     {
-        std::vector<std::uint32_t> dist(data->csr.numVertices(),
+        std::vector<std::uint32_t> dist(csr.numVertices(),
                                         kUnreached);
-        dist[pickSource(data->csr)] = 0;
+        dist[pickSource(csr)] = 0;
         data->relaxed.assign(
             data->result.rounds.size(),
-            std::vector<std::uint64_t>((data->csr.numEdges() + 63) / 64));
+            std::vector<std::uint64_t>((csr.numEdges() + 63) / 64));
         for (std::size_t r = 0; r < data->result.rounds.size(); ++r) {
             for (std::uint32_t u : data->result.rounds[r]) {
-                std::uint64_t base = data->csr.offset(u);
-                auto nbrs = data->csr.neighbors(u);
+                std::uint64_t base = csr.offset(u);
+                auto nbrs = csr.neighbors(u);
                 for (std::size_t i = 0; i < nbrs.size(); ++i) {
                     std::uint32_t v = nbrs[i];
                     std::uint32_t w = data->weights[base + i];
@@ -215,7 +216,7 @@ SsspWorkload::setup(Scale scale, std::uint64_t seed)
     for (std::size_t r = 0; r < data->result.rounds.size(); ++r) {
         data->roundStart[r + 1] =
             (data->roundStart[r] + data->result.rounds[r].size()) %
-            data->csr.numVertices();
+            csr.numVertices();
     }
 
     waves_.clear();

@@ -10,17 +10,20 @@
  * (four inputs on two workers, so the builder waits for each next
  * forest's first cell and two cells ensure nodes of one forest at
  * once), logging from workers, pool exception propagation, the result
- * store written and read from pool threads, and private runs beside a
+ * store written and read from pool threads, private runs beside a
  * builder thread (harness/trace_builder.hh): one as runOneRecord runs
  * it, one whose builder may hold one byte, and one that throws
- * mid-run.
+ * mid-run, and three graph workloads set up at once on one shared
+ * graph input (workloads/graph_common.hh).
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -32,6 +35,7 @@
 #include "harness/trace_builder.hh"
 #include "kernels/lambda_program.hh"
 #include "sim/config_loader.hh"
+#include "workloads/graph_common.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -133,6 +137,62 @@ builderRuns()
     return true;
 }
 
+/**
+ * bfs-, clr- and sssp-citation set up on three threads at once: they
+ * share one graph and give the records each gives set up alone, on a
+ * graph of its own. False after printing a failure.
+ */
+bool
+sharedGraphSetups()
+{
+    const std::vector<std::string> names = {"bfs-citation", "clr-citation",
+                                            "sssp-citation"};
+    GpuConfig cfg = paperConfig();
+    cfg.seed = 3;
+    std::vector<std::string> alone;
+    for (const std::string &name : names) {
+        auto w = createWorkload(name);
+        w->setup(Scale::Tiny, 3);
+        alone.push_back(runOneRecord(*w, cfg, std::string()).encode());
+    }
+    const std::size_t before = sharedGraphEntries();
+    std::vector<std::unique_ptr<Workload>> inputs(names.size());
+    {
+        std::latch start(static_cast<std::ptrdiff_t>(names.size()));
+        std::vector<std::thread> setups;
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            setups.emplace_back([&, i] {
+                auto w = createWorkload(names[i]);
+                start.arrive_and_wait();
+                w->setup(Scale::Tiny, 3);
+                inputs[i] = std::move(w);
+            });
+        }
+        for (std::thread &t : setups)
+            t.join();
+    }
+    if (sharedGraphEntries() != before + 1) {
+        std::fprintf(stderr, "FAIL: three citation setups hold %zu "
+                             "graphs\n",
+                     sharedGraphEntries() - before);
+        return false;
+    }
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (runOneRecord(*inputs[i], cfg, std::string()).encode() !=
+            alone[i]) {
+            std::fprintf(stderr, "FAIL: %s on a shared graph diverged\n",
+                         names[i].c_str());
+            return false;
+        }
+    }
+    inputs.clear();
+    if (sharedGraphEntries() != before) {
+        std::fprintf(stderr, "FAIL: a graph outlived its holders\n");
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -193,7 +253,7 @@ main()
         }
     }
 
-    if (!builderRuns())
+    if (!builderRuns() || !sharedGraphSetups())
         return 1;
 
     // One cached sweep twice on a fresh store: the first stores every

@@ -180,8 +180,8 @@ TEST(TickModeDifferential, SweepTsvMatchesAcrossModesAndJobCounts)
 /**
  * Equal visits, per preset: for every tiny workload under every policy
  * and launch model, both tick modes end at the same cycle after the
- * same number of steps, and the event core ticks no more SMXs than the
- * dense loop.
+ * same number of steps, as many of them without progress, and the
+ * event core ticks no more SMXs than the dense loop.
  */
 class EqualVisits : public ::testing::TestWithParam<const char *>
 {};
@@ -212,6 +212,7 @@ TEST_P(EqualVisits, BothTickModesStepThroughTheSameCycles)
                              toString(policy));
                 EXPECT_EQ(cycles[0], cycles[1]);
                 EXPECT_EQ(work[0].batches, work[1].batches);
+                EXPECT_EQ(work[0].noProgressSteps, work[1].noProgressSteps);
                 EXPECT_LE(work[1].smxTicks, work[0].smxTicks);
             }
         }
