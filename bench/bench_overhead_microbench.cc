@@ -92,9 +92,16 @@ BM_WarpTraceBuild(benchmark::State &state)
                 c.alu(4);
             }
         });
+    // One block and one warp of thread contexts, reused from build to
+    // build as a trace forest's builder reuses them.
+    ThreadBlock tb;
+    std::vector<ThreadCtx> threads;
     for (auto _ : state) {
-        auto tb = buildThreadBlock(*prog, 0, 128, 1);
-        benchmark::DoNotOptimize(tb);
+        const std::size_t ops =
+            buildThreadBlockInto(tb, *prog, 0, 128, 1, threads);
+        benchmark::DoNotOptimize(ops);
+        benchmark::DoNotOptimize(tb.traces.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_WarpTraceBuild);

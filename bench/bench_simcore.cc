@@ -25,8 +25,8 @@
  * the forest's builds are counted once, the cells' replays separately,
  * and every replayed cell must match the inline run and build nothing.
  *
- * Environment:
- *   LAPERM_BENCH_SCALE     tiny | small | full (default small)
+ * Usage: bench_simcore [tiny|small|full] (default: $LAPERM_SCALE, else
+ * small), the scale argument every bench takes.
  *
  * Exits nonzero if any cell's cycles, steps or no-progress steps
  * diverge between modes, or its run beside a builder or its forest
@@ -35,7 +35,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -154,15 +153,12 @@ replayForest(TraceForest &forest, TbPolicy policy, std::uint64_t seed,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     setVerbose(false);
 
-    const Scale scale = [] {
-        if (const char *env = std::getenv("LAPERM_BENCH_SCALE"))
-            return scaleFromString(env);
-        return Scale::Small;
-    }();
+    const Scale scale = argc > 1 ? scaleFromString(argv[1])
+                                 : scaleFromEnv(Scale::Small);
     const std::uint64_t seed = 1;
 
     bool identical = true;

@@ -44,7 +44,6 @@ Launcher::hostLaunch(const LaunchRequest &req, Cycle now)
 
     DispatchUnit *unit = kdu_.createUnit();
     unit->kernel = kernel;
-    unit->program = req.program;
     unit->traces = req.traces;
     unit->firstTb = 0;
     unit->count = req.numTbs;
@@ -91,7 +90,6 @@ Launcher::makeUnit(KernelInstance *kernel, std::uint32_t first_tb,
 {
     DispatchUnit *unit = kdu_.createUnit();
     unit->kernel = kernel;
-    unit->program = launch.req.program;
     unit->traces = launch.req.traces;
     unit->firstTb = first_tb;
     unit->count = launch.req.numTbs;

@@ -100,15 +100,4 @@ viewThreadBlockInto(ThreadBlock &tb, const LaunchTraces &traces,
         tb.warps[w].ops = traces.warp(tb_index, w);
 }
 
-std::unique_ptr<ThreadBlock>
-buildThreadBlock(const KernelProgram &program, std::uint32_t tb_index,
-                 std::uint32_t threads_per_tb, std::uint32_t num_tbs)
-{
-    auto tb = std::make_unique<ThreadBlock>();
-    std::vector<ThreadCtx> threads;
-    buildThreadBlockInto(*tb, program, tb_index, threads_per_tb, num_tbs,
-                         threads);
-    return tb;
-}
-
 } // namespace laperm

@@ -8,7 +8,6 @@
 #define LAPERM_GPU_THREAD_BLOCK_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -61,22 +60,13 @@ class ThreadBlock
 };
 
 /**
- * Instantiate a TB: emit per-thread traces from @p program and build the
- * warp instruction streams.
- *
- * @param tb_index blockIdx within the launch.
- * @param num_tbs gridDim of the launch.
- */
-std::unique_ptr<ThreadBlock> buildThreadBlock(
-    const KernelProgram &program, std::uint32_t tb_index,
-    std::uint32_t threads_per_tb, std::uint32_t num_tbs);
-
-/**
- * As buildThreadBlock, but (re)builds into @p tb — typically a recycled
- * block from an SMX arena — reusing its traces' arrays and the
- * caller-provided @p thread_scratch contexts (one warp's worth: each
- * warp's threads are emitted and zipped before the next warp's).
- * Every ThreadBlock and Warp field is reinitialized, so a recycled
+ * Build TB @p tb_index of a launch of @p num_tbs TBs into @p tb: run
+ * @p program for each thread and zip each warp's threads into its
+ * WarpTrace in tb.traces, which the warp then views. @p tb is typically
+ * reused from build to build (a trace forest's builder, a benchmark),
+ * and so is @p thread_scratch, one warp's worth of thread contexts: each
+ * warp's threads are emitted and zipped before the next warp's.
+ * Every ThreadBlock and Warp field is reinitialized, so a reused
  * block is indistinguishable from a freshly allocated one.
  *
  * @return the thread ops the program emitted.

@@ -26,13 +26,14 @@ enum class WarpLoc : std::uint8_t
 };
 
 /**
- * A warp: a view of its instruction stream plus scheduling state. The
- * ops live either in a LaunchTraces shared by every run of a sweep
- * input or in the WarpTrace its ThreadBlock keeps for this warp when
- * the TB is built at dispatch; either outlives the warp's residency,
- * so moving a warp keeps its view valid. Move-only all the same: the
- * warp scheduler files warps by address, and a copy would be a second
- * warp with the same stream and state.
+ * A warp: a view of its instruction stream plus scheduling state. A
+ * dispatched TB's warps view their launch's node in a trace forest
+ * (gpu/trace_forest.hh), which outlives their residency. Only the
+ * callers of buildThreadBlockInto (the forest build, perfbench and
+ * tests) point warps at the WarpTraces their own ThreadBlock keeps.
+ * Either way moving a warp keeps its view valid. Move-only all the
+ * same: the warp scheduler files warps by address, and a copy would be
+ * a second warp with the same stream and state.
  */
 class Warp
 {

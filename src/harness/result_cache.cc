@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -94,81 +95,51 @@ ResultRecord::encode() const
 bool
 ResultRecord::decode(const std::string &line, ResultRecord &out)
 {
-    std::istringstream ls(line);
-    std::string tok;
-    if (!(ls >> tok) || tok != "v1")
-        return false;
-
+    // Read the fields in encode() order, then keep the record only if
+    // encode() writes the same bytes back: a reordered field, a leading
+    // zero or a trailing space is not a record this build wrote.
     ResultRecord r;
-    // Bitmask of the 15 required fields, in encode() order.
-    unsigned seen = 0;
-    auto mark = [&seen](unsigned bit) { seen |= 1u << bit; };
-
-    while (ls >> tok) {
-        const std::size_t eq = tok.find('=');
-        if (eq == std::string::npos)
-            return false;
-        const std::string k = tok.substr(0, eq);
-        const std::string v = tok.substr(eq + 1);
+    std::uint64_t model = 0;
+    std::uint64_t policy = 0;
+    const char *s = line.c_str();
+    const auto tag = [&s](const char *text) {
+        const std::size_t n = std::strlen(text);
+        const bool ok = std::strncmp(s, text, n) == 0;
+        s += ok ? n : 0;
+        return ok;
+    };
+    const auto word = [&s](std::string &v) {
+        v.assign(s, std::strcspn(s, " "));
+        s += v.size();
+        return true;
+    };
+    const auto u64 = [&s](std::uint64_t &v) {
         char *end = nullptr;
-        if (k == "workload") {
-            r.workload = v;
-            mark(0);
-            continue;
-        }
-        if (k == "config") {
-            r.config = v;
-            mark(14);
-            continue;
-        }
-        if (k == "model") {
-            r.model = static_cast<DynParModel>(
-                std::strtol(v.c_str(), &end, 10));
-            mark(1);
-        } else if (k == "policy") {
-            r.policy =
-                static_cast<TbPolicy>(std::strtol(v.c_str(), &end, 10));
-            mark(2);
-        } else if (k == "cycles") {
-            r.cycles = std::strtoull(v.c_str(), &end, 10);
-            mark(3);
-        } else if (k == "launches") {
-            r.launches = std::strtoull(v.c_str(), &end, 10);
-            mark(4);
-        } else if (k == "dynamicTbs") {
-            r.dynamicTbs = std::strtoull(v.c_str(), &end, 10);
-            mark(5);
-        } else if (k == "bound") {
-            r.bound = std::strtoull(v.c_str(), &end, 10);
-            mark(6);
-        } else if (k == "overflows") {
-            r.overflows = std::strtoull(v.c_str(), &end, 10);
-            mark(7);
-        } else if (k == "kduStalls") {
-            r.kduStalls = std::strtoull(v.c_str(), &end, 10);
-            mark(8);
-        } else if (k == "ipc") {
-            r.ipc = std::strtod(v.c_str(), &end);
-            mark(9);
-        } else if (k == "l1") {
-            r.l1 = std::strtod(v.c_str(), &end);
-            mark(10);
-        } else if (k == "l2") {
-            r.l2 = std::strtod(v.c_str(), &end);
-            mark(11);
-        } else if (k == "util") {
-            r.util = std::strtod(v.c_str(), &end);
-            mark(12);
-        } else if (k == "imbalance") {
-            r.imbalance = std::strtod(v.c_str(), &end);
-            mark(13);
-        } else {
-            return false; // unknown field: format drift, reject
-        }
-        if (end == v.c_str() || *end != '\0')
-            return false;
+        v = std::strtoull(s, &end, 10);
+        s = end;
+        return true;
+    };
+    const auto dbl = [&s](double &v) {
+        char *end = nullptr;
+        v = std::strtod(s, &end);
+        s = end;
+        return true;
+    };
+    if (!(tag("v1 workload=") && word(r.workload) && tag(" config=") &&
+          word(r.config) && tag(" model=") && u64(model) &&
+          tag(" policy=") && u64(policy) && tag(" cycles=") &&
+          u64(r.cycles) && tag(" launches=") && u64(r.launches) &&
+          tag(" dynamicTbs=") && u64(r.dynamicTbs) && tag(" bound=") &&
+          u64(r.bound) && tag(" overflows=") && u64(r.overflows) &&
+          tag(" kduStalls=") && u64(r.kduStalls) && tag(" ipc=") &&
+          dbl(r.ipc) && tag(" l1=") && dbl(r.l1) && tag(" l2=") &&
+          dbl(r.l2) && tag(" util=") && dbl(r.util) &&
+          tag(" imbalance=") && dbl(r.imbalance))) {
+        return false;
     }
-    if (seen != (1u << 15) - 1)
+    r.model = static_cast<DynParModel>(model);
+    r.policy = static_cast<TbPolicy>(policy);
+    if (r.encode() != line)
         return false;
     out = std::move(r);
     return true;

@@ -94,7 +94,11 @@ struct ResultRecord
     /** Single-line "v1 k=v ..." encoding; doubles round-trip exactly. */
     std::string encode() const;
 
-    /** Parse encode() output; false on malformed/missing fields. */
+    /**
+     * Parse a line encode() wrote. False on any line that encode()
+     * would not write back byte for byte: a missing, extra or
+     * reordered field, or a value spelled another way.
+     */
     static bool decode(const std::string &line, ResultRecord &out);
 
     /** The laperm_sim --csv row (no trailing newline). */

@@ -1,10 +1,8 @@
 #include "harness/run_spec.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/log.hh"
 #include "common/parse_uint.hh"
+#include "common/text.hh"
 #include "harness/result_cache.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
@@ -200,14 +198,10 @@ applyRunFlag(RunSpec &spec, const RunField &field, const std::string &value,
     std::string raw = value;
     std::string where = runFlagName(field);
     if (where == "--config") {
-        std::ifstream in(value, std::ios::binary);
-        if (!in) {
+        if (!readFile(value, raw)) {
             err = "--config: cannot read '" + value + "'";
             return false;
         }
-        std::ostringstream text;
-        text << in.rdbuf();
-        raw = text.str();
         where += " " + value;
     }
     if (apply(spec, field, raw, err))

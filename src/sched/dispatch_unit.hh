@@ -11,7 +11,6 @@
 #define LAPERM_SCHED_DISPATCH_UNIT_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "common/types.hh"
 #include "kernels/kernel_program.hh"
@@ -24,9 +23,7 @@ struct KernelInstance;
 struct DispatchUnit
 {
     KernelInstance *kernel = nullptr;
-    /** The launch's own program instance (kernel arguments). */
-    std::shared_ptr<const KernelProgram> program;
-    /** Its node in a trace forest: what every TB replays. */
+    /** The launch's node in a trace forest: what every TB replays. */
     LaunchTraces *traces = nullptr;
 
     /** First TB of this unit within the kernel's global TB pool. */

@@ -38,58 +38,49 @@ bumpPeak(std::atomic<std::uint64_t> &peak, std::uint64_t v)
 
 } // namespace
 
+const std::vector<ServiceMetrics::Field> &
+ServiceMetrics::fields()
+{
+    static const std::vector<Field> kFields = {
+        {"requests", &ServiceMetrics::requests},
+        {"executed", &ServiceMetrics::executed},
+        {"cache_hits", &ServiceMetrics::cacheHits},
+        {"cache_misses", &ServiceMetrics::cacheMisses},
+        {"cache_mem_hits", &ServiceMetrics::cacheMemHits},
+        {"cache_shared_hits", &ServiceMetrics::cacheSharedHits},
+        {"deduped", &ServiceMetrics::deduped},
+        {"shed", &ServiceMetrics::shed},
+        {"timeouts", &ServiceMetrics::timeouts},
+        {"errors", &ServiceMetrics::errors},
+        {"queue_depth", &ServiceMetrics::queueDepth},
+        {"queue_depth_peak", &ServiceMetrics::queueDepthPeak},
+        {"queue_us", &ServiceMetrics::queueUs},
+        {"exec_us", &ServiceMetrics::execUs},
+        {"total_us", &ServiceMetrics::totalUs},
+    };
+    return kFields;
+}
+
 std::string
 ServiceMetrics::jsonFields() const
 {
-    return logFormat(
-        "\"requests\":%llu,\"executed\":%llu,\"cache_hits\":%llu,"
-        "\"cache_misses\":%llu,\"cache_mem_hits\":%llu,"
-        "\"cache_shared_hits\":%llu,\"deduped\":%llu,\"shed\":%llu,"
-        "\"timeouts\":%llu,\"errors\":%llu,\"queue_depth\":%llu,"
-        "\"queue_depth_peak\":%llu,\"queue_us\":%llu,\"exec_us\":%llu,"
-        "\"total_us\":%llu",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(executed),
-        static_cast<unsigned long long>(cacheHits),
-        static_cast<unsigned long long>(cacheMisses),
-        static_cast<unsigned long long>(cacheMemHits),
-        static_cast<unsigned long long>(cacheSharedHits),
-        static_cast<unsigned long long>(deduped),
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(timeouts),
-        static_cast<unsigned long long>(errors),
-        static_cast<unsigned long long>(queueDepth),
-        static_cast<unsigned long long>(queueDepthPeak),
-        static_cast<unsigned long long>(queueUs),
-        static_cast<unsigned long long>(execUs),
-        static_cast<unsigned long long>(totalUs));
+    std::string out;
+    for (const Field &f : fields()) {
+        out += logFormat("%s\"%s\":%llu", out.empty() ? "" : ",", f.name,
+                         static_cast<unsigned long long>(this->*f.value));
+    }
+    return out;
 }
 
 std::string
 ServiceMetrics::toTsv() const
 {
-    return logFormat(
-        "requests\t%llu\nexecuted\t%llu\ncache_hits\t%llu\n"
-        "cache_misses\t%llu\ncache_mem_hits\t%llu\n"
-        "cache_shared_hits\t%llu\ndeduped\t%llu\nshed\t%llu\n"
-        "timeouts\t%llu\nerrors\t%llu\nqueue_depth\t%llu\n"
-        "queue_depth_peak\t%llu\nqueue_us\t%llu\nexec_us\t%llu\n"
-        "total_us\t%llu\n",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(executed),
-        static_cast<unsigned long long>(cacheHits),
-        static_cast<unsigned long long>(cacheMisses),
-        static_cast<unsigned long long>(cacheMemHits),
-        static_cast<unsigned long long>(cacheSharedHits),
-        static_cast<unsigned long long>(deduped),
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(timeouts),
-        static_cast<unsigned long long>(errors),
-        static_cast<unsigned long long>(queueDepth),
-        static_cast<unsigned long long>(queueDepthPeak),
-        static_cast<unsigned long long>(queueUs),
-        static_cast<unsigned long long>(execUs),
-        static_cast<unsigned long long>(totalUs));
+    std::string out;
+    for (const Field &f : fields()) {
+        out += logFormat("%s\t%llu\n", f.name,
+                         static_cast<unsigned long long>(this->*f.value));
+    }
+    return out;
 }
 
 SimService::SimService(ServiceOptions opts)

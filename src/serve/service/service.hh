@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "harness/result_cache.hh"
 #include "harness/thread_pool.hh"
@@ -86,6 +87,19 @@ struct ServiceMetrics
     std::uint64_t queueUs = 0;    ///< total enqueue->start wait
     std::uint64_t execUs = 0;     ///< total simulation wall time
     std::uint64_t totalUs = 0;    ///< total request latency (all paths)
+
+    /** One counter: its wire name and its member. */
+    struct Field
+    {
+        const char *name;
+        std::uint64_t ServiceMetrics::*value;
+    };
+
+    /**
+     * Every counter in wire order. The `stats` JSON, the daemon's exit
+     * TSV and `laperm_submit --stats` all walk this one table.
+     */
+    static const std::vector<Field> &fields();
 
     /** `"requests":N,...` fragment, fixed field order. */
     std::string jsonFields() const;

@@ -1,15 +1,14 @@
 #include "sim/config_loader.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <set>
-#include <sstream>
 
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "common/parse_uint.hh"
+#include "common/text.hh"
 
 namespace laperm {
 namespace {
@@ -247,42 +246,6 @@ findField(const std::string &key)
     return nullptr;
 }
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Strip one layer of double quotes; false on an unterminated quote. */
-bool
-unquote(std::string &v)
-{
-    if (v.size() >= 1 && v[0] == '"') {
-        if (v.size() < 2 || v[v.size() - 1] != '"')
-            return false;
-        v = v.substr(1, v.size() - 2);
-    }
-    return true;
-}
-
-bool
-validKey(const std::string &k)
-{
-    if (k.empty())
-        return false;
-    for (const char c : k) {
-        if (!(c == '_' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')))
-            return false;
-    }
-    return !(k[0] >= '0' && k[0] <= '9');
-}
-
 } // namespace
 
 std::vector<MachineFieldInfo>
@@ -318,55 +281,22 @@ parseMachineToml(const std::string &text, GpuConfig &cfg, std::string &err)
 {
     GpuConfig scratch = cfg;
     std::set<std::string> seen;
-    std::istringstream in(text);
-    std::string raw_line;
-    int lineno = 0;
-    while (std::getline(in, raw_line)) {
-        ++lineno;
-        // Comments run to end of line; values never contain '#'.
-        const std::size_t hash = raw_line.find('#');
-        if (hash != std::string::npos)
-            raw_line = raw_line.substr(0, hash);
-        const std::string line = trim(raw_line);
-        if (line.empty())
-            continue;
-        if (line[0] == '[') {
-            if (line != "[machine]") {
-                err = logFormat("line %d: unknown section %s (only "
-                                "[machine] is recognized)",
-                                lineno, line.c_str());
-                return false;
-            }
-            continue;
-        }
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = logFormat("line %d: expected 'key = value'", lineno);
+    const auto entry = [&](const TomlLine &line, std::string &why) {
+        if (line.header) {
+            if (line.key == "machine")
+                return true;
+            why = "unknown section [" + line.key +
+                  "] (only [machine] is recognized)";
             return false;
         }
-        const std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
-        if (!validKey(key)) {
-            err = logFormat("line %d: malformed key '%s'", lineno,
-                            key.c_str());
+        if (!seen.insert(line.key).second) {
+            why = "duplicate key '" + line.key + "'";
             return false;
         }
-        if (!seen.insert(key).second) {
-            err = logFormat("line %d: duplicate key '%s'", lineno,
-                            key.c_str());
-            return false;
-        }
-        if (!unquote(value)) {
-            err = logFormat("line %d: unterminated string for '%s'",
-                            lineno, key.c_str());
-            return false;
-        }
-        std::string field_err;
-        if (!setMachineField(scratch, key, value, field_err)) {
-            err = logFormat("line %d: %s", lineno, field_err.c_str());
-            return false;
-        }
-    }
+        return setMachineField(scratch, line.key, line.value, why);
+    };
+    if (!forEachTomlLine(text, entry, err))
+        return false;
     cfg = scratch;
     return true;
 }

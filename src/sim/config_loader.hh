@@ -28,16 +28,10 @@
  *  - setMachineField(): single-key override used by the serve layer to
  *    map flat-JSON request fields onto the same checked parsers.
  *
- * Grammar of the TOML subset (a superset of the layering.toml reader's
- * needs, same parsing discipline):
- *
- *   file     := line*
- *   line     := ws (comment | section | entry)? ws
- *   section  := "[machine]"            ; the only legal section
- *   entry    := key ws "=" ws value ws comment?
- *   key      := [a-z_][a-z0-9_]*
- *   value    := integer | float | bool | '"' string '"'
- *   comment  := "#" .*                 ; values must not contain '#'
+ * The file grammar is the TOML subset of common/text.hh. A machine
+ * file adds its own rules: "[machine]" is the only section (and may be
+ * left out), each key is a registry field named at most once, and
+ * each value is spelled as the field's checked parser accepts.
  */
 
 #ifndef LAPERM_SIM_CONFIG_LOADER_HH

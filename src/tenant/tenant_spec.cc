@@ -2,11 +2,9 @@
 
 #include <cctype>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 
-#include "common/log.hh"
 #include "common/parse_uint.hh"
+#include "common/text.hh"
 #include "workloads/registry.hh"
 
 namespace laperm {
@@ -14,26 +12,7 @@ namespace tenant {
 
 namespace {
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Strip an optional matched pair of double quotes. */
-std::string
-unquote(const std::string &s)
-{
-    if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-        return s.substr(1, s.size() - 2);
-    return s;
-}
-
+/** A tenant name: `[tenant.<name>]`. */
 bool
 validName(const std::string &s)
 {
@@ -49,10 +28,113 @@ validName(const std::string &s)
     return true;
 }
 
-std::string
-lineErr(int line, const std::string &msg)
+/** Enter the section named by a header line. */
+bool
+enterSection(const std::string &sec, MixSpec &mix, bool &inMix,
+             std::string &why)
 {
-    return "line " + std::to_string(line) + ": " + msg;
+    inMix = sec == "mix";
+    if (inMix)
+        return true;
+    if (sec.rfind("tenant.", 0) != 0) {
+        why = "unknown section " + sec +
+              " (only [mix] and [tenant.<name>] are recognized)";
+        return false;
+    }
+    const std::string name = sec.substr(7);
+    if (!validName(name)) {
+        why = "bad tenant name '" + name + "'";
+        return false;
+    }
+    for (const TenantSpec &t : mix.tenants) {
+        if (t.name == name) {
+            why = "duplicate tenant '" + name + "'";
+            return false;
+        }
+    }
+    mix.tenants.emplace_back();
+    mix.tenants.back().name = name;
+    return true;
+}
+
+bool
+setMixKey(MixSpec &mix, const std::string &key, const std::string &value,
+          std::string &why)
+{
+    std::uint64_t v = 0;
+    if (key == "name") {
+        mix.name = value;
+    } else if (key == "quantum") {
+        if (!parseUInt(value, UINT64_MAX, v) || v == 0) {
+            why = "quantum must be a positive cycle count";
+            return false;
+        }
+        mix.quantum = v;
+    } else if (key == "admission_threshold_pct") {
+        if (!parseUInt(value, 100, v) || v == 0) {
+            why = "admission_threshold_pct must be in 1..100";
+            return false;
+        }
+        mix.admissionThresholdPct = static_cast<std::uint32_t>(v);
+    } else if (key == "ewma_shift") {
+        if (!parseUInt(value, 16, v)) {
+            why = "ewma_shift must be in 0..16";
+            return false;
+        }
+        mix.ewmaShift = static_cast<std::uint32_t>(v);
+    } else {
+        why = "unknown [mix] key '" + key + "'";
+        return false;
+    }
+    return true;
+}
+
+bool
+setTenantKey(TenantSpec &t, const std::string &key, const std::string &value,
+             std::string &why)
+{
+    std::uint64_t v = 0;
+    if (key == "workload") {
+        if (!isKnownWorkload(value)) {
+            why = "unknown workload '" + value +
+                  "' (known: " + workloadNameList() + ")";
+            return false;
+        }
+        t.workload = value;
+    } else if (key == "scale") {
+        if (!parseScale(value, t.scale)) {
+            why = std::string("scale must be ") + scaleNameList();
+            return false;
+        }
+    } else if (key == "priority") {
+        if (!parseUInt(value, 255, v)) {
+            why = "priority must be in 0..255";
+            return false;
+        }
+        t.priority = static_cast<std::uint32_t>(v);
+    } else if (key == "arrival") {
+        if (!parseUInt(value, UINT64_MAX, v)) {
+            why = "arrival must be a cycle count";
+            return false;
+        }
+        t.firstArrival = v;
+    } else if (key == "period") {
+        if (!parseUInt(value, UINT64_MAX, v)) {
+            why = "period must be a cycle count";
+            return false;
+        }
+        t.period = v;
+    } else if (key == "jobs") {
+        if (!parseUInt(value, UINT32_MAX, v) || v == 0) {
+            why = "jobs must be a positive 32-bit count";
+            return false;
+        }
+        t.jobs = static_cast<std::uint32_t>(v);
+    } else {
+        why = "unknown [tenant] key '" + key + "'";
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -61,164 +143,26 @@ bool
 parseMixToml(const std::string &text, MixSpec &out, std::string &err)
 {
     // Scratch-then-commit (config_loader discipline): @p out is only
-    // written once the whole spec parsed and validated.
+    // written once the whole spec parsed and validated. A key given
+    // twice keeps its last value.
     MixSpec mix;
-    enum class Section
-    {
-        None,
-        Mix,
-        Tenant,
+    bool sawHeader = false;
+    bool inMix = false;
+    const auto entry = [&](const TomlLine &line, std::string &why) {
+        if (line.header) {
+            sawHeader = true;
+            return enterSection(line.key, mix, inMix, why);
+        }
+        if (!sawHeader) {
+            why = "key outside any section";
+            return false;
+        }
+        return inMix ? setMixKey(mix, line.key, line.value, why)
+                     : setTenantKey(mix.tenants.back(), line.key,
+                                    line.value, why);
     };
-    Section section = Section::None;
-    TenantSpec *cur = nullptr;
-    bool sawPeriod = false;
-
-    std::istringstream in(text);
-    std::string raw;
-    int lineNo = 0;
-    while (std::getline(in, raw)) {
-        ++lineNo;
-        std::string line = raw;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-
-        if (line.front() == '[') {
-            if (line.back() != ']') {
-                err = lineErr(lineNo, "unterminated section header");
-                return false;
-            }
-            std::string sec = trim(line.substr(1, line.size() - 2));
-            if (sec == "mix") {
-                section = Section::Mix;
-                cur = nullptr;
-                continue;
-            }
-            if (sec.rfind("tenant.", 0) == 0) {
-                std::string name = sec.substr(7);
-                if (!validName(name)) {
-                    err = lineErr(lineNo,
-                                  "bad tenant name '" + name + "'");
-                    return false;
-                }
-                for (const TenantSpec &t : mix.tenants) {
-                    if (t.name == name) {
-                        err = lineErr(lineNo, "duplicate tenant '" +
-                                                  name + "'");
-                        return false;
-                    }
-                }
-                mix.tenants.emplace_back();
-                cur = &mix.tenants.back();
-                cur->name = name;
-                section = Section::Tenant;
-                sawPeriod = false;
-                continue;
-            }
-            err = lineErr(lineNo, "unknown section " + sec +
-                                      " (only [mix] and [tenant.<name>] "
-                                      "are recognized)");
-            return false;
-        }
-
-        auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = lineErr(lineNo, "expected key = value");
-            return false;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = unquote(trim(line.substr(eq + 1)));
-        if (!validName(key)) {
-            err = lineErr(lineNo, "bad key '" + key + "'");
-            return false;
-        }
-
-        if (section == Section::Mix) {
-            std::uint64_t v = 0;
-            if (key == "name") {
-                mix.name = value;
-            } else if (key == "quantum") {
-                if (!parseUInt(value, UINT64_MAX, v) || v == 0) {
-                    err = lineErr(lineNo, "quantum must be a positive "
-                                          "cycle count");
-                    return false;
-                }
-                mix.quantum = v;
-            } else if (key == "admission_threshold_pct") {
-                if (!parseUInt(value, 100, v) || v == 0) {
-                    err = lineErr(lineNo, "admission_threshold_pct must "
-                                          "be in 1..100");
-                    return false;
-                }
-                mix.admissionThresholdPct =
-                    static_cast<std::uint32_t>(v);
-            } else if (key == "ewma_shift") {
-                if (!parseUInt(value, 16, v)) {
-                    err = lineErr(lineNo, "ewma_shift must be in 0..16");
-                    return false;
-                }
-                mix.ewmaShift = static_cast<std::uint32_t>(v);
-            } else {
-                err = lineErr(lineNo, "unknown [mix] key '" + key + "'");
-                return false;
-            }
-        } else if (section == Section::Tenant) {
-            std::uint64_t v = 0;
-            if (key == "workload") {
-                if (!isKnownWorkload(value)) {
-                    err = lineErr(lineNo, "unknown workload '" + value +
-                                              "' (known: " +
-                                              workloadNameList() + ")");
-                    return false;
-                }
-                cur->workload = value;
-            } else if (key == "scale") {
-                if (!parseScale(value, cur->scale)) {
-                    err = lineErr(lineNo, std::string("scale must be ") +
-                                              scaleNameList());
-                    return false;
-                }
-            } else if (key == "priority") {
-                if (!parseUInt(value, 255, v)) {
-                    err = lineErr(lineNo, "priority must be in 0..255");
-                    return false;
-                }
-                cur->priority = static_cast<std::uint32_t>(v);
-            } else if (key == "arrival") {
-                if (!parseUInt(value, UINT64_MAX, v)) {
-                    err = lineErr(lineNo, "arrival must be a cycle "
-                                          "count");
-                    return false;
-                }
-                cur->firstArrival = v;
-            } else if (key == "period") {
-                if (!parseUInt(value, UINT64_MAX, v)) {
-                    err = lineErr(lineNo, "period must be a cycle "
-                                          "count");
-                    return false;
-                }
-                cur->period = v;
-                sawPeriod = true;
-            } else if (key == "jobs") {
-                if (!parseUInt(value, UINT32_MAX, v) || v == 0) {
-                    err = lineErr(lineNo, "jobs must be a positive "
-                                          "32-bit count");
-                    return false;
-                }
-                cur->jobs = static_cast<std::uint32_t>(v);
-            } else {
-                err = lineErr(lineNo,
-                              "unknown [tenant] key '" + key + "'");
-                return false;
-            }
-        } else {
-            err = lineErr(lineNo, "key outside any section");
-            return false;
-        }
-    }
+    if (!forEachTomlLine(text, entry, err))
+        return false;
 
     if (mix.tenants.empty()) {
         err = "mix has no [tenant.<name>] sections";
@@ -235,7 +179,6 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
             return false;
         }
     }
-    (void)sawPeriod;
     out = std::move(mix);
     return true;
 }
@@ -243,14 +186,12 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
 bool
 loadMixToml(const std::string &path, MixSpec &out, std::string &err)
 {
-    std::ifstream in(path);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         err = "cannot open mix spec '" + path + "'";
         return false;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!parseMixToml(buf.str(), out, err)) {
+    if (!parseMixToml(text, out, err)) {
         err = path + ": " + err;
         return false;
     }

@@ -3,9 +3,8 @@
  * Declarative multi-tenant mix specs: N workload streams with open-loop
  * deterministic arrival schedules (simulated cycles, never wall clock),
  * priority classes, and the shared admission/preemption knobs. Parsed
- * from the same TOML subset as machine configs (sim/config_loader
- * grammar: [section], key = value, # comments) and constructible from
- * the builtin mix registry (mixes.hh).
+ * from the TOML subset of common/text.hh, the one machine configs use,
+ * and constructible from the builtin mix registry (mixes.hh).
  */
 
 #ifndef LAPERM_TENANT_TENANT_SPEC_HH
@@ -60,11 +59,12 @@ struct MixSpec
 };
 
 /**
- * Parse a mix spec file. Grammar (config_loader TOML subset): one
+ * Parse a mix spec file. Grammar (common/text.hh TOML subset): one
  * [mix] section for the shared knobs, one [tenant.<name>] section per
- * stream. Unknown sections/keys, duplicate tenants, unknown workload
- * names (structured error listing the valid names) and empty mixes all
- * fail with "<line>: <reason>" in @p err.
+ * stream; a key given twice keeps its last value. Unknown
+ * sections/keys, duplicate tenants, unknown workload names (structured
+ * error listing the valid names) and empty mixes all fail with
+ * "line N: <reason>" in @p err.
  * @return false on error; @p out is only written on success.
  */
 bool loadMixToml(const std::string &path, MixSpec &out, std::string &err);

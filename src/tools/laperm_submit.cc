@@ -53,6 +53,7 @@
 #include "common/parse_uint.hh"
 #include "harness/result_cache.hh"
 #include "serve/client.hh"
+#include "serve/service/service.hh"
 #include "serve/service/sim_request.hh"
 
 using namespace laperm;
@@ -197,18 +198,10 @@ runStats(Client &client)
     std::string fingerprint;
     getString(response, "fingerprint", fingerprint);
     std::printf("fingerprint\t%s\n", fingerprint.c_str());
-    // Field order mirrors ServiceMetrics::toTsv().
-    static const char *kMetrics[] = {
-        "requests",   "executed", "cache_hits",  "cache_misses",
-        "cache_mem_hits", "cache_shared_hits",
-        "deduped",    "shed",     "timeouts",    "errors",
-        "queue_depth", "queue_depth_peak", "queue_us", "exec_us",
-        "total_us",
-    };
-    for (const char *name : kMetrics) {
+    for (const ServiceMetrics::Field &f : ServiceMetrics::fields()) {
         std::uint64_t v = 0;
-        getU64(response, name, v);
-        std::printf("%s\t%llu\n", name,
+        getU64(response, f.name, v);
+        std::printf("%s\t%llu\n", f.name,
                     static_cast<unsigned long long>(v));
     }
     return 0;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 
+#include "common/text.hh"
 #include "tools/lint_cycle.hh"
 #include "tools/lint_layering.hh"
 
@@ -19,18 +19,6 @@ struct LoadedFile
     std::string content;
     std::vector<std::string> rawLines;
 };
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
 
 bool
 fileExists(const std::string &path)

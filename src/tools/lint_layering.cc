@@ -1,10 +1,10 @@
 #include "tools/lint_layering.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <regex>
 #include <set>
-#include <sstream>
+
+#include "common/text.hh"
 
 namespace laperm {
 namespace simlint {
@@ -31,30 +31,16 @@ LayerSpec::allows(const std::string &from, const std::string &to) const
 
 namespace {
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/** Parse `name = ["a", "b"]` into (name, items). */
+/** Parse a `["a", "b"]` value into its items. */
 bool
-parseEntry(const std::string &line, std::string &name,
-           std::vector<std::string> &items)
+parseList(const std::string &value, std::vector<std::string> &items)
 {
-    static const std::regex entry(
-        R"(^([A-Za-z_][\w-]*)\s*=\s*\[([^\]]*)\]$)");
-    std::smatch m;
-    if (!std::regex_match(line, m, entry))
+    if (value.size() < 2 || value.front() != '[' || value.back() != ']')
         return false;
-    name = m[1].str();
-    items.clear();
+    const std::string body = value.substr(1, value.size() - 2);
+    if (body.find(']') != std::string::npos)
+        return false;
     static const std::regex quoted(R"re("([^"]+)")re");
-    const std::string body = m[2].str();
     for (auto it = std::sregex_iterator(body.begin(), body.end(), quoted);
          it != std::sregex_iterator(); ++it) {
         items.push_back((*it)[1].str());
@@ -116,61 +102,46 @@ bool
 parseLayerSpec(const std::string &text, LayerSpec &spec, std::string &err)
 {
     spec = LayerSpec{};
-    enum class Section { None, Layers, Groups };
-    Section section = Section::None;
-    std::size_t lineNo = 0;
-    for (const std::string &raw : splitLines(text)) {
-        ++lineNo;
-        std::string line = raw;
-        // strip trailing comment (the spec has no quoted '#')
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        if (line == "[layers]") {
-            section = Section::Layers;
-            continue;
-        }
-        if (line == "[groups]") {
-            section = Section::Groups;
-            continue;
-        }
-        if (line.front() == '[') {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": unknown section " + line;
+    std::string section;
+    const auto entry = [&](const TomlLine &line, std::string &why) {
+        if (line.header) {
+            section = line.key;
+            if (section == "layers" || section == "groups")
+                return true;
+            why = "unknown section [" + section + "]";
             return false;
         }
-        std::string name;
+        const std::string &name = line.key;
         std::vector<std::string> items;
-        if (!parseEntry(line, name, items)) {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": expected `name = [\"dep\", ...]`, got: " + line;
+        if (!parseList(line.value, items)) {
+            why = "expected `" + name + " = [\"dep\", ...]`, got: " +
+                  line.value;
             return false;
         }
-        if (section == Section::Layers) {
+        if (section == "layers") {
             if (spec.deps.count(name)) {
-                err = "layering spec line " + std::to_string(lineNo) +
-                      ": duplicate module " + name;
+                why = "duplicate module " + name;
                 return false;
             }
             std::sort(items.begin(), items.end());
             spec.deps[name] = items;
-        } else if (section == Section::Groups) {
+        } else if (section == "groups") {
             for (const auto &m : items) {
                 if (spec.groupOf.count(m)) {
-                    err = "layering spec line " + std::to_string(lineNo) +
-                          ": module " + m + " in two groups";
+                    why = "module " + m + " in two groups";
                     return false;
                 }
                 spec.groupOf[m] = name;
             }
         } else {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": entry outside [layers]/[groups]";
+            why = "entry outside [layers]/[groups]";
             return false;
         }
+        return true;
+    };
+    if (!forEachTomlLine(text, entry, err)) {
+        err = "layering spec " + err;
+        return false;
     }
     if (spec.deps.empty()) {
         err = "layering spec declares no modules";
@@ -219,14 +190,12 @@ parseLayerSpec(const std::string &text, LayerSpec &spec, std::string &err)
 bool
 loadLayerSpec(const std::string &path, LayerSpec &spec, std::string &err)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         err = "cannot read layering spec " + path;
         return false;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parseLayerSpec(ss.str(), spec, err);
+    return parseLayerSpec(text, spec, err);
 }
 
 std::string

@@ -4,7 +4,7 @@
  * edges of every translation unit and enforces the module DAG declared
  * in the checked-in layering spec (layering.toml at the repo root).
  *
- * Spec format — a small TOML subset, two tables:
+ * Spec format — the TOML subset of common/text.hh, two tables:
  *
  *   [layers]
  *   common = []                 # module -> allowed module deps
@@ -13,6 +13,9 @@
  *   [groups]
  *   engine = ["gpu", "dynpar"]  # mutually-recursive modules that form
  *                               # one layer; intra-group includes legal
+ *
+ * Each value is a list of quoted module names. A module is declared
+ * once in [layers] and grouped at most once.
  *
  * Rules enforced:
  *  - every quoted project include must target a declared module, and

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <regex>
-#include <sstream>
+
+#include "common/text.hh"
 
 namespace laperm {
 namespace simlint {
@@ -480,12 +480,10 @@ lintSource(const std::string &path, const std::string &content)
 bool
 lintFile(const std::string &path, std::vector<Finding> &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string content;
+    if (!readFile(path, content))
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::vector<Finding> f = lintSource(path, ss.str());
+    std::vector<Finding> f = lintSource(path, content);
     out.insert(out.end(), f.begin(), f.end());
     return true;
 }

@@ -111,6 +111,33 @@ TEST(ResultRecordTest, DecodeRejectsMalformedLines)
     EXPECT_FALSE(ResultRecord::decode(full + " extra=1", r));
 }
 
+TEST(ResultRecordTest, DecodeAcceptsOnlyWhatEncodeWrites)
+{
+    // Each spelling below means the same numbers, but encode() never
+    // writes it, so no build wrote it: a store probe recomputes it.
+    ResultRecord r = sampleRecord();
+    r.cycles = 12;
+    const std::string line = r.encode();
+    ResultRecord out;
+    ASSERT_TRUE(ResultRecord::decode(line, out));
+
+    std::string swapped = line;
+    const std::size_t model = swapped.find("model=1 ");
+    const std::size_t policy = swapped.find("policy=3 ");
+    ASSERT_NE(model, std::string::npos);
+    ASSERT_EQ(policy, model + 8);
+    swapped.replace(model, 17, "policy=3 model=1 ");
+    EXPECT_FALSE(ResultRecord::decode(swapped, out)) << swapped;
+
+    std::string zero = line;
+    const std::size_t cycles = zero.find(" cycles=12 ");
+    ASSERT_NE(cycles, std::string::npos);
+    zero.insert(cycles + 8, "0");
+    EXPECT_FALSE(ResultRecord::decode(zero, out)) << zero;
+
+    EXPECT_FALSE(ResultRecord::decode(line + " ", out));
+}
+
 TEST(ResultCacheTest, ContentKeyIsStableAndSensitive)
 {
     const std::string k1 = contentKey("w=a m=1 p=0 seed=1");

@@ -2,40 +2,17 @@
 
 #include "tenant/mixes.hh"
 #include "tenant/tenant_spec.hh"
+#include "test_util.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
 using namespace laperm::tenant;
 
-namespace {
-
-const char *kValidSpec = R"([mix]
-name = "pair"            # quoted strings and comments both work
-quantum = 1024
-admission_threshold_pct = 80
-ewma_shift = 4
-
-[tenant.fg]
-workload = "bfs-citation"
-scale = "tiny"
-priority = 0
-arrival = 0
-period = 50000
-jobs = 2
-
-[tenant.bg]
-workload = "join-uniform"
-priority = 1
-arrival = 7000
-)";
-
-} // namespace
-
 TEST(TenantSpec, ParsesFullSpec)
 {
     MixSpec mix;
     std::string err;
-    ASSERT_TRUE(parseMixToml(kValidSpec, mix, err)) << err;
+    ASSERT_TRUE(parseMixToml(test::kPairMixSpec, mix, err)) << err;
     EXPECT_EQ(mix.name, "pair");
     EXPECT_EQ(mix.quantum, 1024u);
     EXPECT_EQ(mix.admissionThresholdPct, 80u);
@@ -163,4 +140,17 @@ TEST(TenantMixes, BuiltinsAreWellFormed)
     EXPECT_EQ(builtinMix("duo").tenants.size(), 2u);
     EXPECT_EQ(builtinMix("quad").tenants.size(), 4u);
     EXPECT_EQ(builtinMix("octo").tenants.size(), 8u);
+}
+
+TEST(TenantSpec, UnterminatedStringIsALineError)
+{
+    // The tenant parser once kept a lone quote: this named the mix
+    // "pair (with the quote).
+    MixSpec mix;
+    std::string err;
+    EXPECT_FALSE(parseMixToml("[mix]\nname = \"pair\n[tenant.a]\n"
+                              "workload = \"bfs-citation\"\n",
+                              mix, err));
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("unterminated string"), std::string::npos) << err;
 }

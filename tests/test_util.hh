@@ -19,6 +19,27 @@
 
 namespace laperm::test {
 
+/** A two-tenant mix spec using every key of the grammar. */
+inline constexpr const char *kPairMixSpec = R"([mix]
+name = "pair"            # quoted strings and comments both work
+quantum = 1024
+admission_threshold_pct = 80
+ewma_shift = 4
+
+[tenant.fg]
+workload = "bfs-citation"
+scale = "tiny"
+priority = 0
+arrival = 0
+period = 50000
+jobs = 2
+
+[tenant.bg]
+workload = "join-uniform"
+priority = 1
+arrival = 7000
+)";
+
 /** A small, fast device for unit tests. */
 inline GpuConfig
 tinyConfig()
