@@ -18,7 +18,8 @@
 #   tenant-smoke scripts/tenant_smoke.sh (multi-tenant determinism
 #                across tick modes and LAPERM_JOBS, DESIGN.md §14)
 #   asan-ubsan   full test suite under AddressSanitizer + UBSan
-#   tsan         concurrent-harness smoke under ThreadSanitizer
+#   tsan         concurrent-harness and serving-stack smokes under
+#                ThreadSanitizer
 #
 # Each stage runs in its own build tree so sanitizer flags never
 # contaminate the primary build. The summary line at the end (also
@@ -105,14 +106,15 @@ stage_asan() {
 }
 
 stage_tsan() {
-    # Only the gtest-free smoke binary runs here so every linked object
+    # Only the gtest-free smoke binaries run here so every linked object
     # is instrumented (gtest/benchmark from the system are not).
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLAPERM_TSAN=ON &&
         cmake --build build-tsan -j"$JOBS" \
-            --target harness_parallel_smoke &&
+            --target harness_parallel_smoke serve_parallel_smoke &&
         (cd build-tsan &&
-            ctest --output-on-failure -R '^harness_parallel_smoke$')
+            ctest --output-on-failure \
+                -R '^(harness|serve)_parallel_smoke$')
 }
 
 run_stage lint stage_lint

@@ -14,10 +14,11 @@
 
 namespace laperm {
 
-/** 64-bit FNV-1a over @p data starting from @p seed. */
-std::uint64_t fnv1a64(const std::string &data, std::uint64_t seed);
-
-/** 128-bit hex content key of a canonical request/config string. */
+/**
+ * 128-bit hex content key of a canonical request/config string: two
+ * 64-bit FNV-1a hashes of its bytes, seeded 0xcbf29ce484222325 and
+ * 0x9ae16a3b2f90404f, as 32 lowercase hex digits.
+ */
 std::string contentKey(const std::string &canonical);
 
 } // namespace laperm

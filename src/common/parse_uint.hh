@@ -8,13 +8,16 @@
  * is worse than one that failed, because the run *looks* configured.
  * parseUInt accepts exactly `[0-9]+` within a caller-chosen bound and
  * reports everything else, so each caller fails loudly with its own
- * error policy.
+ * error policy. appendUInt() is its inverse: the digits the program
+ * writes into canonical strings and reply frames, without printf.
  */
 
 #ifndef LAPERM_COMMON_PARSE_UINT_HH
 #define LAPERM_COMMON_PARSE_UINT_HH
 
+#include <charconv>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace laperm {
@@ -40,6 +43,15 @@ parseUInt(std::string_view s, std::uint64_t max, std::uint64_t &out)
     }
     out = v;
     return true;
+}
+
+/** Append the decimal digits of @p v (std::to_string's spelling). */
+inline void
+appendUInt(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
 }
 
 } // namespace laperm

@@ -212,7 +212,9 @@ runMatrixPreset(const std::vector<std::string> &names,
         store.emplace();
     // Fills the slot from the store; false on a miss or without one.
     // A record on disk counts only if it is this cell's: a foreign or
-    // garbled one is recomputed, and the store overwrites it.
+    // garbled one is recomputed, and the store overwrites it. A disk
+    // hit's record is the one isCell decoded; only a memory hit, which
+    // skips isCell, is decoded here.
     auto loadCell = [&](std::size_t slot) {
         if (!store)
             return false;
@@ -225,9 +227,11 @@ runMatrixPreset(const std::vector<std::string> &names,
         const auto isCell = [&](const std::string &p) {
             return decodeCellRecord(p, name, cfg, rec);
         };
-        if (store->probe(keys[slot], payload, isCell) ==
-                ResultCache::Tier::Miss ||
-            !ResultRecord::decode(payload, rec)) {
+        const ResultCache::Tier tier =
+            store->probe(keys[slot], payload, isCell);
+        if (tier == ResultCache::Tier::Miss ||
+            (tier == ResultCache::Tier::Memory &&
+             !ResultRecord::decode(payload, rec))) {
             return false;
         }
         results[slot] = rec.toRunResult();

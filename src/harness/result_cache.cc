@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 #include "harness/experiment.hh"
 #include "sim/config_loader.hh"
 
@@ -238,11 +239,21 @@ appCellCanonical(const std::string &workload, DynParModel model,
                  TbPolicy policy, Scale scale, std::uint64_t seed,
                  const GpuConfig &cfg)
 {
-    return logFormat("w=%s m=%d p=%d sc=%d seed=%llu ", workload.c_str(),
-                     static_cast<int>(model), static_cast<int>(policy),
-                     static_cast<int>(scale),
-                     static_cast<unsigned long long>(seed)) +
-           canonicalMachine(cfg);
+    std::string out;
+    out.reserve(kCanonicalMachineBytes);
+    out += "w=";
+    out += workload;
+    out += " m=";
+    appendUInt(out, static_cast<unsigned>(model));
+    out += " p=";
+    appendUInt(out, static_cast<unsigned>(policy));
+    out += " sc=";
+    appendUInt(out, static_cast<unsigned>(scale));
+    out += " seed=";
+    appendUInt(out, seed);
+    out += ' ';
+    appendCanonicalMachine(out, cfg);
+    return out;
 }
 
 std::string
@@ -250,12 +261,21 @@ mixCellCanonical(const std::string &mix, const std::string &preset,
                  DynParModel model, TbPolicy policy, std::uint64_t seed,
                  const GpuConfig &cfg)
 {
-    return logFormat("m=%d p=%d seed=%llu ", static_cast<int>(model),
-                     static_cast<int>(policy),
-                     static_cast<unsigned long long>(seed)) +
-           canonicalMachine(cfg) +
-           logFormat(" tenants=%s tpreset=%s", mix.c_str(),
-                     preset.c_str());
+    std::string out;
+    out.reserve(kCanonicalMachineBytes);
+    out += "m=";
+    appendUInt(out, static_cast<unsigned>(model));
+    out += " p=";
+    appendUInt(out, static_cast<unsigned>(policy));
+    out += " seed=";
+    appendUInt(out, seed);
+    out += ' ';
+    appendCanonicalMachine(out, cfg);
+    out += " tenants=";
+    out += mix;
+    out += " tpreset=";
+    out += preset;
+    return out;
 }
 
 ResultCache::ResultCache(std::string dir, std::string fingerprint)

@@ -40,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.hh" // fnv1a64 / contentKey, re-exported for callers
+#include "common/hash.hh" // contentKey, re-exported for callers
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "workloads/workload.hh"

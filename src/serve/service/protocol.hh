@@ -68,7 +68,14 @@ using JsonObject = std::map<std::string, JsonValue>;
 bool parseJsonObject(const std::string &text, JsonObject &out,
                      std::string &err);
 
-/** Escape for embedding inside a JSON string literal. */
+/**
+ * Append @p s to @p out escaped for a JSON string literal: `"`, `\`,
+ * newline, CR and tab become two-byte escapes, and every other byte is
+ * copied as it is, a run at a time.
+ */
+void appendJsonEscaped(std::string &out, const std::string &s);
+
+/** appendJsonEscaped() into a new string. */
 std::string jsonEscape(const std::string &s);
 
 /** Fetch a string field; false if absent or not a string. */

@@ -46,13 +46,23 @@ ServiceHandler::handleLine(const std::string &line)
 
     const RunOutcome outcome = service_->run(req);
     switch (outcome.status) {
-    case RunStatus::Ok:
-        return {logFormat(
-            "{\"status\":\"ok\",\"cached\":%s,\"deduped\":%s,"
-            "\"key\":\"%s\",\"result\":\"%s\"}",
-            outcome.cached ? "true" : "false",
-            outcome.deduped ? "true" : "false", outcome.key.c_str(),
-            jsonEscape(outcome.payload).c_str())};
+    case RunStatus::Ok: {
+        // Written once, the payload escaped straight into the frame.
+        // The reserve covers the fixed text and a few escapes.
+        Reply ok;
+        std::string &frame = ok.frame;
+        frame.reserve(outcome.payload.size() + outcome.key.size() + 96);
+        frame += "{\"status\":\"ok\",\"cached\":";
+        frame += outcome.cached ? "true" : "false";
+        frame += ",\"deduped\":";
+        frame += outcome.deduped ? "true" : "false";
+        frame += ",\"key\":\"";
+        frame += outcome.key;
+        frame += "\",\"result\":\"";
+        appendJsonEscaped(frame, outcome.payload);
+        frame += "\"}";
+        return ok;
+    }
     case RunStatus::Shed:
         // Structured load-shed: the client backs off and retries
         // (serve/client.cc honors retry_ms).

@@ -1,9 +1,14 @@
 #include "sim/config_loader.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "common/hash.hh"
 #include "common/log.hh"
@@ -35,21 +40,64 @@ parseDoubleChecked(const std::string &raw, double &out)
     return true;
 }
 
+// ---------------------------------------------------------------------
+// Value writers. Each writes a canonical spelling into the caller's
+// buffer and returns its end, so no value becomes a string of its own
+// and printf formats none of them.
+// ---------------------------------------------------------------------
+
 /**
- * Shortest decimal spelling that round-trips exactly through strtod.
- * Gives "0.9" rather than "0.90000000000000002" while still keeping
- * emit -> parse -> emit a byte-identity.
+ * Most characters a value writer writes: 20 digits of a 64-bit
+ * integer, or 24 of a double ("-2.2250738585072014e-308").
  */
-std::string
-canonicalDouble(double v)
+constexpr std::size_t kMaxValueChars = 32;
+
+char *
+writeText(char *p, const char *text)
 {
-    for (int prec = 1; prec <= 17; ++prec) {
-        const std::string s = logFormat("%.*g", prec, v);
+    const std::size_t n = std::strlen(text);
+    std::memcpy(p, text, n);
+    return p + n;
+}
+
+/** The decimal digits of @p v (std::to_string's spelling). */
+char *
+writeUInt(char *p, std::uint64_t v)
+{
+    return std::to_chars(p, p + kMaxValueChars, v).ptr;
+}
+
+/**
+ * The shortest decimal spelling that round-trips exactly through
+ * strtod: "0.9" rather than "0.90000000000000002", so emit -> parse ->
+ * emit is a byte-identity. It is the "%.*g" of the smallest precision
+ * that round-trips; the shortest round-trip form of to_chars
+ * (scientific) has that many digits. A power of two is the exception:
+ * its rounding interval is narrower below it than above, so the
+ * nearest decimal of that many digits may not round-trip, and the
+ * precision grows until it does.
+ */
+char *
+writeCanonicalDouble(char *p, double v)
+{
+    char *const end = p + kMaxValueChars;
+    char *q = std::to_chars(p, end, v, std::chars_format::scientific).ptr;
+    int digits = 0;
+    for (const char *c = p; c != q && *c != 'e'; ++c)
+        digits += *c >= '0' && *c <= '9';
+    q = std::to_chars(p, end, v, std::chars_format::general, digits).ptr;
+    int exp = 0;
+    if (std::isnormal(v) && std::fabs(std::frexp(v, &exp)) == 0.5) {
         double back = 0.0;
-        if (parseDoubleChecked(s, back) && back == v)
-            return s;
+        std::from_chars(p, q, back);
+        while (back != v && digits < 17) {
+            q = std::to_chars(p, end, v, std::chars_format::general,
+                              ++digits)
+                    .ptr;
+            std::from_chars(p, q, back);
+        }
     }
-    return logFormat("%.17g", v);
+    return q;
 }
 
 std::string
@@ -66,11 +114,17 @@ badValue(const char *key, const char *expect, const std::string &raw)
 
 struct FieldDef
 {
-    const char *key;
+    std::string_view key;
     const char *doc;
     bool quoted; ///< string-valued in TOML emission (enums, bools stay bare)
     bool (*set)(GpuConfig &, const std::string &, std::string &);
-    std::string (*get)(const GpuConfig &);
+    /**
+     * Write the value's canonical spelling, unquoted, at the pointer
+     * (at most kMaxValueChars) and return its end. The one formatter
+     * of machine values: canonicalMachine(), emitMachineToml() and
+     * machineFieldValue() all spell a value through it.
+     */
+    char *(*write)(const GpuConfig &, char *);
 };
 
 #define LAPERM_FIELD_U32(KEY, MEMBER, DOC)                                   \
@@ -84,7 +138,7 @@ struct FieldDef
          c.MEMBER = static_cast<std::uint32_t>(v);                           \
          return true;                                                        \
      },                                                                      \
-     [](const GpuConfig &c) { return std::to_string(c.MEMBER); }}
+     [](const GpuConfig &c, char *p) { return writeUInt(p, c.MEMBER); }}
 
 #define LAPERM_FIELD_U64(KEY, MEMBER, DOC)                                   \
     {KEY, DOC, false,                                                        \
@@ -97,7 +151,7 @@ struct FieldDef
          c.MEMBER = v;                                                       \
          return true;                                                        \
      },                                                                      \
-     [](const GpuConfig &c) { return std::to_string(c.MEMBER); }}
+     [](const GpuConfig &c, char *p) { return writeUInt(p, c.MEMBER); }}
 
 #define LAPERM_FIELD_DBL(KEY, MEMBER, DOC)                                   \
     {KEY, DOC, false,                                                        \
@@ -110,7 +164,9 @@ struct FieldDef
          c.MEMBER = v;                                                       \
          return true;                                                        \
      },                                                                      \
-     [](const GpuConfig &c) { return canonicalDouble(c.MEMBER); }}
+     [](const GpuConfig &c, char *p) {                                       \
+         return writeCanonicalDouble(p, c.MEMBER);                           \
+     }}
 
 #define LAPERM_FIELD_BOOL(KEY, MEMBER, DOC)                                  \
     {KEY, DOC, false,                                                        \
@@ -126,11 +182,11 @@ struct FieldDef
          err = badValue(KEY, "true|false", raw);                             \
          return false;                                                       \
      },                                                                      \
-     [](const GpuConfig &c) {                                                \
-         return std::string(c.MEMBER ? "true" : "false");                    \
+     [](const GpuConfig &c, char *p) {                                       \
+         return writeText(p, c.MEMBER ? "true" : "false");                   \
      }}
 
-const FieldDef kFields[] = {
+constexpr FieldDef kFields[] = {
     // --- Compute resources ---
     LAPERM_FIELD_U32("num_smx", numSmx, "streaming multiprocessors"),
     LAPERM_FIELD_U32("max_threads_per_smx", maxThreadsPerSmx,
@@ -149,7 +205,9 @@ const FieldDef kFields[] = {
                         raw);
          return false;
      },
-     [](const GpuConfig &c) { return std::string(wireName(c.warpPolicy)); }},
+     [](const GpuConfig &c, char *p) {
+         return writeText(p, wireName(c.warpPolicy));
+     }},
     LAPERM_FIELD_U32("smx_per_cluster", smxPerCluster,
                      "SMXs sharing one L1 cluster"),
 
@@ -214,9 +272,10 @@ const FieldDef kFields[] = {
          err = badValue("backup_policy", "recorded|random", raw);
          return false;
      },
-     [](const GpuConfig &c) {
-         return std::string(
-             c.backupPolicy == BackupPolicy::Random ? "random" : "recorded");
+     [](const GpuConfig &c, char *p) {
+         return writeText(p, c.backupPolicy == BackupPolicy::Random
+                                 ? "random"
+                                 : "recorded");
      }},
 
     // --- Contention-based TB throttling ---
@@ -237,6 +296,14 @@ const FieldDef kFields[] = {
 #undef LAPERM_FIELD_DBL
 #undef LAPERM_FIELD_BOOL
 
+/** Room for canonicalMachine(): each key, '=', a value and a space. */
+constexpr std::size_t kCanonicalChars = [] {
+    std::size_t n = 0;
+    for (const FieldDef &f : kFields)
+        n += f.key.size() + 2 + kMaxValueChars;
+    return n;
+}();
+
 const FieldDef *
 findField(const std::string &key)
 {
@@ -253,7 +320,7 @@ machineFields()
 {
     std::vector<MachineFieldInfo> out;
     for (const FieldDef &f : kFields)
-        out.push_back(MachineFieldInfo{f.key, f.doc});
+        out.push_back(MachineFieldInfo{f.key.data(), f.doc});
     return out;
 }
 
@@ -273,7 +340,10 @@ std::string
 machineFieldValue(const GpuConfig &cfg, const std::string &key)
 {
     const FieldDef *f = findField(key);
-    return f ? f->get(cfg) : std::string();
+    if (!f)
+        return std::string();
+    char value[kMaxValueChars];
+    return std::string(value, f->write(cfg, value));
 }
 
 bool
@@ -307,31 +377,38 @@ emitMachineToml(const GpuConfig &cfg)
     std::string out = "# laperm machine configuration (canonical form)\n"
                       "[machine]\n";
     for (const FieldDef &f : kFields) {
+        char value[kMaxValueChars];
         out += f.key;
-        out += " = ";
-        if (f.quoted) {
-            out += '"';
-            out += f.get(cfg);
-            out += '"';
-        } else {
-            out += f.get(cfg);
-        }
-        out += '\n';
+        out += f.quoted ? " = \"" : " = ";
+        out.append(value, f.write(cfg, value));
+        out += f.quoted ? "\"\n" : "\n";
     }
     return out;
+}
+
+void
+appendCanonicalMachine(std::string &out, const GpuConfig &cfg)
+{
+    // Written on the stack and appended once: a std::string append is
+    // a call into the library, and three per field cost more than the
+    // digits do.
+    char buf[kCanonicalChars];
+    char *p = buf;
+    for (const FieldDef &f : kFields) {
+        if (p != buf)
+            *p++ = ' ';
+        p = std::copy(f.key.begin(), f.key.end(), p);
+        *p++ = '=';
+        p = f.write(cfg, p);
+    }
+    out.append(buf, p);
 }
 
 std::string
 canonicalMachine(const GpuConfig &cfg)
 {
     std::string out;
-    for (const FieldDef &f : kFields) {
-        if (!out.empty())
-            out += ' ';
-        out += f.key;
-        out += '=';
-        out += f.get(cfg);
-    }
+    appendCanonicalMachine(out, cfg);
     return out;
 }
 

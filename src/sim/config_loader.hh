@@ -37,6 +37,7 @@
 #ifndef LAPERM_SIM_CONFIG_LOADER_HH
 #define LAPERM_SIM_CONFIG_LOADER_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,19 @@ std::string emitMachineToml(const GpuConfig &cfg);
  * or per-field overrides).
  */
 std::string canonicalMachine(const GpuConfig &cfg);
+
+/**
+ * Append canonicalMachine(cfg) to @p out, so a cell's canonical string
+ * (harness/result_cache.hh) takes the machine in without a temporary.
+ */
+void appendCanonicalMachine(std::string &out, const GpuConfig &cfg);
+
+/**
+ * Bytes a cell's canonical string reserves (harness/result_cache.hh):
+ * the canonical machine of every preset is under 800 bytes, and the
+ * run coordinates add a few dozen.
+ */
+constexpr std::size_t kCanonicalMachineBytes = 1024;
 
 /** 128-bit hex content key of canonicalMachine(cfg). */
 std::string machineHash(const GpuConfig &cfg);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <regex>
 #include <set>
+#include <string_view>
 
 #include "common/text.hh"
 
@@ -31,21 +32,46 @@ LayerSpec::allows(const std::string &from, const std::string &to) const
 
 namespace {
 
-/** Parse a `["a", "b"]` value into its items. */
+/** Trim spaces and tabs from both ends of @p s. */
+std::string_view
+trimmed(std::string_view s)
+{
+    const std::size_t first = s.find_first_not_of(" \t");
+    if (first == std::string_view::npos)
+        return {};
+    return s.substr(first, s.find_last_not_of(" \t") - first + 1);
+}
+
+/**
+ * Parse a `["a", "b"]` value into its items: the bracket body split at
+ * commas, each item one quoted, non-empty name with no inner quote.
+ * A blank body is the empty list.
+ */
 bool
-parseList(const std::string &value, std::vector<std::string> &items)
+parseList(std::string_view value, std::vector<std::string> &items)
 {
     if (value.size() < 2 || value.front() != '[' || value.back() != ']')
         return false;
-    const std::string body = value.substr(1, value.size() - 2);
-    if (body.find(']') != std::string::npos)
+    const std::string_view body = value.substr(1, value.size() - 2);
+    if (body.find(']') != std::string_view::npos)
         return false;
-    static const std::regex quoted(R"re("([^"]+)")re");
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), quoted);
-         it != std::sregex_iterator(); ++it) {
-        items.push_back((*it)[1].str());
+    if (trimmed(body).empty())
+        return true;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = body.find(',', start);
+        const std::string_view item =
+            trimmed(body.substr(start, comma - start));
+        if (item.size() < 3 || item.front() != '"' || item.back() != '"')
+            return false;
+        const std::string_view name = item.substr(1, item.size() - 2);
+        if (name.find('"') != std::string_view::npos)
+            return false;
+        items.emplace_back(name);
+        if (comma == std::string_view::npos)
+            return true;
+        start = comma + 1;
     }
-    return true;
 }
 
 /** Node name after group collapsing. */

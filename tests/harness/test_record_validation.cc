@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,33 @@ TEST(RecordValidation, SweepRecomputesAForeignRecord)
         directRecord("bfs-cage",
                      cellConfig(DynParModel::CDP, TbPolicy::RR)),
         "sweep_foreign");
+}
+
+// A sweep over a store that only the disk tier holds (each sweep
+// starts with an empty memory tier) reads every cell back as the cold
+// sweep computed it, and rewrites no record.
+TEST(RecordValidation, DiskOnlySweepEqualsColdSweep)
+{
+    const std::string dir = freshDir("sweep_disk_only");
+    const std::vector<std::string> names = {"join-uniform", "bfs-cage"};
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    const std::vector<RunResult> cold =
+        runMatrix(names, Scale::Tiny, kSeed, true, 2);
+    std::map<std::string, std::filesystem::file_time_type> written;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/results")) {
+        written[e.path().string()] = e.last_write_time();
+    }
+    const std::vector<RunResult> warm =
+        runMatrix(names, Scale::Tiny, kSeed, true, 2);
+    unsetenv("LAPERM_CACHE_DIR");
+    ASSERT_EQ(cold.size(), 16u);
+    ASSERT_EQ(written.size(), 16u);
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(runMatrix(names, Scale::Tiny, kSeed, false, 2), cold);
+    for (const auto &[path, time] : written)
+        EXPECT_EQ(std::filesystem::last_write_time(path), time) << path;
 }
 
 TEST(RecordValidation, SweepRecomputesAGarbageRecord)

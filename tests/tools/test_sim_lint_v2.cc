@@ -84,6 +84,31 @@ TEST(LayerSpec, RejectsUndeclaredDependency)
     EXPECT_NE(err.find("ghost"), std::string::npos) << err;
 }
 
+// A list is `[]` or quoted, non-empty names split at commas. Anything
+// else is the line's error, never a list with an item dropped or
+// misread.
+TEST(LayerSpec, ListItemsAreQuotedNonEmptyNames)
+{
+    const std::string head = "[layers]\ncommon = []\nsim = [ ]\n";
+    LayerSpec spec;
+    std::string err;
+    for (const std::string list :
+         {"[common]", "[\"\", \"common\"]", "[\"common\" \"sim\"]",
+          "[\"common\",]", "[\"com\"mon\"]"}) {
+        EXPECT_FALSE(parseLayerSpec(head + "a = " + list + "\n", spec, err))
+            << list;
+        EXPECT_EQ(err, "layering spec line 4: expected `a = [\"dep\", "
+                       "...]`, got: " +
+                           list);
+    }
+    ASSERT_TRUE(parseLayerSpec(head + "a = [ \"common\" , \"sim\" ]\n", spec,
+                               err))
+        << err;
+    EXPECT_EQ(spec.deps.at("a"), (std::vector<std::string>{"common", "sim"}));
+    EXPECT_TRUE(spec.deps.at("common").empty());
+    EXPECT_TRUE(spec.deps.at("sim").empty());
+}
+
 TEST(LayerSpec, RejectsDependencyCycle)
 {
     LayerSpec spec;
