@@ -33,10 +33,6 @@ using namespace laperm;
 
 namespace {
 
-constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
-                                  TbPolicy::SmxBind,
-                                  TbPolicy::AdaptiveBind};
-
 /** Suite-average of per-workload IPC normalized to the RR cell. */
 double
 normIpc(const std::vector<RunResult> &results,
@@ -89,7 +85,7 @@ main(int argc, char **argv)
          << "  \"cells\": [\n";
     bool first = true;
 
-    for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
+    for (DynParModel model : kDynParModels) {
         std::printf("\n%s — suite-mean IPC normalized to each "
                     "preset's RR (dL1/dL2: absolute hit-rate delta "
                     "RR -> Adaptive-Bind):\n",
@@ -112,7 +108,7 @@ main(int argc, char **argv)
             std::vector<std::string> row = {
                 s.name,
                 std::to_string(presetConfig(s.name).numSmx)};
-            for (TbPolicy p : kPolicies) {
+            for (TbPolicy p : kTbPolicies) {
                 const double norm = normIpc(s.results, names, model, p);
                 row.push_back(fmtF(norm));
                 if (!first)

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     std::printf("\nFigure 8: L1 cache hit rate (scale '%s')\n\n",
                 toString(scale));
 
-    for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
+    for (DynParModel model : kDynParModels) {
         std::printf("%s:\n", toString(model));
         Table t({"workload", "RR", "TB-Pri", "SMX-Bind",
                  "Adaptive-Bind"});

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     std::printf("\nFigure 9: normalized IPC (scale '%s')\n\n",
                 toString(scale));
 
-    for (DynParModel model : {DynParModel::CDP, DynParModel::DTBL}) {
+    for (DynParModel model : kDynParModels) {
         std::printf("Figure 9%s — IPC normalized to RR:\n",
                     panel[panel_ix++]);
         Table t({"workload", "RR", "TB-Pri", "SMX-Bind",

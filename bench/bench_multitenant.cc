@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 #include "harness/tenant_sweep.hh"
 #include "tenant/mixes.hh"
@@ -30,10 +31,6 @@
 using namespace laperm;
 
 namespace {
-
-constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
-                                  TbPolicy::SmxBind,
-                                  TbPolicy::AdaptiveBind};
 
 std::vector<std::string>
 envList(const char *var, std::vector<std::string> def)
@@ -88,7 +85,7 @@ main()
 
     std::printf("\nMulti-tenant contention study (%zu mixes x %zu "
                 "presets x %zu policies)\n",
-                mixes.size(), presetNames.size(), std::size(kPolicies));
+                mixes.size(), presetNames.size(), std::size(kTbPolicies));
 
     std::ofstream json("BENCH_multitenant.json");
     json << "{\n"
@@ -103,7 +100,7 @@ main()
                     preset.c_str());
         Table t({"mix", "policy", "ANTT", "STP", "Jain", "worst p99"});
         for (const std::string &mix : mixes) {
-            for (TbPolicy p : kPolicies) {
+            for (TbPolicy p : kTbPolicies) {
                 const auto cell = cellOf(rows, mix, preset, p);
                 if (cell.empty())
                     laperm_fatal("sweep returned no rows for %s/%s/%s",

@@ -25,14 +25,16 @@ unset LAPERM_TICK_MODE
 run_mode() { # mode -> writes $TMP/<mode>/
     local mode="$1" out="$TMP/$1"
     mkdir -p "$out"
-    # Launch-heavy CDP workload with every observability artifact on.
+    # Launch-heavy workload with its five trace artifacts written into
+    # one directory.
     "$SIM" --workload bfs-citation --scale tiny --policy adaptive \
-        --tick-mode "$mode" --csv \
-        --trace "$out/dispatch.csv" \
-        --trace-json "$out/trace.json" \
-        --trace-intervals "$out/intervals.tsv" \
-        --latency-hist "$out/latency.tsv" \
-        --locality "$out/locality.tsv" >"$out/bfs.csv"
+        --tick-mode "$mode" --csv --trace-dir "$out/trace" >"$out/bfs.csv"
+    local n
+    n=$(find "$out/trace" -type f | wc -l)
+    if [ "$n" -ne 5 ]; then
+        echo "tick_diff.sh: $mode wrote $n trace artifacts, want 5" >&2
+        exit 1
+    fi
     # Stall-heavy workload where the event loop skips almost every
     # cycle — the path most likely to drift from the dense loop.
     "$SIM" --workload chase-ring --scale tiny --tick-mode "$mode" \
@@ -43,8 +45,7 @@ run_mode dense
 run_mode event
 
 fail=0
-for f in bfs.csv chase.csv dispatch.csv trace.json intervals.tsv \
-    latency.tsv locality.tsv; do
+for f in bfs.csv chase.csv $(cd "$TMP/dense" && ls trace/*); do
     if ! cmp -s "$TMP/dense/$f" "$TMP/event/$f"; then
         echo "tick_diff.sh: $f diverges between tick modes" >&2
         fail=1

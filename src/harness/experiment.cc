@@ -10,12 +10,12 @@
 #include "common/log.hh"
 #include "gpu/gpu.hh"
 #include "gpu/trace_forest.hh"
+#include "harness/run_spec.hh"
 #include "harness/thread_pool.hh"
 #include "harness/trace_builder.hh"
 #include "obs/locality.hh"
 #include "obs/trace_collector.hh"
 #include "sim/config_loader.hh"
-#include "sim/presets.hh"
 #include "workloads/registry.hh"
 
 namespace laperm {
@@ -62,25 +62,20 @@ traceDir()
     return dir && *dir ? dir : std::string();
 }
 
-} // namespace
-
-std::string
-hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
+/** The record of one run of @p workload on @p cfg. */
+ResultRecord
+cellRecord(const Workload &workload, const GpuConfig &cfg,
+           const GpuStats &stats)
 {
-    for (const LaunchRequest &wave : workload.waves()) {
-        std::string misfit = launchMisfit(cfg, wave);
-        if (!misfit.empty())
-            return misfit;
-    }
-    return std::string();
+    return ResultRecord::fromStats(workload.fullName(), cfg.dynParModel,
+                                   cfg.tbPolicy, stats, machineHash(cfg));
 }
 
-namespace {
+} // namespace
 
-/** One run of @p workload, replaying @p forest, private or shared. */
-ResultRecord
-runForestRecord(const Workload &workload, TraceForest &forest,
-                const GpuConfig &cfg, const std::string &trace_dir)
+GpuStats
+runTraced(const Workload &workload, TraceForest &forest,
+          const GpuConfig &cfg, const std::string &trace_dir)
 {
     Gpu gpu(cfg);
     std::unique_ptr<obs::TraceCollector> collector;
@@ -100,17 +95,17 @@ runForestRecord(const Workload &workload, TraceForest &forest,
             logFormat("%s/%s_%s_%s", trace_dir.c_str(),
                       workload.fullName().c_str(),
                       toString(cfg.dynParModel), toString(cfg.tbPolicy));
-        collector->writeChromeTrace(base + ".trace.json");
-        collector->writeIntervalTsv(base + ".intervals.tsv");
-        collector->writeLaunchLatencyTsv(base + ".latency.tsv");
-        locality->writeTsv(base + ".locality.tsv");
+        if (!collector->writeDispatchCsv(base + ".dispatch.csv") ||
+            !collector->writeChromeTrace(base + ".trace.json") ||
+            !collector->writeIntervalTsv(base + ".intervals.tsv") ||
+            !collector->writeLaunchLatencyTsv(base + ".latency.tsv") ||
+            !locality->writeTsv(base + ".locality.tsv")) {
+            laperm_warn("could not write trace artifacts '%s.*'",
+                        base.c_str());
+        }
     }
-    return ResultRecord::fromStats(workload.fullName(), cfg.dynParModel,
-                                   cfg.tbPolicy, gpu.stats(),
-                                   machineHash(cfg));
+    return gpu.stats();
 }
-
-} // namespace
 
 ResultRecord
 runOneRecord(const Workload &workload, const GpuConfig &cfg,
@@ -118,9 +113,9 @@ runOneRecord(const Workload &workload, const GpuConfig &cfg,
 {
     TraceForest forest(workload.waves());
     TraceBuilder builder(forest);
-    ResultRecord rec = runForestRecord(workload, forest, cfg, trace_dir);
+    const GpuStats stats = runTraced(workload, forest, cfg, trace_dir);
     builder.finish();
-    return rec;
+    return cellRecord(workload, cfg, stats);
 }
 
 RunResult
@@ -130,11 +125,6 @@ runOne(const Workload &workload, const GpuConfig &cfg)
 }
 
 namespace {
-
-constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
-                                  TbPolicy::SmxBind,
-                                  TbPolicy::AdaptiveBind};
-constexpr DynParModel kModels[] = {DynParModel::CDP, DynParModel::DTBL};
 
 /**
  * One set-up input of a sweep and what its missing cells share: a
@@ -172,40 +162,31 @@ runMatrixPreset(const std::vector<std::string> &names,
     if (jobs == 0)
         jobs = ThreadPool::defaultJobs();
 
-    // Fatal on an unknown preset before any simulation spends cycles;
-    // the machine geometry below is presetConfig(preset) with the
-    // harness-level tick-mode override layered on top (paperConfig()
-    // handles LAPERM_TICK_MODE; the preset must not undo it).
-    GpuConfig base_machine = presetConfig(preset);
-    base_machine.tickMode = paperConfig().tickMode;
-
-    // Same early-fatal discipline for the workload axis: an unknown
-    // name (e.g. a typo in a tenant/mix spec routed here) dies with
-    // the structured known-names error, never a mid-sweep surprise.
+    // Slots are workload-major, then model, then policy: the serial
+    // loop order. Every cell is built as a served request is parsed,
+    // and all of them before any runs, so an unknown name dies with
+    // the structured known-names error before a simulation spends
+    // cycles. Every job writes only its own slots, so the results are
+    // the same no matter how many workers raced to fill them.
+    constexpr std::size_t cellsPerWorkload =
+        std::size(kDynParModels) * std::size(kTbPolicies);
+    std::vector<RunSpec> cells;
+    cells.reserve(names.size() * cellsPerWorkload);
     for (const std::string &name : names) {
-        if (!isKnownWorkload(name)) {
-            laperm_fatal("unknown workload '%s' (known: %s)",
-                         name.c_str(), workloadNameList().c_str());
+        for (DynParModel model : kDynParModels) {
+            for (TbPolicy policy : kTbPolicies) {
+                cells.push_back(sweepCell({{"preset", preset},
+                                           {"workload", name},
+                                           {"model", wireName(model)},
+                                           {"policy", wireName(policy)},
+                                           {"scale", toString(scale)},
+                                           {"seed", std::to_string(seed)}}));
+            }
         }
     }
-
-    // Slots are workload-major, then model, then policy: the serial
-    // loop order. Every job writes only its own slots, so the results
-    // are the same no matter how many workers raced to fill them.
-    constexpr std::size_t kNumModels = std::size(kModels);
-    constexpr std::size_t kNumPolicies = std::size(kPolicies);
-    const std::size_t cellsPerWorkload = kNumModels * kNumPolicies;
-    const std::size_t numCells = names.size() * cellsPerWorkload;
-    auto cellConfig = [&](std::size_t slot) {
-        GpuConfig cfg = base_machine;
-        cfg.dynParModel = kModels[slot / kNumPolicies % kNumModels];
-        cfg.tbPolicy = kPolicies[slot % kNumPolicies];
-        cfg.seed = seed;
-        return cfg;
-    };
+    const std::size_t numCells = cells.size();
 
     std::vector<RunResult> results(numCells);
-    std::vector<std::string> keys(numCells);
     std::vector<char> missing(numCells, 1);
     std::optional<ResultCache> store;
     if (use_cache)
@@ -218,17 +199,14 @@ runMatrixPreset(const std::vector<std::string> &names,
     auto loadCell = [&](std::size_t slot) {
         if (!store)
             return false;
-        const GpuConfig cfg = cellConfig(slot);
-        const std::string &name = names[slot / cellsPerWorkload];
-        keys[slot] = contentKey(appCellCanonical(
-            name, cfg.dynParModel, cfg.tbPolicy, scale, seed, cfg));
+        const RunSpec &cell = cells[slot];
         std::string payload;
         ResultRecord rec;
         const auto isCell = [&](const std::string &p) {
-            return decodeCellRecord(p, name, cfg, rec);
+            return decodeCellRecord(p, cell.workload, cell.cfg, rec);
         };
         const ResultCache::Tier tier =
-            store->probe(keys[slot], payload, isCell);
+            store->probe(cell.key(), payload, isCell);
         if (tier == ResultCache::Tier::Miss ||
             (tier == ResultCache::Tier::Memory &&
              !ResultRecord::decode(payload, rec))) {
@@ -290,26 +268,25 @@ runMatrixPreset(const std::vector<std::string> &names,
             if (!missing[slot])
                 continue;
             pool.submit([&, slot] {
-                const GpuConfig cfg = cellConfig(slot);
-                const std::size_t i = slot / cellsPerWorkload;
-                SweepInput &in = inputs[i];
-                ResultRecord rec;
-                if (in.forest) {
-                    rec = runForestRecord(*in.workload, *in.forest, cfg,
-                                          traceDir());
-                } else {
-                    rec = runOneRecord(*in.workload, cfg, traceDir());
-                }
+                const RunSpec &cell = cells[slot];
+                SweepInput &in = inputs[slot / cellsPerWorkload];
+                const ResultRecord rec =
+                    in.forest ? cellRecord(*in.workload, cell.cfg,
+                                           runTraced(*in.workload,
+                                                     *in.forest, cell.cfg,
+                                                     traceDir()))
+                              : runOneRecord(*in.workload, cell.cfg,
+                                             traceDir());
                 if (in.cellsLeft.fetch_sub(1) == 1) {
                     in.forest.reset();
                     in.workload.reset();
                 }
                 if (store)
-                    store->store(keys[slot], rec.encode());
+                    store->store(cell.key(), rec.encode());
                 results[slot] = rec.toRunResult();
                 laperm_inform("%s %s/%s: ipc=%.2f l1=%.3f l2=%.3f",
-                              names[i].c_str(), toString(cfg.dynParModel),
-                              toString(cfg.tbPolicy), rec.ipc, rec.l1,
+                              cell.workload.c_str(), toString(cell.model),
+                              toString(cell.policy), rec.ipc, rec.l1,
                               rec.l2);
             });
         }

@@ -19,8 +19,19 @@
 
 namespace laperm {
 
+class TraceForest; // gpu/trace_forest.hh
+
 /** The Table I configuration (K20c / GK110). */
 GpuConfig paperConfig();
+
+/** The four TB policies of a sweep, in enum order. */
+inline constexpr TbPolicy kTbPolicies[] = {
+    TbPolicy::RR, TbPolicy::TbPri, TbPolicy::SmxBind,
+    TbPolicy::AdaptiveBind};
+
+/** The two dynamic-parallelism models of a sweep, in enum order. */
+inline constexpr DynParModel kDynParModels[] = {DynParModel::CDP,
+                                                DynParModel::DTBL};
 
 /** Metrics of one simulation run. */
 struct RunResult
@@ -44,22 +55,25 @@ struct RunResult
 };
 
 /**
- * Why a TB of one of @p workload's host waves can never be resident on
- * an SMX of @p cfg, or an empty string. Such a wave would never
- * dispatch; the workload must be set up.
+ * The one traced run: run @p workload on @p cfg, replaying @p forest,
+ * and return the run's statistics. With a non-empty @p trace_dir it
+ * writes the DESIGN.md §8 artifacts there, as
+ * "<workload>_<model>_<policy>.{dispatch.csv,trace.json,intervals.tsv,
+ * latency.tsv,locality.tsv}" (1000-cycle intervals). Sweep cells,
+ * served requests and laperm_sim all trace through it.
  */
-std::string hostWaveMisfit(const Workload &workload, const GpuConfig &cfg);
+GpuStats runTraced(const Workload &workload, TraceForest &forest,
+                   const GpuConfig &cfg, const std::string &trace_dir);
 
 /** Run one configuration (workload must be set up). */
 RunResult runOne(const Workload &workload, const GpuConfig &cfg);
 
 /**
- * Run one configuration and return the full canonical record (every
- * counter the CSV report and RunResult derive from). When @p trace_dir
- * is non-empty, the observability artifacts of DESIGN.md §8 are
- * written there under "<workload>_<model>_<policy>.*". This is the
- * execution path the serving subsystem (src/serve) uses; runOne is a
- * thin wrapper that honors LAPERM_TRACE_DIR instead.
+ * Run one configuration beside its own builder thread and return the
+ * full canonical record (every counter the CSV report and RunResult
+ * derive from), tracing into a non-empty @p trace_dir as runTraced
+ * does. This is the execution path the serving subsystem (src/serve)
+ * uses; runOne is a thin wrapper that honors LAPERM_TRACE_DIR instead.
  */
 ResultRecord runOneRecord(const Workload &workload, const GpuConfig &cfg,
                           const std::string &trace_dir);

@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "common/parse_uint.hh"
 #include "harness/experiment.hh"
 #include "sim/config_loader.hh"
 
@@ -232,50 +231,6 @@ encodeSweepTsv(const std::vector<RunResult> &rows)
             << r.kduFullStalls << '\n';
     }
     return out.str();
-}
-
-std::string
-appCellCanonical(const std::string &workload, DynParModel model,
-                 TbPolicy policy, Scale scale, std::uint64_t seed,
-                 const GpuConfig &cfg)
-{
-    std::string out;
-    out.reserve(kCanonicalMachineBytes);
-    out += "w=";
-    out += workload;
-    out += " m=";
-    appendUInt(out, static_cast<unsigned>(model));
-    out += " p=";
-    appendUInt(out, static_cast<unsigned>(policy));
-    out += " sc=";
-    appendUInt(out, static_cast<unsigned>(scale));
-    out += " seed=";
-    appendUInt(out, seed);
-    out += ' ';
-    appendCanonicalMachine(out, cfg);
-    return out;
-}
-
-std::string
-mixCellCanonical(const std::string &mix, const std::string &preset,
-                 DynParModel model, TbPolicy policy, std::uint64_t seed,
-                 const GpuConfig &cfg)
-{
-    std::string out;
-    out.reserve(kCanonicalMachineBytes);
-    out += "m=";
-    appendUInt(out, static_cast<unsigned>(model));
-    out += " p=";
-    appendUInt(out, static_cast<unsigned>(policy));
-    out += " seed=";
-    appendUInt(out, seed);
-    out += ' ';
-    appendCanonicalMachine(out, cfg);
-    out += " tenants=";
-    out += mix;
-    out += " tpreset=";
-    out += preset;
-    return out;
 }
 
 ResultCache::ResultCache(std::string dir, std::string fingerprint)

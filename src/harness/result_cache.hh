@@ -5,7 +5,7 @@
  * subsystem (src/serve). Every sweep cell, tenant-sweep cell and
  * served request is one record under one content key.
  *
- * Four pieces:
+ * Three pieces:
  *
  *  - ResultRecord: the canonical single-line encoding of one
  *    simulation's statistics. Doubles are stored with %.17g so they
@@ -13,10 +13,6 @@
  *    laperm_sim --csv row, the sweep-harness RunResult) regenerated
  *    from a record is byte-identical to one produced directly from the
  *    simulation. This is the determinism contract of the store.
- *
- *  - appCellCanonical() / mixCellCanonical(): the canonical strings of
- *    the two kinds of cell, hashed by contentKey(). A sweep cell and
- *    the served request that means the same simulation share a key.
  *
  *  - ResultCache: a per-process memory tier over payload files
  *    "<dir>/results/<key>.rec". Every file starts with a
@@ -140,27 +136,6 @@ const char *statsCsvHeaderWithConfig();
  * laperm_submit --batch prints.
  */
 std::string encodeSweepTsv(const std::vector<RunResult> &rows);
-
-/**
- * Canonical string of one single-app cell: the run coordinates in
- * fixed order, then canonicalMachine(cfg), so every spelling of one
- * machine (preset name, TOML, shortcut fields) gives one string. The
- * model, policy and seed come from the arguments, not from @p cfg.
- */
-std::string appCellCanonical(const std::string &workload,
-                             DynParModel model, TbPolicy policy,
-                             Scale scale, std::uint64_t seed,
-                             const GpuConfig &cfg);
-
-/**
- * Canonical string of one multi-tenant mix cell. The mix names its own
- * workloads and scales, so neither is part of the string; the preset
- * label is, because the tenant TSV payload carries it as a column.
- */
-std::string mixCellCanonical(const std::string &mix,
-                             const std::string &preset, DynParModel model,
-                             TbPolicy policy, std::uint64_t seed,
-                             const GpuConfig &cfg);
 
 /**
  * The result store: a per-process memory tier over the

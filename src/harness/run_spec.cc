@@ -3,9 +3,14 @@
 #include "common/log.hh"
 #include "common/parse_uint.hh"
 #include "common/text.hh"
+#include "gpu/gpu.hh"
 #include "harness/result_cache.hh"
+#include "harness/tenant_sweep.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
+#include "tenant/mixes.hh"
+#include "tenant/tenant_manager.hh"
+#include "workloads/registry.hh"
 
 namespace laperm {
 
@@ -130,6 +135,68 @@ apply(RunSpec &spec, const RunField &field, const std::string &raw,
     return true;
 }
 
+/** RunSpec::canonical() of a single-app cell. */
+std::string
+appCellCanonical(const std::string &workload, DynParModel model,
+                 TbPolicy policy, Scale scale, std::uint64_t seed,
+                 const GpuConfig &cfg)
+{
+    std::string out;
+    out.reserve(kCanonicalMachineBytes);
+    out += "w=";
+    out += workload;
+    out += " m=";
+    appendUInt(out, static_cast<unsigned>(model));
+    out += " p=";
+    appendUInt(out, static_cast<unsigned>(policy));
+    out += " sc=";
+    appendUInt(out, static_cast<unsigned>(scale));
+    out += " seed=";
+    appendUInt(out, seed);
+    out += ' ';
+    appendCanonicalMachine(out, cfg);
+    return out;
+}
+
+/** RunSpec::canonical() of a multi-tenant mix cell. */
+std::string
+mixCellCanonical(const std::string &mix, const std::string &preset,
+                 DynParModel model, TbPolicy policy, std::uint64_t seed,
+                 const GpuConfig &cfg)
+{
+    std::string out;
+    out.reserve(kCanonicalMachineBytes);
+    out += "m=";
+    appendUInt(out, static_cast<unsigned>(model));
+    out += " p=";
+    appendUInt(out, static_cast<unsigned>(policy));
+    out += " seed=";
+    appendUInt(out, seed);
+    out += ' ';
+    appendCanonicalMachine(out, cfg);
+    out += " tenants=";
+    out += mix;
+    out += " tpreset=";
+    out += preset;
+    return out;
+}
+
+/**
+ * Why a TB of one of @p workload's host waves can never be resident on
+ * an SMX of @p cfg, or an empty string. Such a wave would never
+ * dispatch.
+ */
+std::string
+hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
+{
+    for (const LaunchRequest &wave : workload.waves()) {
+        std::string misfit = launchMisfit(cfg, wave);
+        if (!misfit.empty())
+            return misfit;
+    }
+    return std::string();
+}
+
 } // namespace
 
 std::string
@@ -145,6 +212,32 @@ std::string
 RunSpec::key() const
 {
     return contentKey(canonical());
+}
+
+std::string
+RunSpec::check() const
+{
+    if (!tenants.empty() && !tenant::isBuiltinMix(tenants))
+        return "unknown mix '" + tenants +
+               "' (builtin: " + tenant::mixNameList() + ")";
+    // A mix names its own workloads; the single-app coordinates still
+    // check so defaults stay sane.
+    if (!isKnownWorkload(workload))
+        return "unknown workload '" + workload +
+               "' (known: " + workloadNameList() + ")";
+    return cfg.check();
+}
+
+bool
+RunSpec::accepts(const std::string &payload) const
+{
+    if (tenants.empty()) {
+        ResultRecord rec;
+        return decodeCellRecord(payload, workload, cfg, rec);
+    }
+    std::vector<TenantSweepRow> rows;
+    return decodeMixRecord(payload, tenant::builtinMix(tenants), presetName,
+                           cfg.tbPolicy, rows);
 }
 
 std::span<const RunField>
@@ -208,6 +301,38 @@ applyRunFlag(RunSpec &spec, const RunField &field, const std::string &value,
         return true;
     err = where + ": " + err;
     return false;
+}
+
+RunSpec
+sweepCell(std::initializer_list<CellField> fields)
+{
+    RunSpec spec;
+    std::string err;
+    for (const CellField &f : fields) {
+        if (!applyRunField(spec, *findRunField(f.key), f.raw, err))
+            laperm_fatal("%s", err.c_str());
+    }
+    err = spec.check();
+    if (!err.empty())
+        laperm_fatal("%s", err.c_str());
+    return spec;
+}
+
+std::string
+runCell(const RunSpec &spec, const std::string &trace_dir)
+{
+    if (!spec.tenants.empty()) {
+        const tenant::MixSpec mix = tenant::builtinMix(spec.tenants);
+        const tenant::MixStudy study = tenant::runMixStudy(mix, spec.cfg);
+        return encodeTenantSweepTsv(tenantSweepRows(
+            mix.name, spec.presetName, spec.cfg.tbPolicy, study.metrics));
+    }
+    auto w = createWorkload(spec.workload);
+    w->setup(spec.scale, spec.seed);
+    const std::string misfit = hostWaveMisfit(*w, spec.cfg);
+    if (!misfit.empty())
+        laperm_fatal("%s: %s", spec.workload.c_str(), misfit.c_str());
+    return runOneRecord(*w, spec.cfg, trace_dir).encode();
 }
 
 } // namespace laperm

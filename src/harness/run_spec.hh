@@ -1,23 +1,29 @@
 /**
  * @file
  * Run coordinates (DESIGN.md §7.1, §10.2): the one grammar that
- * laperm_sim, laperm_submit and the wire protocol share. RunSpec holds
- * every coordinate of one simulation cell, and the field table in
- * run_spec.cc has one row per coordinate, keyed by its wire name. The
- * command-line flag is the key with '_' turned into '-' (`l1_kb` is
- * `--l1-kb`), so a flag and a request field are one row and parse
- * alike by construction.
+ * laperm_sim, laperm_submit and the wire protocol share, and the one
+ * definition of a cell. RunSpec holds every coordinate of one
+ * simulation cell, and the field table in run_spec.cc has one row per
+ * coordinate, keyed by its wire name. The command-line flag is the key
+ * with '_' turned into '-' (`l1_kb` is `--l1-kb`), so a flag and a
+ * request field are one row and parse alike by construction.
  *
  * Only the per-field parse is shared, not the order of application:
  * the CLIs apply flags in command-line order, later flags overriding
  * earlier ones, while the wire applies preset, then config, then the
  * other fields, whatever the JSON order (serve/service/sim_request.hh).
+ *
+ * A cell's key, its check, its stored record and its run are
+ * RunSpec's too: the sweeps build every cell through the rows
+ * (sweepCell), the daemon parses one per request, and both key, check
+ * and run it here, so a sweep cell and its request are one record.
  */
 
 #ifndef LAPERM_HARNESS_RUN_SPEC_HH
 #define LAPERM_HARNESS_RUN_SPEC_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 
@@ -56,14 +62,30 @@ struct RunSpec
     std::string presetName = "k20c";
 
     /**
-     * appCellCanonical() for a single-app run, mixCellCanonical() for a
-     * tenants run (harness/result_cache.hh): every spelling of one
-     * machine shares it, and so do a sweep cell and its request.
+     * The run coordinates in fixed order, then canonicalMachine(cfg)
+     * (sim/config_loader.hh): every spelling of one machine shares it,
+     * and so do a sweep cell and its request. A tenants cell leaves
+     * out the workload and scale, which the mix names itself, and adds
+     * the mix and the preset label.
      */
     std::string canonical() const;
 
-    /** Content key of canonical(). */
+    /** Content key of canonical(): the cell's name in the store. */
     std::string key() const;
+
+    /**
+     * Why this cell cannot run, or an empty string: a workload the
+     * registry does not know, a mix that is not builtin, or a machine
+     * GpuConfig::check() rejects.
+     */
+    std::string check() const;
+
+    /**
+     * Whether @p payload is this cell's stored record: decodeCellRecord
+     * for a single-app cell, decodeMixRecord for a mix. The cell must
+     * pass check().
+     */
+    bool accepts(const std::string &payload) const;
 };
 
 /** One row of the run-field table. */
@@ -102,6 +124,32 @@ bool applyRunField(RunSpec &spec, const RunField &field,
  */
 bool applyRunFlag(RunSpec &spec, const RunField &field,
                   const std::string &value, std::string &err);
+
+/** One wire field of a sweep cell: its key and its raw value. */
+struct CellField
+{
+    const char *key;
+    std::string raw;
+};
+
+/**
+ * The sweep cell that applying @p fields in order gives, as a served
+ * request applies them. Fatal on a bad value or a cell check()
+ * refuses, so a sweep that builds its cells first dies on a typo
+ * before any simulation runs.
+ */
+RunSpec sweepCell(std::initializer_list<CellField> fields);
+
+/**
+ * Run either kind of cell and return what the store keeps under its
+ * key. A single-app cell sets up its workload, refuses a host TB no
+ * SMX can hold (fatal, before simulating) and returns
+ * runOneRecord(...).encode(), writing the DESIGN.md §8 artifacts to a
+ * non-empty @p trace_dir. A mix returns the tenant-sweep rows of
+ * runMixStudy (harness/tenant_sweep.hh); it takes no trace directory.
+ * The cell must pass check().
+ */
+std::string runCell(const RunSpec &spec, const std::string &trace_dir);
 
 } // namespace laperm
 

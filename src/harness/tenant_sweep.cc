@@ -7,21 +7,10 @@
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
+#include "harness/run_spec.hh"
 #include "harness/thread_pool.hh"
-#include "sim/presets.hh"
-#include "tenant/mixes.hh"
-#include "tenant/tenant_manager.hh"
 
 namespace laperm {
-
-namespace {
-
-constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
-                                  TbPolicy::SmxBind,
-                                  TbPolicy::AdaptiveBind};
-constexpr std::size_t kNumPolicies = std::size(kPolicies);
-
-} // namespace
 
 std::vector<TenantSweepRow>
 tenantSweepRows(const std::string &mix, const std::string &preset,
@@ -92,6 +81,9 @@ decodeTenantSweepTsv(const std::string &tsv,
         r.policy = static_cast<TbPolicy>(pi);
         rows.push_back(std::move(r));
     }
+    // Only encodeTenantSweepTsv's own spelling of the rows counts.
+    if (encodeTenantSweepTsv(rows) != tsv)
+        return false;
     out = std::move(rows);
     return true;
 }
@@ -126,27 +118,25 @@ runTenantSweep(const std::vector<std::string> &mixes,
     if (jobs == 0)
         jobs = ThreadPool::defaultJobs();
 
-    // Resolve every axis value up front so a typo dies with the
-    // structured known-names error before any simulation runs.
-    struct Group
-    {
-        tenant::MixSpec mix;
-        std::string preset;
-    };
-    std::vector<Group> groups;
-    for (const std::string &mix_name : mixes) {
-        const tenant::MixSpec mix = tenant::builtinMix(mix_name);
+    // Every cell is built as a served `tenants` request is parsed, and
+    // all of them before any runs, so a typo dies with the structured
+    // known-names error before any simulation spends cycles.
+    std::vector<RunSpec> specs;
+    for (const std::string &mix : mixes) {
         for (const std::string &preset : presets) {
-            presetConfig(preset); // fatal on unknown preset
-            groups.push_back({mix, preset});
+            for (TbPolicy policy : kTbPolicies) {
+                specs.push_back(sweepCell({{"preset", preset},
+                                           {"tenants", mix},
+                                           {"policy", wireName(policy)},
+                                           {"seed", std::to_string(seed)}}));
+            }
         }
     }
 
-    // One job per (group x policy) cell, each owning its device and
-    // workload instances and writing a preassigned slot, so the output
-    // is byte-identical at any worker count.
-    std::vector<std::vector<TenantSweepRow>> cells(groups.size() *
-                                                   kNumPolicies);
+    // One job per cell, each owning its device and workload instances
+    // and writing a preassigned slot, so the output is byte-identical
+    // at any worker count.
+    std::vector<std::vector<TenantSweepRow>> cells(specs.size());
     std::optional<ResultCache> store;
     if (use_cache)
         store.emplace();
@@ -155,41 +145,31 @@ runTenantSweep(const std::vector<std::string> &mixes,
             std::min<std::size_t>(jobs, cells.size())));
         for (std::size_t slot = 0; slot < cells.size(); ++slot) {
             pool.submit([&, slot] {
-                const Group &g = groups[slot / kNumPolicies];
-                GpuConfig cfg = presetConfig(g.preset);
-                cfg.tickMode = paperConfig().tickMode;
-                cfg.tbPolicy = kPolicies[slot % kNumPolicies];
-                cfg.seed = seed;
-                std::string key, payload;
-                if (store) {
-                    // A record on disk counts only if it is this cell's:
-                    // a foreign, garbled or empty one is recomputed, and
-                    // the store overwrites it.
-                    key = contentKey(mixCellCanonical(
-                        g.mix.name, g.preset, cfg.dynParModel,
-                        cfg.tbPolicy, seed, cfg));
-                    const auto isCell = [&](const std::string &p) {
-                        std::vector<TenantSweepRow> rows;
-                        return decodeMixRecord(p, g.mix, g.preset,
-                                               cfg.tbPolicy, rows);
-                    };
-                    if (store->probe(key, payload, isCell) !=
-                            ResultCache::Tier::Miss &&
-                        decodeTenantSweepTsv(payload, cells[slot])) {
-                        return;
-                    }
+                const RunSpec &spec = specs[slot];
+                std::vector<TenantSweepRow> &rows = cells[slot];
+                std::string payload;
+                // A record on disk counts only if it is this cell's: a
+                // foreign, garbled or empty one is recomputed, and the
+                // store overwrites it.
+                const auto isCell = [&spec](const std::string &p) {
+                    return spec.accepts(p);
+                };
+                if (store &&
+                    store->probe(spec.key(), payload, isCell) !=
+                        ResultCache::Tier::Miss &&
+                    decodeTenantSweepTsv(payload, rows)) {
+                    return;
                 }
-                const tenant::MixStudy study =
-                    tenant::runMixStudy(g.mix, cfg);
-                cells[slot] = tenantSweepRows(g.mix.name, g.preset,
-                                              cfg.tbPolicy, study.metrics);
+                payload = runCell(spec, std::string());
                 if (store)
-                    store->store(key, encodeTenantSweepTsv(cells[slot]));
-                laperm_inform(
-                    "mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
-                    g.mix.name.c_str(), g.preset.c_str(),
-                    toString(cfg.tbPolicy), study.metrics.antt,
-                    study.metrics.stp, study.metrics.jain);
+                    store->store(spec.key(), payload);
+                if (!decodeTenantSweepTsv(payload, rows) || rows.empty())
+                    laperm_panic("mix %s: unreadable rows",
+                                 spec.tenants.c_str());
+                laperm_inform("mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
+                              spec.tenants.c_str(), spec.presetName.c_str(),
+                              toString(spec.policy), rows[0].mixAntt,
+                              rows[0].mixStp, rows[0].mixJain);
             });
         }
         pool.wait();

@@ -50,7 +50,12 @@ struct TenantSweepRow
 /** Serialize rows (header comment + one row per tenant, %.17g doubles). */
 std::string encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows);
 
-/** Parse encodeTenantSweepTsv output; false on a malformed row. */
+/**
+ * Parse encodeTenantSweepTsv output. False, with @p out unchanged, on
+ * any text that encodeTenantSweepTsv would not write back byte for
+ * byte: a malformed row, trailing junk, a missing header, another
+ * separator or another spelling of a number.
+ */
 bool decodeTenantSweepTsv(const std::string &tsv,
                           std::vector<TenantSweepRow> &out);
 

@@ -2,16 +2,9 @@
 
 #include <chrono>
 #include <exception>
-#include <functional>
-#include <stdexcept>
 #include <thread>
 
 #include "common/log.hh"
-#include "harness/experiment.hh"
-#include "harness/tenant_sweep.hh"
-#include "tenant/mixes.hh"
-#include "tenant/tenant_manager.hh"
-#include "workloads/registry.hh"
 
 namespace laperm {
 namespace serve {
@@ -121,22 +114,9 @@ SimService::run(const SimRequest &req)
     // off disk must be this request's; any other is a miss, and the
     // execution below overwrites it.
     if (req.traceDir.empty()) {
-        std::function<bool(const std::string &)> isCell;
-        if (req.tenants.empty()) {
-            isCell = [&req](const std::string &payload) {
-                ResultRecord rec;
-                return decodeCellRecord(payload, req.workload, req.cfg,
-                                        rec);
-            };
-        } else {
-            isCell = [&req](const std::string &payload) {
-                std::vector<TenantSweepRow> rows;
-                return decodeMixRecord(payload,
-                                       tenant::builtinMix(req.tenants),
-                                       req.presetName, req.cfg.tbPolicy,
-                                       rows);
-            };
-        }
+        const auto isCell = [&req](const std::string &payload) {
+            return req.accepts(payload);
+        };
         const ResultCache::Tier tier =
             cache_.probe(out.key, out.payload, isCell);
         if (tier != ResultCache::Tier::Miss) {
@@ -229,25 +209,7 @@ SimService::execute(const SimRequest &req, const std::string &key,
         // cannot run on) answers this request; it must not end the
         // daemon.
         const FatalThrows fatal_throws;
-        if (!req.tenants.empty()) {
-            // Tenant-mix request: the payload is the same TSV
-            // laperm_sim --tenants MIX --tenants-tsv writes, so a
-            // served mix study byte-compares against a direct run.
-            const tenant::MixSpec mix = tenant::builtinMix(req.tenants);
-            const tenant::MixStudy study =
-                tenant::runMixStudy(mix, req.cfg);
-            payload = encodeTenantSweepTsv(tenantSweepRows(
-                mix.name, req.presetName, req.cfg.tbPolicy, study.metrics));
-        } else {
-            auto w = createWorkload(req.workload);
-            w->setup(req.scale, req.seed);
-            // A host TB that no SMX of this machine can hold would
-            // never dispatch: refuse before simulating anything.
-            const std::string misfit = hostWaveMisfit(*w, req.cfg);
-            if (!misfit.empty())
-                throw std::runtime_error(req.workload + ": " + misfit);
-            payload = runOneRecord(*w, req.cfg, req.traceDir).encode();
-        }
+        payload = runCell(req, req.traceDir);
     } catch (const std::exception &e) {
         error = e.what();
     }

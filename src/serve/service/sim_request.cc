@@ -1,11 +1,7 @@
 #include "serve/service/sim_request.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "sim/config_loader.hh"
-#include "tenant/mixes.hh"
-#include "workloads/registry.hh"
 
 namespace laperm {
 namespace serve {
@@ -14,7 +10,6 @@ bool
 SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
                      std::string &err)
 {
-    SimRequest r;
     auto apply = [&](const std::string &key, const JsonValue &value) {
         const RunField *field = findRunField(key);
         if (!field) {
@@ -29,7 +24,7 @@ SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
                   (field->number ? "number" : "string");
             return false;
         }
-        return applyRunField(r, *field, value.str, err);
+        return applyRunField(out, *field, value.str, err);
     };
 
     // Machine fields apply in fixed precedence — preset, then config
@@ -45,7 +40,7 @@ SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
         if (key == "op" || key == "preset" || key == "config")
             continue; // dispatched / already applied above
         if (key == "trace_dir") {
-            if (!getString(obj, key, r.traceDir)) {
+            if (!getString(obj, key, out.traceDir)) {
                 err = "'trace_dir' must be a string";
                 return false;
             }
@@ -53,38 +48,16 @@ SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
             return false;
         }
     }
-    out = std::move(r);
     return true;
 }
 
 bool
 SimRequest::validate(std::string &err) const
 {
-    if (!tenants.empty()) {
-        if (!tenant::isBuiltinMix(tenants)) {
-            err = "unknown mix '" + tenants +
-                  "' (builtin: " + tenant::mixNameList() + ")";
-            return false;
-        }
-        if (!traceDir.empty()) {
-            err = "'trace_dir' is not supported with 'tenants'";
-            return false;
-        }
-        // The mix names its own workloads; the single-app coordinates
-        // below still validate so defaults stay sane.
-    }
-    const std::vector<std::string> &names = workloadNames();
-    if (std::find(names.begin(), names.end(), workload) == names.end()) {
-        err = "unknown workload '" + workload + "' (known: " +
-              workloadNameList() + ")";
-        return false;
-    }
-    const std::string cfgErr = cfg.check();
-    if (!cfgErr.empty()) {
-        err = cfgErr;
-        return false;
-    }
-    return true;
+    err = check();
+    if (err.empty() && !tenants.empty() && !traceDir.empty())
+        err = "'trace_dir' is not supported with 'tenants'";
+    return err.empty();
 }
 
 std::string

@@ -23,7 +23,8 @@ namespace serve {
 
 /**
  * One simulation request: the run coordinates plus what only the
- * service understands. canonical() and key() are RunSpec's.
+ * service understands. canonical(), key(), check() and accepts() are
+ * RunSpec's.
  */
 struct SimRequest : RunSpec
 {
@@ -36,11 +37,13 @@ struct SimRequest : RunSpec
     std::string traceDir;
 
     /**
-     * Build from a parsed protocol object. Every field but `op` and
-     * `trace_dir` is a row of the run-field table: numbers for the
-     * numeric rows, strings for the rest. Unknown fields are rejected
-     * so a typo cannot silently run the default simulation. Does not
-     * validate semantics; see validate().
+     * Fill the caller's fresh (default-constructed) @p out from a
+     * parsed protocol object, in place; on false its contents are
+     * unspecified. Every field but `op` and `trace_dir` is a row of the
+     * run-field table: numbers for the numeric rows, strings for the
+     * rest. Unknown fields are rejected so a typo cannot silently run
+     * the default simulation. Does not validate semantics; see
+     * validate().
      *
      * Machine fields layer in a fixed precedence regardless of the
      * JSON field order: preset (named machine, sim/presets.hh), then
@@ -53,8 +56,8 @@ struct SimRequest : RunSpec
                          std::string &err);
 
     /**
-     * Semantic validation (workload exists, builtin mix, config sane);
-     * no fatal.
+     * RunSpec::check(), plus the service's own rule that `trace_dir`
+     * and `tenants` do not combine; no fatal. False with @p err set.
      */
     bool validate(std::string &err) const;
 

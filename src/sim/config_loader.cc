@@ -121,8 +121,8 @@ struct FieldDef
     /**
      * Write the value's canonical spelling, unquoted, at the pointer
      * (at most kMaxValueChars) and return its end. The one formatter
-     * of machine values: canonicalMachine(), emitMachineToml() and
-     * machineFieldValue() all spell a value through it.
+     * of machine values: canonicalMachine() and emitMachineToml()
+     * both spell a value through it.
      */
     char *(*write)(const GpuConfig &, char *);
 };
@@ -334,16 +334,6 @@ setMachineField(GpuConfig &cfg, const std::string &key,
         return false;
     }
     return f->set(cfg, raw, err);
-}
-
-std::string
-machineFieldValue(const GpuConfig &cfg, const std::string &key)
-{
-    const FieldDef *f = findField(key);
-    if (!f)
-        return std::string();
-    char value[kMaxValueChars];
-    return std::string(value, f->write(cfg, value));
 }
 
 bool

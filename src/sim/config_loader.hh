@@ -63,9 +63,6 @@ std::vector<MachineFieldInfo> machineFields();
 bool setMachineField(GpuConfig &cfg, const std::string &key,
                      const std::string &raw, std::string &err);
 
-/** Canonical value spelling of one machine field ("" if unknown). */
-std::string machineFieldValue(const GpuConfig &cfg, const std::string &key);
-
 /**
  * Apply a TOML-subset machine config on top of @p cfg. Only mentioned
  * keys change — parse onto a preset to express "v100 but 40 SMXs".

@@ -44,13 +44,12 @@
  * then --config (file of overrides), then single-field flags like
  * --smx.
  *
- * Observability outputs (DESIGN.md §8; any combination may be given):
- *     --trace FILE          dispatch-event CSV (legacy flat format)
- *     --trace-json FILE     Chrome-trace/Perfetto JSON timeline
- *     --trace-intervals FILE per-interval metrics TSV
- *     --interval N          interval length in cycles (default 1000)
- *     --latency-hist FILE   launch-latency histogram TSV (Sec. IV-D)
- *     --locality FILE       locality-attribution counter TSV
+ * Observability outputs (DESIGN.md §8):
+ *     --trace-dir DIR   write each run's five trace artifacts into DIR
+ *                       as <workload>_<model>_<policy>.{dispatch.csv,
+ *                       trace.json,intervals.tsv,latency.tsv,
+ *                       locality.tsv}, as sweep cells and served
+ *                       requests do (harness/experiment.hh runTraced)
  */
 
 #include <algorithm>
@@ -63,10 +62,8 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parse_uint.hh"
-#include "gpu/gpu.hh"
-#include "obs/locality.hh"
-#include "obs/trace_collector.hh"
+#include "gpu/trace_forest.hh"
+#include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "harness/run_spec.hh"
 #include "harness/table.hh"
@@ -87,19 +84,8 @@ struct Options
 {
     RunSpec run;
     bool csv = false;
-    std::string tracePath;     ///< --trace FILE: dispatch-event CSV
-    std::string traceJsonPath; ///< --trace-json FILE
-    std::string intervalsPath; ///< --trace-intervals FILE
-    Cycle interval = 1000;     ///< --interval N
-    std::string latencyPath;   ///< --latency-hist FILE
-    std::string localityPath;  ///< --locality FILE
+    std::string traceDir;       ///< --trace-dir DIR
     std::string tenantsTsvPath; ///< --tenants-tsv FILE
-
-    bool wantsCollector() const
-    {
-        return !tracePath.empty() || !traceJsonPath.empty() ||
-               !intervalsPath.empty() || !latencyPath.empty();
-    }
 };
 
 [[noreturn]] void
@@ -114,10 +100,7 @@ usage(const char *argv0)
                  "[--l1-kb N] [--l2-kb N] [--levels N] "
                  "[--cdp-latency N] [--dtbl-latency N] "
                  "[--warp-sched gto|lrr|tbaware] [--tick-mode event|dense] "
-                 "[--csv] [--list] "
-                 "[--trace FILE] [--trace-json FILE] "
-                 "[--trace-intervals FILE] [--interval N] "
-                 "[--latency-hist FILE] [--locality FILE] "
+                 "[--csv] [--list] [--trace-dir DIR] "
                  "[--tenants MIX|FILE.toml] [--tenants-tsv FILE]\n",
                  argv0);
     std::exit(2);
@@ -246,85 +229,19 @@ runTenants(const Options &opt)
     return 0;
 }
 
-/**
- * What one workload's run prints, held back so a suite run on the pool
- * prints in registry order.
- */
-struct Output
+/** Run @p w beside a builder thread; return what the run prints. */
+std::string
+runWorkload(const Options &opt, const Workload &w)
 {
-    std::string out; ///< the report or CSV row
-    std::string err; ///< notices of the files written
-};
-
-/**
- * Run @p w beside a builder thread and write its per-workload files;
- * with @p prefixed (--workload all) each file name is prefixed with
- * the workload name ("bfs-citation.<file>").
- */
-Output
-runWorkload(const Options &opt, const Workload &w, bool prefixed)
-{
-    const RunSpec &run = opt.run;
-    const std::string name = w.fullName();
-    Output o;
-    auto out_path = [&](const std::string &path) {
-        return prefixed ? name + "." + path : path;
-    };
-    auto note = [&o](bool ok, const char *what, const std::string &path) {
-        o.err += ok ? logFormat("%s: %s\n", what, path.c_str())
-                    : logFormat("warn: could not write %s '%s'\n", what,
-                                path.c_str());
-    };
-
     // Declared first, so the builder starts while the Gpu is set up and
     // the forest outlives the run.
     TraceForest forest(w.waves());
     TraceBuilder builder(forest);
-    Gpu gpu(run.cfg);
-    std::unique_ptr<obs::TraceCollector> collector;
-    if (opt.wantsCollector()) {
-        collector = std::make_unique<obs::TraceCollector>();
-        gpu.observers().attach(collector.get());
-    }
-    std::unique_ptr<obs::LocalityTracker> locality;
-    if (!opt.localityPath.empty()) {
-        locality = std::make_unique<obs::LocalityTracker>(gpu.mem().numL1());
-        gpu.setLocalityTracker(locality.get());
-    }
-    gpu.runForest(forest);
+    const GpuStats stats = runTraced(w, forest, opt.run.cfg, opt.traceDir);
     builder.finish();
-    report(opt, w, gpu.stats(), o.out);
-    if (collector) {
-        if (!opt.tracePath.empty()) {
-            const std::string path = out_path(opt.tracePath);
-            if (!collector->writeDispatchCsv(path))
-                o.err += logFormat("warn: could not write trace '%s'\n",
-                                   path.c_str());
-            else
-                o.err += logFormat("dispatch trace: %s (%zu events)\n",
-                                   path.c_str(),
-                                   collector->dispatches().size());
-        }
-        if (!opt.traceJsonPath.empty()) {
-            const std::string path = out_path(opt.traceJsonPath);
-            note(collector->writeChromeTrace(path), "chrome trace", path);
-        }
-        if (!opt.intervalsPath.empty()) {
-            const std::string path = out_path(opt.intervalsPath);
-            note(collector->writeIntervalTsv(path, opt.interval),
-                 "interval metrics", path);
-        }
-        if (!opt.latencyPath.empty()) {
-            const std::string path = out_path(opt.latencyPath);
-            note(collector->writeLaunchLatencyTsv(path),
-                 "launch-latency histogram", path);
-        }
-    }
-    if (locality) {
-        const std::string path = out_path(opt.localityPath);
-        note(locality->writeTsv(path), "locality attribution", path);
-    }
-    return o;
+    std::string out;
+    report(opt, w, stats, out);
+    return out;
 }
 
 } // namespace
@@ -356,23 +273,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--tick-mode")) {
             if (!parseWireName(next_arg(i), opt.run.cfg.tickMode))
                 usage(argv[0]);
-        } else if (!std::strcmp(a, "--trace")) {
-            opt.tracePath = next_arg(i);
-        } else if (!std::strcmp(a, "--trace-json")) {
-            opt.traceJsonPath = next_arg(i);
-        } else if (!std::strcmp(a, "--trace-intervals")) {
-            opt.intervalsPath = next_arg(i);
-        } else if (!std::strcmp(a, "--interval")) {
-            const char *v = next_arg(i);
-            if (!parseUInt(v, UINT32_MAX, opt.interval)) {
-                std::fprintf(stderr,
-                             "laperm_sim: --interval: bad value '%s'\n", v);
-                return 2;
-            }
-        } else if (!std::strcmp(a, "--latency-hist")) {
-            opt.latencyPath = next_arg(i);
-        } else if (!std::strcmp(a, "--locality")) {
-            opt.localityPath = next_arg(i);
+        } else if (!std::strcmp(a, "--trace-dir")) {
+            opt.traceDir = next_arg(i);
         } else if (!std::strcmp(a, "--tenants-tsv")) {
             opt.tenantsTsvPath = next_arg(i);
         } else if (!std::strcmp(a, "--csv")) {
@@ -437,23 +339,24 @@ main(int argc, char **argv)
                          return inputs[a]->footprintBytes() >
                                 inputs[b]->footprintBytes();
                      });
+    // Each workload's output is held back until every workload before
+    // it has printed, so a suite run prints in registry order.
     std::mutex mu;
-    std::vector<Output> outputs(names.size());
+    std::vector<std::string> outputs(names.size());
     std::vector<char> done(names.size(), 0);
     std::size_t printed = 0;
     for (std::size_t i : order) {
         pool.submit([&, i] {
             const FatalThrows fatal_throws;
-            Output o = runWorkload(opt, *inputs[i], names.size() > 1);
+            std::string o = runWorkload(opt, *inputs[i]);
             inputs[i].reset();
             const std::lock_guard<std::mutex> lock(mu);
             outputs[i] = std::move(o);
             done[i] = 1;
             for (; printed < names.size() && done[printed]; ++printed) {
-                std::fputs(outputs[printed].out.c_str(), stdout);
+                std::fputs(outputs[printed].c_str(), stdout);
                 std::fflush(stdout);
-                std::fputs(outputs[printed].err.c_str(), stderr);
-                outputs[printed] = Output();
+                outputs[printed] = std::string();
             }
         });
     }

@@ -92,15 +92,4 @@ workloadNameList()
     return out;
 }
 
-std::vector<std::string>
-workloadNamesForApp(const std::string &app)
-{
-    std::vector<std::string> out;
-    for (const auto &name : workloadNames()) {
-        if (name.rfind(app + "-", 0) == 0)
-            out.push_back(name);
-    }
-    return out;
-}
-
 } // namespace laperm

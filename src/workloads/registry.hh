@@ -20,9 +20,6 @@ const std::vector<std::string> &workloadNames();
 /** Instantiate a workload by "app-input" name; fatal if unknown. */
 std::unique_ptr<Workload> createWorkload(const std::string &name);
 
-/** Names filtered to one application, e.g. "bfs". */
-std::vector<std::string> workloadNamesForApp(const std::string &app);
-
 /** Whether @p name is a Table II instance (chase-* is intentionally not). */
 bool isKnownWorkload(const std::string &name);
 

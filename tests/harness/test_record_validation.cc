@@ -5,8 +5,9 @@
  * cell's bytes under another cell's key) or a garbled one is a miss
  * for both readers, the sweep and the service: the cell is recomputed
  * and its file overwritten. The same holds for tenant-mix cells, whose
- * records are tenant-sweep rows, and for an empty mix record, which
- * would otherwise decode as zero rows.
+ * records are tenant-sweep rows, for an empty mix record, which would
+ * otherwise decode as zero rows, and for a mix record spelled in any
+ * way encodeTenantSweepTsv would not write it.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
+#include "harness/run_spec.hh"
 #include "harness/tenant_sweep.hh"
 #include "serve/service/service.hh"
 #include "serve/service/sim_request.hh"
@@ -73,9 +75,12 @@ expectSweepRecomputes(const std::string &payload, const std::string &name)
 {
     const std::string dir = freshDir(name);
     const GpuConfig cfg = cellConfig(DynParModel::CDP, TbPolicy::RR);
-    const std::string key = contentKey(appCellCanonical(
-        "join-uniform", cfg.dynParModel, cfg.tbPolicy, Scale::Tiny, kSeed,
-        cfg));
+    const std::string key = sweepCell({{"workload", "join-uniform"},
+                                       {"model", "cdp"},
+                                       {"policy", "rr"},
+                                       {"scale", "tiny"},
+                                       {"seed", "1"}})
+                                .key();
     ASSERT_TRUE(ResultCache(dir).store(key, payload));
 
     setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
@@ -176,6 +181,14 @@ directMixRecord(const std::string &mix, TbPolicy policy)
         tenantSweepRows(mix, "k20c", policy, study.metrics));
 }
 
+/** The key of duo's k20c tenant-sweep cell under RR. */
+std::string
+duoCellKey()
+{
+    return sweepCell({{"tenants", "duo"}, {"policy", "rr"}, {"seed", "1"}})
+        .key();
+}
+
 /**
  * Plant @p payload under duo/k20c/RR's tenant-sweep key, sweep duo on
  * k20c through the store, and expect the true cell back and on disk.
@@ -185,9 +198,7 @@ expectMixSweepRecomputes(const std::string &payload,
                          const std::string &name)
 {
     const std::string dir = freshDir(name);
-    const GpuConfig cfg = mixConfig(TbPolicy::RR);
-    const std::string key = contentKey(mixCellCanonical(
-        "duo", "k20c", cfg.dynParModel, cfg.tbPolicy, kSeed, cfg));
+    const std::string key = duoCellKey();
     ASSERT_TRUE(ResultCache(dir).store(key, payload));
 
     setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
@@ -267,6 +278,34 @@ mixPlants()
         {"other_policy", directMixRecord("duo", TbPolicy::TbPri)},
         {"garbage", kGarbage},
         {"empty", ""},
+    };
+}
+
+/**
+ * duo/k20c/RR's own rows, each spelled in a way encodeTenantSweepTsv
+ * would not write them; the rows still parse field by field.
+ */
+std::vector<MixPlant>
+respelledMixPlants()
+{
+    const std::string rec = directMixRecord("duo", TbPolicy::RR);
+    const std::size_t header = rec.find('\n') + 1;
+    const std::size_t rowEnd = rec.find('\n', header);
+    const std::string row = rec.substr(header, rowEnd - header);
+    const std::string rest = rec.substr(rowEnd);
+    // Field 5 is the tenant's job count.
+    std::size_t jobs = header;
+    for (int i = 0; i < 5; ++i)
+        jobs = rec.find(' ', jobs) + 1;
+    std::string tabbed = row;
+    tabbed[tabbed.find(' ')] = '\t';
+    return {
+        {"trailing_junk", rec.substr(0, rowEnd) + " junk" + rest},
+        {"no_header", rec.substr(header)},
+        {"tab", rec.substr(0, header) + tabbed + rest},
+        {"leading_zero", rec.substr(0, jobs) + "0" + rec.substr(jobs)},
+        {"comment_and_blank",
+         rec.substr(0, header) + "# note\n\n" + rec.substr(header)},
     };
 }
 
@@ -385,4 +424,58 @@ TEST(RecordValidation, MixServiceRecomputesForeignGarbageAndEmptyRecords)
         expectMixServiceRecomputes(p.payload,
                                    std::string("mix_service_") + p.name);
     }
+}
+
+TEST(RecordValidation, MixRecordDecodesOnlyAsEncodeWritesIt)
+{
+    const tenant::MixSpec duo = tenant::builtinMix("duo");
+    std::vector<TenantSweepRow> rows;
+    ASSERT_TRUE(decodeMixRecord(directMixRecord("duo", TbPolicy::RR), duo,
+                                "k20c", TbPolicy::RR, rows));
+    for (const MixPlant &p : respelledMixPlants()) {
+        EXPECT_FALSE(decodeTenantSweepTsv(p.payload, rows)) << p.name;
+        EXPECT_FALSE(
+            decodeMixRecord(p.payload, duo, "k20c", TbPolicy::RR, rows))
+            << p.name;
+    }
+}
+
+TEST(RecordValidation, MixSweepRecomputesRespelledRecords)
+{
+    for (const MixPlant &p : respelledMixPlants()) {
+        SCOPED_TRACE(p.name);
+        expectMixSweepRecomputes(p.payload,
+                                 std::string("mix_sweep_") + p.name);
+    }
+}
+
+TEST(RecordValidation, MixServiceRecomputesRespelledRecords)
+{
+    for (const MixPlant &p : respelledMixPlants()) {
+        SCOPED_TRACE(p.name);
+        expectMixServiceRecomputes(p.payload,
+                                   std::string("mix_service_") + p.name);
+    }
+}
+
+// The canonical record is a hit: the sweep reads it back and leaves
+// the file as it was.
+TEST(RecordValidation, MixSweepHitsTheCanonicalRecord)
+{
+    const std::string dir = freshDir("mix_sweep_canonical");
+    const std::string key = duoCellKey();
+    ASSERT_TRUE(
+        ResultCache(dir).store(key, directMixRecord("duo", TbPolicy::RR)));
+    const std::string path = dir + "/results/" + key + ".rec";
+    const auto written = std::filesystem::last_write_time(path);
+
+    setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("LAPERM_NO_CACHE");
+    const std::vector<TenantSweepRow> swept =
+        runTenantSweep({"duo"}, {"k20c"}, kSeed, true, 2);
+    unsetenv("LAPERM_CACHE_DIR");
+    EXPECT_EQ(encodeTenantSweepTsv(swept),
+              encodeTenantSweepTsv(
+                  runTenantSweep({"duo"}, {"k20c"}, kSeed, false, 2)));
+    EXPECT_EQ(std::filesystem::last_write_time(path), written);
 }

@@ -369,12 +369,12 @@ TEST(Observability, SweepTracesByteIdenticalAcrossJobCounts)
     runMatrix({"bfs-cage"}, Scale::Tiny, 7, false, 8);
     unsetenv("LAPERM_TRACE_DIR");
 
-    // 8 cells x 4 artifacts per directory, pairwise byte-identical.
+    // 8 cells x 5 artifacts per directory, pairwise byte-identical.
     std::vector<std::string> names;
     for (const auto &e : fs::directory_iterator(dirA))
         names.push_back(e.path().filename().string());
     std::sort(names.begin(), names.end());
-    ASSERT_EQ(names.size(), 32u);
+    ASSERT_EQ(names.size(), 40u);
     for (const auto &name : names) {
         const std::string a = slurp(dirA + "/" + name);
         const std::string b = slurp(dirB + "/" + name);

@@ -195,12 +195,14 @@ TEST(HitPath, RequestKeysArePinned)
               "6cf8f10d3bc90620d29784be924c8a5a");
 }
 
-// A stored payload that needs every escape comes back in one exact
-// frame, from the disk tier and then from the memory tier, and the
-// client's parse of that frame gives back the payload byte for byte.
-// The payload is a duo mix record whose comment line holds the bytes
-// to escape; comment lines are not rows, so the record passes the
-// service's check of a disk-tier record.
+// A stored payload that needs escaping comes back in one exact frame,
+// from the disk tier and then from the memory tier, and the client's
+// parse of that frame gives back the payload byte for byte. The
+// payload is a duo mix record, spelled as encodeTenantSweepTsv writes
+// it (any other spelling fails the service's check of a disk-tier
+// record), so its newlines are the bytes the frame escapes; the
+// escapes of the other bytes the writer rewrites are pinned on
+// appendJsonEscaped's own output.
 TEST(HitPath, OkFrameOfAnEscapedPayloadIsPinned)
 {
     const std::string dir =
@@ -220,8 +222,7 @@ TEST(HitPath, OkFrameOfAnEscapedPayloadIsPinned)
         r.antt = 1.0 / 3.0;
         rows.push_back(r);
     }
-    const std::string payload =
-        "# \"quoted\" back\\slash\r\ttab\n" + encodeTenantSweepTsv(rows);
+    const std::string payload = encodeTenantSweepTsv(rows);
     ASSERT_TRUE(ResultCache(dir, "fp-hit-path").store(req.key(), payload));
 
     ServiceOptions opts;
@@ -232,7 +233,6 @@ TEST(HitPath, OkFrameOfAnEscapedPayloadIsPinned)
     const std::string want =
         R"({"status":"ok","cached":true,"deduped":false,)"
         R"("key":"976d1950a4b5f8479ea4e0d87e12b475","result":")"
-        R"(# \"quoted\" back\\slash\r\ttab\n)"
         R"(# mix preset policy tenant tenantId jobs ANTT p50 p95 p99 )"
         R"(retiredTbs mixANTT STP Jain makespan\n)"
         R"(duo k20c 0 graph 0 0 0.33333333333333331 0 0 0 0 0 0 0 0\n)"
@@ -251,4 +251,8 @@ TEST(HitPath, OkFrameOfAnEscapedPayloadIsPinned)
     EXPECT_EQ(m.cacheMemHits, 1u);
     EXPECT_EQ(m.executed, 0u);
     std::filesystem::remove_all(dir);
+
+    std::string escaped;
+    appendJsonEscaped(escaped, "# \"quoted\" back\\slash\r\ttab\n");
+    EXPECT_EQ(escaped, R"(# \"quoted\" back\\slash\r\ttab\n)");
 }

@@ -13,11 +13,15 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "harness/tenant_sweep.hh"
@@ -79,6 +83,45 @@ testServiceOptions(const std::string &cacheDir)
     o.cacheDir = cacheDir;
     o.fingerprint = "fp-test";
     return o;
+}
+
+/** The presets the shared-hit tests sweep. */
+constexpr const char *kSweptPresets[] = {"k20c", "v100"};
+
+/** The request one wire line parses to. */
+SimRequest
+requestOf(const std::string &line)
+{
+    JsonObject obj;
+    std::string err;
+    SimRequest req;
+    EXPECT_TRUE(parseJsonObject(line, obj, err)) << err;
+    EXPECT_TRUE(SimRequest::fromJson(obj, req, err)) << err;
+    return req;
+}
+
+/** The keys of the records stored under @p cacheDir. */
+std::set<std::string>
+storedKeys(const std::string &cacheDir)
+{
+    std::set<std::string> keys;
+    for (const auto &e :
+         std::filesystem::directory_iterator(cacheDir + "/results"))
+        keys.insert(e.path().stem().string());
+    return keys;
+}
+
+/** Every file of @p dir, by name. */
+std::map<std::string, std::string>
+dirContents(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        out[e.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return out;
 }
 
 bool
@@ -496,25 +539,45 @@ TEST(ServeService, CacheHitMetricsDistinguishMemoryAndSharedTiers)
 
 TEST(ServeService, SweepCellIsASharedHitForTheMatchingRequest)
 {
-    // The sweep and the daemon share one store: a cell the sweep
-    // simulated is the served request's entry.
+    // The sweep and the daemon share one store: every cell the sweep
+    // simulated is stored under the matching request's key, and the
+    // request is a shared hit with a direct run's bytes.
     const std::string dir = tempDir("sweep_cell");
     setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
     unsetenv("LAPERM_NO_CACHE");
-    ASSERT_EQ(runMatrix({"bfs-cage"}, Scale::Tiny, 3).size(), 8u);
+    for (const char *preset : kSweptPresets)
+        ASSERT_EQ(runMatrixPreset({"bfs-cage"}, preset, Scale::Tiny, 3)
+                      .size(),
+                  8u);
     unsetenv("LAPERM_CACHE_DIR");
+
+    std::vector<SimRequest> reqs;
+    std::set<std::string> keys;
+    for (const char *preset : kSweptPresets) {
+        for (DynParModel model : kDynParModels) {
+            for (TbPolicy policy : kTbPolicies) {
+                reqs.push_back(requestOf(logFormat(
+                    R"({"op":"run","workload":"bfs-cage","scale":"tiny",)"
+                    R"("seed":3,"preset":"%s","model":"%s","policy":"%s"})",
+                    preset, wireName(model), wireName(policy))));
+                keys.insert(reqs.back().key());
+            }
+        }
+    }
+    EXPECT_EQ(storedKeys(dir), keys);
 
     ServiceOptions opts = testServiceOptions(dir);
     opts.fingerprint.clear(); // the sweep stored under the real one
     SimService svc(opts);
-    const SimRequest req = tinyRequest(3);
-    const RunOutcome hit = svc.run(req);
-    ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
-    EXPECT_TRUE(hit.cached);
-    EXPECT_EQ(hit.payload, directPayload(req));
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const RunOutcome hit = svc.run(reqs[i]);
+        ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
+        EXPECT_TRUE(hit.cached) << i;
+        EXPECT_EQ(hit.payload, directPayload(reqs[i])) << i;
+    }
     const ServiceMetrics m = svc.metrics();
     EXPECT_EQ(m.executed, 0u);
-    EXPECT_EQ(m.cacheSharedHits, 1u);
+    EXPECT_EQ(m.cacheSharedHits, reqs.size());
 }
 
 TEST(ServeService, TenantSweepCellIsASharedHitForTheMatchingRequest)
@@ -523,33 +586,74 @@ TEST(ServeService, TenantSweepCellIsASharedHitForTheMatchingRequest)
     setenv("LAPERM_CACHE_DIR", dir.c_str(), 1);
     unsetenv("LAPERM_NO_CACHE");
     const std::vector<TenantSweepRow> swept =
-        runTenantSweep({"duo"}, {"k20c"}, 1);
+        runTenantSweep({"duo"}, {"k20c", "v100"}, 1);
     unsetenv("LAPERM_CACHE_DIR");
-    std::vector<TenantSweepRow> rr;
-    for (const TenantSweepRow &r : swept) {
-        if (r.policy == TbPolicy::RR)
-            rr.push_back(r);
-    }
-    ASSERT_FALSE(rr.empty());
 
-    JsonObject obj;
-    std::string err;
-    ASSERT_TRUE(parseJsonObject(
-        R"({"op":"run","tenants":"duo","policy":"rr","seed":1})", obj,
-        err));
-    SimRequest req;
-    ASSERT_TRUE(SimRequest::fromJson(obj, req, err)) << err;
+    std::vector<SimRequest> reqs;
+    std::vector<std::string> want;
+    std::set<std::string> keys;
+    for (const char *preset : kSweptPresets) {
+        for (TbPolicy policy : kTbPolicies) {
+            reqs.push_back(requestOf(logFormat(
+                R"({"op":"run","tenants":"duo","preset":"%s",)"
+                R"("policy":"%s","seed":1})",
+                preset, wireName(policy))));
+            keys.insert(reqs.back().key());
+            std::vector<TenantSweepRow> rows;
+            for (const TenantSweepRow &r : swept) {
+                if (r.preset == preset && r.policy == policy)
+                    rows.push_back(r);
+            }
+            ASSERT_FALSE(rows.empty()) << preset << toString(policy);
+            want.push_back(encodeTenantSweepTsv(rows));
+        }
+    }
+    EXPECT_EQ(storedKeys(dir), keys);
 
     ServiceOptions opts = testServiceOptions(dir);
     opts.fingerprint.clear(); // the sweep stored under the real one
     SimService svc(opts);
-    const RunOutcome hit = svc.run(req);
-    ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
-    EXPECT_TRUE(hit.cached);
-    EXPECT_EQ(hit.payload, encodeTenantSweepTsv(rr));
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const RunOutcome hit = svc.run(reqs[i]);
+        ASSERT_EQ(hit.status, RunStatus::Ok) << hit.error;
+        EXPECT_TRUE(hit.cached) << i;
+        EXPECT_EQ(hit.payload, want[i]) << i;
+    }
     const ServiceMetrics m = svc.metrics();
     EXPECT_EQ(m.executed, 0u);
-    EXPECT_EQ(m.cacheSharedHits, 1u);
+    EXPECT_EQ(m.cacheSharedHits, reqs.size());
+}
+
+TEST(ServeService, TracedRequestWritesWhatEveryTracedRunWrites)
+{
+    // A trace_dir request writes the five DESIGN.md §8 artifacts
+    // through the harness's one traced run: the bytes runOneRecord and
+    // laperm_sim --trace-dir write for the same cell. Tracing leaves
+    // the payload as the untraced request's.
+    const std::string dir = tempDir("traced");
+    SimRequest req = tinyRequest(5);
+    req.traceDir = dir + "/served";
+    SimService svc(testServiceOptions(dir + "/cache"));
+    const RunOutcome traced = svc.run(req);
+    ASSERT_EQ(traced.status, RunStatus::Ok) << traced.error;
+    EXPECT_FALSE(traced.cached);
+    EXPECT_EQ(traced.payload, directPayload(tinyRequest(5)));
+
+    auto w = createWorkload(req.workload);
+    w->setup(req.scale, req.seed);
+    (void)runOneRecord(*w, req.cfg, dir + "/direct");
+
+    const std::string cli = std::string(LAPERM_SIM_BIN) +
+                            " --workload bfs-cage --scale tiny --seed 5"
+                            " --model dtbl --policy rr --csv --trace-dir " +
+                            dir + "/cli > " + dir + "/cli.csv";
+    ASSERT_EQ(std::system(cli.c_str()), 0) << cli;
+
+    const std::map<std::string, std::string> served =
+        dirContents(dir + "/served");
+    EXPECT_EQ(served.size(), 5u);
+    EXPECT_EQ(served, dirContents(dir + "/direct"));
+    EXPECT_EQ(served, dirContents(dir + "/cli"));
 }
 
 TEST(ServeService, IdenticalInFlightRequestsAreSingleFlighted)

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
+#include "common/text.hh"
 #include "sim/config.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
@@ -112,8 +114,9 @@ TEST(ConfigLoaderTest, SetMachineFieldChecksAndSets)
     EXPECT_EQ(cfg.l2Banks, 12u);
     EXPECT_FALSE(setMachineField(cfg, "l2_banks", "lots", err));
     EXPECT_FALSE(setMachineField(cfg, "no_such_key", "1", err));
-    EXPECT_EQ(machineFieldValue(cfg, "l2_banks"), "12");
-    EXPECT_EQ(machineFieldValue(cfg, "no_such_key"), "");
+    const std::string toml = emitMachineToml(cfg);
+    EXPECT_NE(toml.find("\nl2_banks = 12\n"), std::string::npos) << toml;
+    EXPECT_EQ(toml.find("no_such_key"), std::string::npos) << toml;
 }
 
 TEST(ConfigLoaderTest, CanonicalizationIsSpellingInvariant)
@@ -199,14 +202,24 @@ TEST(ConfigLoaderTest, MachineFieldListIsCompleteAndDocumented)
     const auto fields = machineFields();
     EXPECT_GE(fields.size(), 35u);
     const GpuConfig cfg;
+    std::map<std::string, std::string> emitted;
+    std::string err;
+    ASSERT_TRUE(forEachTomlLine(
+        emitMachineToml(cfg),
+        [&](const TomlLine &line, std::string &) {
+            if (!line.header)
+                emitted[line.key] = line.value;
+            return true;
+        },
+        err))
+        << err;
     for (const auto &f : fields) {
         EXPECT_NE(std::string(f.doc), "") << f.key;
         // Every registered key has a canonical value spelling that the
         // checked setter accepts back (identity on defaults).
-        const std::string v = machineFieldValue(cfg, f.key);
+        const std::string v = emitted[f.key];
         EXPECT_NE(v, "") << f.key;
         GpuConfig copy = cfg;
-        std::string err;
         EXPECT_TRUE(setMachineField(copy, f.key, v, err))
             << f.key << ": " << err;
         EXPECT_EQ(machineHash(copy), defaultMachineHash()) << f.key;

@@ -102,13 +102,6 @@ TEST(WorkloadRegistry, SixteenInstances)
     EXPECT_EQ(workloadNames().size(), 16u);
 }
 
-TEST(WorkloadRegistry, AppFilter)
-{
-    EXPECT_EQ(workloadNamesForApp("bfs").size(), 3u);
-    EXPECT_EQ(workloadNamesForApp("amr").size(), 1u);
-    EXPECT_EQ(workloadNamesForApp("nope").size(), 0u);
-}
-
 TEST(WorkloadRegistry, NamesRoundTrip)
 {
     for (const auto &name : workloadNames()) {
