@@ -79,6 +79,13 @@ readFile(const std::string &path, std::string &out)
 }
 
 bool
+closeWritten(std::FILE *f)
+{
+    const bool written = !std::ferror(f);
+    return std::fclose(f) == 0 && written;
+}
+
+bool
 forEachTomlLine(std::string_view text, const TomlVisitor &visit,
                 std::string &err)
 {

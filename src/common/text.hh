@@ -1,7 +1,8 @@
 /**
  * @file
  * The program's readers of text input: readFile() is its one
- * whole-file read, and forEachTomlLine() its one lexer of the TOML
+ * whole-file read (closeWritten() its one checked close of a written
+ * file), and forEachTomlLine() its one lexer of the TOML
  * subset that machine configs (sim/config_loader.hh), tenant mix specs
  * (tenant/tenant_spec.hh) and sim-lint's layering spec
  * (tools/lint_layering.hh) are written in. Each of those parsers sees
@@ -25,6 +26,7 @@
 #ifndef LAPERM_COMMON_TEXT_HH
 #define LAPERM_COMMON_TEXT_HH
 
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -33,6 +35,13 @@ namespace laperm {
 
 /** Read all of @p path into @p out; false if it cannot be opened. */
 bool readFile(const std::string &path, std::string &out);
+
+/**
+ * Close @p f, a file opened for writing: false if a write to it failed
+ * (its error flag) or the close did, which is where a full device
+ * shows once the buffer is flushed. Every artifact writer ends here.
+ */
+bool closeWritten(std::FILE *f);
 
 /** One header or entry line of a TOML-subset text. */
 struct TomlLine

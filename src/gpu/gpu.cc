@@ -58,28 +58,28 @@ Gpu::noteSmxBusy(SmxId id)
 }
 
 void
-Gpu::runToIdle(Cycle max_cycles)
+Gpu::runToIdle()
 {
-    run(kNoCycle, max_cycles);
+    run(kNoCycle);
 }
 
 void
-Gpu::runUntil(Cycle stop, Cycle max_cycles)
+Gpu::runUntil(Cycle stop)
 {
     laperm_assert(stop != kNoCycle, "runUntil without a stop cycle");
-    run(stop, max_cycles);
+    run(stop);
 }
 
 void
-Gpu::run(Cycle stop, Cycle max_cycles)
+Gpu::run(Cycle stop)
 {
     const Cycle start = cycle_;
     while (!idle() && cycle_ < stop) {
         step();
-        if (cycle_ - start > max_cycles) {
+        if (cycle_ - start > kMaxRunCycles) {
             laperm_panic("simulation exceeded %llu cycles "
                          "(undispatched=%llu active=%llu pending=%zu)",
-                         static_cast<unsigned long long>(max_cycles),
+                         static_cast<unsigned long long>(kMaxRunCycles),
                          static_cast<unsigned long long>(undispatchedTbs_),
                          static_cast<unsigned long long>(activeTbs_),
                          launcher_->kmu().size());

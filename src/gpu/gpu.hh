@@ -24,6 +24,12 @@
 namespace laperm {
 
 /**
+ * The most cycles one run call (Gpu::runToIdle, Gpu::runUntil) or one
+ * multi-tenant run may simulate before it is taken for a livelock.
+ */
+inline constexpr Cycle kMaxRunCycles = Cycle(1) << 36;
+
+/**
  * Host-side work of the timing core: deterministic counts of the
  * simulator's own operations, not of simulated events. They stay out
  * of GpuStats and every result artifact; a host-side optimisation
@@ -86,7 +92,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
      * Run until all launched work — including dynamically spawned
      * kernels/TB groups — has drained.
      */
-    void runToIdle(Cycle max_cycles = Cycle(1) << 36);
+    void runToIdle();
 
     /**
      * Run until the device is idle or the clock reaches @p stop,
@@ -96,7 +102,7 @@ class Gpu : public SmxCallbacks, public DispatchContext
      * runUntil(b), and a fully sliced run matches runToIdle for
      * policies whose failed dispatch probes are side-effect-free.
      */
-    void runUntil(Cycle stop, Cycle max_cycles = Cycle(1) << 36);
+    void runUntil(Cycle stop);
 
     /**
      * Jump an idle device forward to @p cycle (the open-loop arrival
@@ -178,9 +184,10 @@ class Gpu : public SmxCallbacks, public DispatchContext
   private:
     /**
      * The run loop of both tick modes: step until idle or until the
-     * clock reaches @p stop (kNoCycle: no stop).
+     * clock reaches @p stop (kNoCycle: no stop). A call that runs past
+     * kMaxRunCycles panics.
      */
-    void run(Cycle stop, Cycle max_cycles);
+    void run(Cycle stop);
     void step(); ///< visit cycle_, then move to the next visited cycle
     void trimMshrsIfDue(Cycle now);
     bool idle() const;

@@ -51,7 +51,6 @@ class Kdu
 
     bool hasFreeEntry() const { return occupied_ < entries_; }
     std::uint32_t freeEntries() const { return entries_ - occupied_; }
-    std::uint32_t occupied() const { return occupied_; }
 
     /**
      * Admit a new kernel of @p total_tbs TBs.

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
+#include <functional>
 #include <optional>
 
 #include "common/log.hh"
@@ -100,8 +102,8 @@ runTraced(const Workload &workload, TraceForest &forest,
             !collector->writeIntervalTsv(base + ".intervals.tsv") ||
             !collector->writeLaunchLatencyTsv(base + ".latency.tsv") ||
             !locality->writeTsv(base + ".locality.tsv")) {
-            laperm_warn("could not write trace artifacts '%s.*'",
-                        base.c_str());
+            laperm_fatal("could not write trace artifacts '%s.*'",
+                         base.c_str());
         }
     }
     return gpu.stats();
@@ -127,22 +129,153 @@ runOne(const Workload &workload, const GpuConfig &cfg)
 namespace {
 
 /**
- * One set-up input of a sweep and what its missing cells share: a
- * shared trace forest, which the sweep's builder thread builds ahead
- * and the cells replay. The last cell to finish frees the input and
- * drops its hold on the forest; the forest's last owner frees it. An
- * input with one missing cell has nothing to share and runs as
- * runOneRecord does.
+ * One input of a batch (runCells) and what its missing cells share:
+ * one set-up and, when more than one is missing, one shared trace
+ * forest, which the batch's builder thread builds ahead and the cells
+ * replay. Policy, model and machine decide only when and where a TB
+ * runs, never what it executes. The last missing cell to finish frees
+ * the input and drops its hold on the forest; the forest's last owner
+ * frees it. A mix cell is an input of its own and shares nothing.
  */
 struct SweepInput
 {
+    std::size_t first = 0; ///< its cells are [first, end)
+    std::size_t end = 0;
+    std::vector<std::size_t> missing; ///< its cells the store lacks
     std::unique_ptr<Workload> workload;
     std::shared_ptr<TraceForest> forest;
-    std::size_t missingCells = 0;
     std::atomic<std::size_t> cellsLeft{0};
 };
 
+/**
+ * The input-sharing decision: whether cell @p b joins the input that
+ * cell @p a starts. Single-app cells of one workload, scale and seed
+ * share their input, whatever their machines.
+ */
+bool
+sharesInput(const RunSpec &a, const RunSpec &b)
+{
+    return a.tenants.empty() && b.tenants.empty() &&
+           a.workload == b.workload && a.scale == b.scale &&
+           a.seed == b.seed;
+}
+
 } // namespace
+
+std::vector<std::string>
+runCells(const std::vector<RunSpec> &cells, bool use_cache, unsigned jobs)
+{
+    const char *no_cache = std::getenv("LAPERM_NO_CACHE");
+    if (no_cache && *no_cache == '1')
+        use_cache = false;
+    if (jobs == 0)
+        jobs = ThreadPool::defaultJobs();
+    std::optional<ResultCache> store;
+    if (use_cache)
+        store.emplace();
+
+    // An input is a run of consecutive cells; one whose cells come
+    // back later starts again and shares nothing with its first run.
+    // A deque grows without moving an input (its counter cannot move).
+    std::deque<SweepInput> inputs;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (inputs.empty() ||
+            !sharesInput(cells[inputs.back().first], cells[c])) {
+            inputs.emplace_back().first = c;
+        }
+        inputs.back().end = c + 1;
+    }
+    std::vector<std::string> payloads(cells.size());
+
+    // Phase 1: one job per input. It probes the input's cells and sets
+    // up a single-app input only if one of them is missing. A record
+    // on disk counts only if it is its cell's: a foreign or garbled one
+    // is recomputed, and the store overwrites it. Workloads are
+    // immutable after setup() (traces const, programs const), so the
+    // cell jobs below const-borrow them concurrently.
+    {
+        ThreadPool pool(
+            static_cast<unsigned>(std::min<std::size_t>(jobs, inputs.size())));
+        for (SweepInput &in : inputs) {
+            pool.submit([&cells, &store, &payloads, &in] {
+                for (std::size_t c = in.first; c < in.end; ++c) {
+                    if (!store ||
+                        store->probe(cells[c].key(), payloads[c],
+                                     std::bind_front(&RunSpec::accepts,
+                                                     &cells[c])) ==
+                            ResultCache::Tier::Miss) {
+                        in.missing.push_back(c);
+                    }
+                }
+                in.cellsLeft = in.missing.size();
+                const RunSpec &head = cells[in.first];
+                if (in.missing.empty() || !head.tenants.empty())
+                    return;
+                in.workload = createWorkload(head.workload);
+                in.workload->setup(head.scale, head.seed);
+            });
+        }
+        pool.wait();
+    }
+
+    // Phase 2: one job per missing cell, each owning its own Gpu and
+    // filling its own slot, so the payloads are the same no matter how
+    // many workers raced to fill them. One builder thread builds the
+    // shared forests ahead in the order the pool takes their cells.
+    std::size_t numMissing = 0;
+    std::vector<std::shared_ptr<TraceForest>> forests;
+    for (SweepInput &in : inputs) {
+        numMissing += in.missing.size();
+        if (in.workload && in.missing.size() > 1) {
+            in.forest = std::make_shared<TraceForest>(
+                in.workload->waves(), TraceForest::Sharing::Shared);
+            forests.push_back(in.forest);
+        }
+    }
+    if (numMissing == 0)
+        return payloads;
+    TraceBuilder builder(std::move(forests));
+    {
+        ThreadPool pool(
+            static_cast<unsigned>(std::min<std::size_t>(jobs, numMissing)));
+        for (SweepInput &in : inputs) {
+            for (std::size_t c : in.missing) {
+                pool.submit([&cells, &store, &payloads, &in, c] {
+                    const RunSpec &cell = cells[c];
+                    std::string &payload = payloads[c];
+                    if (!cell.tenants.empty()) {
+                        payload = runCell(cell, std::string());
+                    } else if (in.forest) {
+                        payload = cellRecord(*in.workload, cell.cfg,
+                                             runTraced(*in.workload,
+                                                       *in.forest, cell.cfg,
+                                                       traceDir()))
+                                      .encode();
+                    } else {
+                        payload = runOneRecord(*in.workload, cell.cfg,
+                                               traceDir())
+                                      .encode();
+                    }
+                    if (in.cellsLeft.fetch_sub(1) == 1) {
+                        in.forest.reset();
+                        in.workload.reset();
+                    }
+                    if (store)
+                        store->store(cell.key(), payload);
+                    laperm_inform(
+                        "%s %s %s/%s",
+                        (cell.tenants.empty() ? cell.workload : cell.tenants)
+                            .c_str(),
+                        cell.presetName.c_str(), toString(cell.model),
+                        toString(cell.policy));
+                });
+            }
+        }
+        pool.wait();
+    }
+    builder.finish();
+    return payloads;
+}
 
 std::vector<RunResult>
 runMatrix(const std::vector<std::string> &names, Scale scale,
@@ -156,22 +289,12 @@ runMatrixPreset(const std::vector<std::string> &names,
                 const std::string &preset, Scale scale,
                 std::uint64_t seed, bool use_cache, unsigned jobs)
 {
-    const char *no_cache = std::getenv("LAPERM_NO_CACHE");
-    if (no_cache && *no_cache == '1')
-        use_cache = false;
-    if (jobs == 0)
-        jobs = ThreadPool::defaultJobs();
-
-    // Slots are workload-major, then model, then policy: the serial
-    // loop order. Every cell is built as a served request is parsed,
-    // and all of them before any runs, so an unknown name dies with
-    // the structured known-names error before a simulation spends
-    // cycles. Every job writes only its own slots, so the results are
-    // the same no matter how many workers raced to fill them.
-    constexpr std::size_t cellsPerWorkload =
-        std::size(kDynParModels) * std::size(kTbPolicies);
+    // Cells are workload-major, then model, then policy: the serial
+    // loop order, and one input per workload. Every cell is built as a
+    // served request is parsed, and all of them before any runs, so an
+    // unknown name dies with the structured known-names error before a
+    // simulation spends cycles.
     std::vector<RunSpec> cells;
-    cells.reserve(names.size() * cellsPerWorkload);
     for (const std::string &name : names) {
         for (DynParModel model : kDynParModels) {
             for (TbPolicy policy : kTbPolicies) {
@@ -184,115 +307,14 @@ runMatrixPreset(const std::vector<std::string> &names,
             }
         }
     }
-    const std::size_t numCells = cells.size();
-
-    std::vector<RunResult> results(numCells);
-    std::vector<char> missing(numCells, 1);
-    std::optional<ResultCache> store;
-    if (use_cache)
-        store.emplace();
-    // Fills the slot from the store; false on a miss or without one.
-    // A record on disk counts only if it is this cell's: a foreign or
-    // garbled one is recomputed, and the store overwrites it. A disk
-    // hit's record is the one isCell decoded; only a memory hit, which
-    // skips isCell, is decoded here.
-    auto loadCell = [&](std::size_t slot) {
-        if (!store)
-            return false;
-        const RunSpec &cell = cells[slot];
-        std::string payload;
+    std::vector<RunResult> results;
+    results.reserve(cells.size());
+    for (const std::string &payload : runCells(cells, use_cache, jobs)) {
         ResultRecord rec;
-        const auto isCell = [&](const std::string &p) {
-            return decodeCellRecord(p, cell.workload, cell.cfg, rec);
-        };
-        const ResultCache::Tier tier =
-            store->probe(cell.key(), payload, isCell);
-        if (tier == ResultCache::Tier::Miss ||
-            (tier == ResultCache::Tier::Memory &&
-             !ResultRecord::decode(payload, rec))) {
-            return false;
-        }
-        results[slot] = rec.toRunResult();
-        missing[slot] = 0;
-        return true;
-    };
-
-    // Phase 1: one job per workload. It probes the workload's cells and
-    // generates inputs only if one of them is missing. Workloads are
-    // immutable after setup() (traces const, programs const), so the
-    // cell jobs below const-borrow them concurrently.
-    std::vector<SweepInput> inputs(names.size());
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, std::max<std::size_t>(
-                                            names.size(), 1))));
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            pool.submit([&, i] {
-                std::size_t needed = 0;
-                for (std::size_t c = 0; c < cellsPerWorkload; ++c)
-                    needed += !loadCell(i * cellsPerWorkload + c);
-                if (needed == 0)
-                    return;
-                auto w = createWorkload(names[i]);
-                w->setup(scale, seed);
-                inputs[i].workload = std::move(w);
-                inputs[i].missingCells = needed;
-                inputs[i].cellsLeft = needed;
-            });
-        }
-        pool.wait();
+        if (!ResultRecord::decode(payload, rec))
+            laperm_panic("unreadable cell record");
+        results.push_back(rec.toRunResult());
     }
-
-    // Phase 2: one job per missing cell, each owning its own Gpu and
-    // storing its own record. Cells of one input replay one shared
-    // trace forest: policy and model decide only when and where a TB
-    // runs, never what it executes. One builder thread builds the
-    // forests ahead in the order the pool takes their cells.
-    const auto numMissing = static_cast<std::size_t>(
-        std::count(missing.begin(), missing.end(), 1));
-    if (numMissing == 0)
-        return results;
-    std::vector<std::shared_ptr<TraceForest>> forests;
-    for (SweepInput &in : inputs) {
-        if (in.missingCells > 1) {
-            in.forest = std::make_shared<TraceForest>(
-                in.workload->waves(), TraceForest::Sharing::Shared);
-            forests.push_back(in.forest);
-        }
-    }
-    TraceBuilder builder(std::move(forests));
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, numMissing)));
-        for (std::size_t slot = 0; slot < numCells; ++slot) {
-            if (!missing[slot])
-                continue;
-            pool.submit([&, slot] {
-                const RunSpec &cell = cells[slot];
-                SweepInput &in = inputs[slot / cellsPerWorkload];
-                const ResultRecord rec =
-                    in.forest ? cellRecord(*in.workload, cell.cfg,
-                                           runTraced(*in.workload,
-                                                     *in.forest, cell.cfg,
-                                                     traceDir()))
-                              : runOneRecord(*in.workload, cell.cfg,
-                                             traceDir());
-                if (in.cellsLeft.fetch_sub(1) == 1) {
-                    in.forest.reset();
-                    in.workload.reset();
-                }
-                if (store)
-                    store->store(cell.key(), rec.encode());
-                results[slot] = rec.toRunResult();
-                laperm_inform("%s %s/%s: ipc=%.2f l1=%.3f l2=%.3f",
-                              cell.workload.c_str(), toString(cell.model),
-                              toString(cell.policy), rec.ipc, rec.l1,
-                              rec.l2);
-            });
-        }
-        pool.wait();
-    }
-    builder.finish();
     return results;
 }
 

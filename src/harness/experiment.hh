@@ -59,8 +59,10 @@ struct RunResult
  * and return the run's statistics. With a non-empty @p trace_dir it
  * writes the DESIGN.md §8 artifacts there, as
  * "<workload>_<model>_<policy>.{dispatch.csv,trace.json,intervals.tsv,
- * latency.tsv,locality.tsv}" (1000-cycle intervals). Sweep cells,
- * served requests and laperm_sim all trace through it.
+ * latency.tsv,locality.tsv}" (1000-cycle intervals); an artifact it
+ * cannot write is fatal (laperm_fatal), so a run whose trace was asked
+ * for never reports success without it. Sweep cells, served requests
+ * and laperm_sim all trace through it.
  */
 GpuStats runTraced(const Workload &workload, TraceForest &forest,
                    const GpuConfig &cfg, const std::string &trace_dir);
@@ -83,18 +85,11 @@ ResultRecord runOneRecord(const Workload &workload, const GpuConfig &cfg,
  * returned workload-major, then model, then policy, exactly the
  * requested cells in argument order.
  *
- * Cells are independent simulations and execute on a thread pool, one
- * job per cell; the results are the same at any worker count.
- *
- * @param use_cache probe and store each cell as one record in the
- *        result store under $LAPERM_CACHE_DIR (default "cache/" in the
- *        working directory), keyed like the served request for the
- *        same simulation, so the figure benches and the daemon share
- *        results. Only workloads with a missing cell are set up.
- *        LAPERM_NO_CACHE=1 disables it; when disabled no key is
- *        computed and the store is not touched.
- * @param jobs worker threads; 0 selects LAPERM_JOBS from the
- *        environment, falling back to hardware_concurrency().
+ * The cells run through runCells (harness/run_spec.hh), which takes
+ * @p use_cache and @p jobs: each cell is one record in the result
+ * store, keyed like the served request for the same simulation, so the
+ * figure benches and the daemon share results, and the results are
+ * the same at any worker count.
  */
 std::vector<RunResult> runMatrix(const std::vector<std::string> &names,
                                  Scale scale, std::uint64_t seed,

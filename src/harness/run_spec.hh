@@ -15,8 +15,9 @@
  *
  * A cell's key, its check, its stored record and its run are
  * RunSpec's too: the sweeps build every cell through the rows
- * (sweepCell), the daemon parses one per request, and both key, check
- * and run it here, so a sweep cell and its request are one record.
+ * (sweepCell) and run their batches through runCells, the daemon
+ * parses one per request and runs it through runCell, and both key and
+ * check it here, so a sweep cell and its request are one record.
  */
 
 #ifndef LAPERM_HARNESS_RUN_SPEC_HH
@@ -26,6 +27,7 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "sim/config.hh"
@@ -150,6 +152,31 @@ RunSpec sweepCell(std::initializer_list<CellField> fields);
  * The cell must pass check().
  */
 std::string runCell(const RunSpec &spec, const std::string &trace_dir);
+
+/**
+ * The one executor of a batch of cells, each of which must pass
+ * check(): returns, in cell order, what the store keeps under each
+ * cell's key, the same bytes runCell gives, at any worker count.
+ *
+ * An input is a run of consecutive single-app cells with one workload,
+ * scale and seed; a mix cell is an input of its own. Phase 1 probes
+ * each input's cells on the pool and sets up a single-app input only
+ * if one of its cells is missing. Phase 2 runs each missing cell on
+ * the pool: the missing cells of one input replay one shared trace
+ * forest, which one builder thread builds ahead in the order the pool
+ * takes them, and an input's last cell frees it. Single-app cells
+ * trace into $LAPERM_TRACE_DIR when it is set.
+ *
+ * @param use_cache probe and store each cell as one record in the
+ *        result store under $LAPERM_CACHE_DIR (default "cache/" in the
+ *        working directory), the record a served request for the same
+ *        cell reads and writes. LAPERM_NO_CACHE=1 disables it; when
+ *        disabled no key is computed and the store is not touched.
+ * @param jobs worker threads; 0 selects LAPERM_JOBS from the
+ *        environment, falling back to hardware_concurrency().
+ */
+std::vector<std::string> runCells(const std::vector<RunSpec> &cells,
+                                  bool use_cache = true, unsigned jobs = 0);
 
 } // namespace laperm
 

@@ -1,14 +1,11 @@
 #include "harness/tenant_sweep.hh"
 
-#include <cstdlib>
-#include <optional>
+#include <iterator>
 #include <sstream>
 
 #include "common/log.hh"
 #include "harness/experiment.hh"
-#include "harness/result_cache.hh"
 #include "harness/run_spec.hh"
-#include "harness/thread_pool.hh"
 
 namespace laperm {
 
@@ -112,12 +109,6 @@ runTenantSweep(const std::vector<std::string> &mixes,
                const std::vector<std::string> &presets,
                std::uint64_t seed, bool use_cache, unsigned jobs)
 {
-    const char *no_cache = std::getenv("LAPERM_NO_CACHE");
-    if (no_cache && *no_cache == '1')
-        use_cache = false;
-    if (jobs == 0)
-        jobs = ThreadPool::defaultJobs();
-
     // Every cell is built as a served `tenants` request is parsed, and
     // all of them before any runs, so a typo dies with the structured
     // known-names error before any simulation spends cycles.
@@ -132,53 +123,13 @@ runTenantSweep(const std::vector<std::string> &mixes,
             }
         }
     }
-
-    // One job per cell, each owning its device and workload instances
-    // and writing a preassigned slot, so the output is byte-identical
-    // at any worker count.
-    std::vector<std::vector<TenantSweepRow>> cells(specs.size());
-    std::optional<ResultCache> store;
-    if (use_cache)
-        store.emplace();
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, cells.size())));
-        for (std::size_t slot = 0; slot < cells.size(); ++slot) {
-            pool.submit([&, slot] {
-                const RunSpec &spec = specs[slot];
-                std::vector<TenantSweepRow> &rows = cells[slot];
-                std::string payload;
-                // A record on disk counts only if it is this cell's: a
-                // foreign, garbled or empty one is recomputed, and the
-                // store overwrites it.
-                const auto isCell = [&spec](const std::string &p) {
-                    return spec.accepts(p);
-                };
-                if (store &&
-                    store->probe(spec.key(), payload, isCell) !=
-                        ResultCache::Tier::Miss &&
-                    decodeTenantSweepTsv(payload, rows)) {
-                    return;
-                }
-                payload = runCell(spec, std::string());
-                if (store)
-                    store->store(spec.key(), payload);
-                if (!decodeTenantSweepTsv(payload, rows) || rows.empty())
-                    laperm_panic("mix %s: unreadable rows",
-                                 spec.tenants.c_str());
-                laperm_inform("mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
-                              spec.tenants.c_str(), spec.presetName.c_str(),
-                              toString(spec.policy), rows[0].mixAntt,
-                              rows[0].mixStp, rows[0].mixJain);
-            });
-        }
-        pool.wait();
-    }
-
     std::vector<TenantSweepRow> out;
-    for (std::vector<TenantSweepRow> &rows : cells) {
-        for (TenantSweepRow &r : rows)
-            out.push_back(std::move(r));
+    for (const std::string &payload : runCells(specs, use_cache, jobs)) {
+        std::vector<TenantSweepRow> rows;
+        if (!decodeTenantSweepTsv(payload, rows))
+            laperm_panic("unreadable mix record");
+        out.insert(out.end(), std::make_move_iterator(rows.begin()),
+                   std::make_move_iterator(rows.end()));
     }
     return out;
 }

@@ -2,10 +2,10 @@
  * @file
  * Multi-tenant contention sweep: mix x hardware preset x TB policy,
  * one MixStudy (shared run + solo baselines, src/tenant/) per cell.
- * Like the single-app sweep (harness/experiment.hh) it executes cells
- * on a thread pool with preassigned result slots and keeps each cell
- * as one record in the result store (harness/result_cache.hh): the
- * same record a served `tenants` request reads and writes, so
+ * Like the single-app sweep (harness/experiment.hh) it runs its cells
+ * through runCells (harness/run_spec.hh), which keeps each cell as one
+ * record in the result store (harness/result_cache.hh): the same
+ * record a served `tenants` request reads and writes, so
  * bench_multitenant, the EXPERIMENTS.md contention study and the
  * daemon share one set of simulations.
  */
@@ -89,11 +89,8 @@ std::vector<TenantSweepRow> tenantSweepRows(const std::string &mix,
  * then policy in enum order, then tenant id — byte-identical at any
  * worker count and in both tick modes.
  *
- * @param use_cache probe and store each (mix, preset, policy) cell as
- *        one record, like the single-app sweep; disable with
- *        LAPERM_NO_CACHE=1.
- * @param jobs worker threads; 0 selects LAPERM_JOBS, falling back to
- *        hardware_concurrency().
+ * @param use_cache, jobs as runCells takes them: each (mix, preset,
+ *        policy) cell is one record, like a single-app sweep cell.
  */
 std::vector<TenantSweepRow> runTenantSweep(
     const std::vector<std::string> &mixes,

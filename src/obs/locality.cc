@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/text.hh"
+
 namespace laperm {
 namespace obs {
 
@@ -96,8 +98,7 @@ LocalityTracker::writeTsv(const std::string &path) const
                          static_cast<unsigned long long>(n), share);
         }
     }
-    std::fclose(f);
-    return true;
+    return closeWritten(f);
 }
 
 } // namespace obs

@@ -86,7 +86,7 @@ class LocalityTracker : public MemObserver
 
     /**
      * Write "level class hits share" rows (TSV, deterministic order).
-     * @return false if the file could not be opened.
+     * @return false if the file could not be opened or written.
      */
     bool writeTsv(const std::string &path) const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/text.hh"
+
 namespace laperm {
 namespace obs {
 
@@ -228,8 +230,7 @@ TraceCollector::writeChromeTrace(const std::string &path) const
     }
 
     std::fprintf(f, "\n]}\n");
-    std::fclose(f);
-    return true;
+    return closeWritten(f);
 }
 
 bool
@@ -282,8 +283,7 @@ TraceCollector::writeIntervalTsv(const std::string &path,
                      static_cast<unsigned long long>(nSteal[i]),
                      static_cast<unsigned long long>(occ[i]));
     }
-    std::fclose(f);
-    return true;
+    return closeWritten(f);
 }
 
 namespace {
@@ -353,8 +353,7 @@ TraceCollector::writeLaunchLatencyTsv(const std::string &path) const
             static_cast<double>(dispatchSum) / static_cast<double>(n),
             static_cast<double>(totalSum) / static_cast<double>(n));
     }
-    std::fclose(f);
-    return true;
+    return closeWritten(f);
 }
 
 bool
@@ -377,8 +376,7 @@ TraceCollector::writeDispatchCsv(const std::string &path) const
             std::fprintf(f, "%llu\n",
                          static_cast<unsigned long long>(e.directParent));
     }
-    std::fclose(f);
-    return true;
+    return closeWritten(f);
 }
 
 } // namespace obs

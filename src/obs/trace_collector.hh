@@ -4,10 +4,11 @@
  * stream of a run and exports it as (a) Chrome-trace/Perfetto JSON for
  * timeline visualization, (b) a per-interval metrics TSV for
  * time-series plots, (c) launch-latency records and histograms for
- * the Section IV-D analysis, and (d) the flat dispatch CSV behind
- * `laperm_sim --trace`. All outputs are deterministic functions of the
- * event stream: integer cycle timestamps, fixed field order, no
- * wall-clock reads.
+ * the Section IV-D analysis, and (d) the flat dispatch CSV of every
+ * traced run (harness/experiment.hh, runTraced). All outputs are
+ * deterministic functions of the event stream: integer cycle
+ * timestamps, fixed field order, no wall-clock reads. Each writer
+ * returns false if its file cannot be opened or written.
  */
 
 #ifndef LAPERM_OBS_TRACE_COLLECTOR_HH

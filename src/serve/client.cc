@@ -7,6 +7,13 @@
 namespace laperm {
 namespace serve {
 
+namespace {
+
+/** The longest sleep between two tries of callWithRetry. */
+constexpr std::uint64_t kMaxBackoffMs = 2000;
+
+} // namespace
+
 Client::Client(ClientOptions opts) : opts_(std::move(opts)) {}
 
 Client::~Client()
@@ -24,19 +31,10 @@ bool
 Client::connect(std::string &err)
 {
     close();
-    std::uint64_t backoff = opts_.backoffMs;
-    for (unsigned attempt = 0;; ++attempt) {
-        conn_ = connectTo(opts_.endpoint, err);
-        if (conn_) {
-            if (opts_.recvTimeoutMs)
-                conn_->setRecvTimeout(opts_.recvTimeoutMs);
-            return true;
-        }
-        if (attempt >= opts_.connectRetries)
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-        backoff = std::min(backoff * 2, opts_.maxBackoffMs);
-    }
+    conn_ = connectTo(opts_.endpoint, err);
+    if (conn_ && opts_.recvTimeoutMs)
+        conn_->setRecvTimeout(opts_.recvTimeoutMs);
+    return conn_ != nullptr;
 }
 
 bool
@@ -84,7 +82,7 @@ Client::callWithRetry(const std::string &request, JsonObject &response,
             std::uint64_t hint = 0;
             if (attempt == 0 && getU64(response, "retry_ms", hint) &&
                 hint > 0) {
-                backoff = std::min(hint, opts_.maxBackoffMs);
+                backoff = std::min(hint, kMaxBackoffMs);
             }
             err = "overloaded";
         }
@@ -92,7 +90,7 @@ Client::callWithRetry(const std::string &request, JsonObject &response,
         if (attempt >= opts_.overloadRetries)
             return ok; // ok==true means a (still overloaded) response
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-        backoff = std::min(backoff * 2, opts_.maxBackoffMs);
+        backoff = std::min(backoff * 2, kMaxBackoffMs);
     }
 }
 

@@ -24,9 +24,7 @@ namespace serve {
 struct ClientOptions
 {
     Endpoint endpoint = Endpoint::unixAt("laperm_served.sock");
-    unsigned connectRetries = 0;     ///< extra connect attempts
     std::uint64_t backoffMs = 50;    ///< initial retry backoff
-    std::uint64_t maxBackoffMs = 2000;
     std::uint64_t recvTimeoutMs = 0; ///< 0 = wait forever
     unsigned overloadRetries = 5;    ///< callWithRetry budget
 };
@@ -40,7 +38,7 @@ class Client
     Client(const Client &) = delete;
     Client &operator=(const Client &) = delete;
 
-    /** Connect (with connectRetries x backoff). False on failure. */
+    /** Connect once. False on failure; callWithRetry reconnects. */
     bool connect(std::string &err);
 
     bool connected() const { return conn_ != nullptr; }
@@ -54,11 +52,11 @@ class Client
               std::string &err);
 
     /**
-     * call(), but on an `overloaded` status (or a dropped connection)
-     * sleep an exponentially growing backoff — seeded from the
-     * response's retry_ms when present — reconnect if needed, and try
-     * again, up to overloadRetries times. The final response (of any
-     * status) lands in @p response.
+     * call(), but on an `overloaded` status (or a dropped connection or
+     * a failed connect) sleep an exponentially growing backoff, capped
+     * at 2 s — seeded from the response's retry_ms when present —
+     * reconnect if needed, and try again, up to overloadRetries times.
+     * The final response (of any status) lands in @p response.
      */
     bool callWithRetry(const std::string &request, JsonObject &response,
                        std::string &err);

@@ -18,7 +18,7 @@ Server::~Server()
 bool
 Server::start(std::string &err)
 {
-    listener_ = listenOn(opts_.endpoint, opts_.backlog, err);
+    listener_ = listenOn(opts_.endpoint, err);
     if (!listener_)
         return false;
     handler_.setShutdownHook([this] { requestShutdown(); });

@@ -37,7 +37,6 @@ namespace serve {
 struct SessionOptions
 {
     Endpoint endpoint = Endpoint::unixAt("laperm_served.sock");
-    int backlog = 64;
 };
 
 class Server

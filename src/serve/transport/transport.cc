@@ -16,6 +16,9 @@ namespace serve {
 
 namespace {
 
+/** Pending connections a listener queues before accept() takes them. */
+constexpr int kListenBacklog = 64;
+
 bool
 fillUnixAddr(const std::string &path, sockaddr_un &addr, std::string &err)
 {
@@ -126,7 +129,7 @@ class FdListener : public Listener
 };
 
 std::unique_ptr<Listener>
-unixListen(const Endpoint &ep, int backlog, std::string &err)
+unixListen(const Endpoint &ep, std::string &err)
 {
     sockaddr_un addr;
     if (!fillUnixAddr(ep.path, addr, err))
@@ -160,7 +163,7 @@ unixListen(const Endpoint &ep, int backlog, std::string &err)
         ::close(fd);
         return nullptr;
     }
-    if (::listen(fd, backlog) < 0) {
+    if (::listen(fd, kListenBacklog) < 0) {
         err = std::string("listen: ") + std::strerror(errno);
         ::close(fd);
         ::unlink(ep.path.c_str());
@@ -170,7 +173,7 @@ unixListen(const Endpoint &ep, int backlog, std::string &err)
 }
 
 std::unique_ptr<Listener>
-tcpListen(const Endpoint &ep, int backlog, std::string &err)
+tcpListen(const Endpoint &ep, std::string &err)
 {
     sockaddr_in addr;
     if (!fillTcpAddr(ep, addr, err))
@@ -190,7 +193,7 @@ tcpListen(const Endpoint &ep, int backlog, std::string &err)
         ::close(fd);
         return nullptr;
     }
-    if (::listen(fd, backlog) < 0) {
+    if (::listen(fd, kListenBacklog) < 0) {
         err = std::string("listen: ") + std::strerror(errno);
         ::close(fd);
         return nullptr;
@@ -283,11 +286,11 @@ Connection::shutdownBoth()
 }
 
 std::unique_ptr<Listener>
-listenOn(const Endpoint &ep, int backlog, std::string &err)
+listenOn(const Endpoint &ep, std::string &err)
 {
     if (ep.kind == Endpoint::Kind::Unix)
-        return unixListen(ep, backlog, err);
-    return tcpListen(ep, backlog, err);
+        return unixListen(ep, err);
+    return tcpListen(ep, err);
 }
 
 std::unique_ptr<Connection>

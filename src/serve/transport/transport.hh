@@ -124,8 +124,7 @@ class Listener
  * SO_REUSEADDR so a restarted daemon rebinds without waiting out
  * TIME_WAIT. Returns null with @p err set on failure.
  */
-std::unique_ptr<Listener> listenOn(const Endpoint &ep, int backlog,
-                                   std::string &err);
+std::unique_ptr<Listener> listenOn(const Endpoint &ep, std::string &err);
 
 /** Connect to @p ep. Returns null with @p err set on failure. */
 std::unique_ptr<Connection> connectTo(const Endpoint &ep,

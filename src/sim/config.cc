@@ -6,87 +6,47 @@
 
 namespace laperm {
 
-const char *
-toString(DynParModel model)
-{
-    switch (model) {
-      case DynParModel::CDP: return "CDP";
-      case DynParModel::DTBL: return "DTBL";
-    }
-    return "?";
-}
-
-const char *
-toString(TbPolicy policy)
-{
-    switch (policy) {
-      case TbPolicy::RR: return "RR";
-      case TbPolicy::TbPri: return "TB-Pri";
-      case TbPolicy::SmxBind: return "SMX-Bind";
-      case TbPolicy::AdaptiveBind: return "Adaptive-Bind";
-    }
-    return "?";
-}
-
-const char *
-toString(WarpPolicy policy)
-{
-    switch (policy) {
-      case WarpPolicy::GTO: return "GTO";
-      case WarpPolicy::LRR: return "LRR";
-      case WarpPolicy::TbAware: return "TB-aware";
-    }
-    return "?";
-}
-
-const char *
-toString(TickMode mode)
-{
-    switch (mode) {
-      case TickMode::Dense: return "dense";
-      case TickMode::Event: return "event";
-    }
-    return "?";
-}
-
 namespace {
 
 template <typename E>
 struct Spelling
 {
     E value;
-    const char *name;
+    const char *name;    ///< the wire name
+    const char *display; ///< toString(); null on an alias row
 };
 
 // Canonical spelling first for each value; later rows are aliases.
 constexpr Spelling<DynParModel> kModelNames[] = {
-    {DynParModel::CDP, "cdp"},
-    {DynParModel::DTBL, "dtbl"},
+    {DynParModel::CDP, "cdp", "CDP"},
+    {DynParModel::DTBL, "dtbl", "DTBL"},
 };
 constexpr Spelling<TbPolicy> kPolicyNames[] = {
-    {TbPolicy::RR, "rr"},
-    {TbPolicy::TbPri, "tbpri"},
-    {TbPolicy::SmxBind, "smxbind"},
-    {TbPolicy::AdaptiveBind, "adaptive"},
-    {TbPolicy::AdaptiveBind, "laperm"},
+    {TbPolicy::RR, "rr", "RR"},
+    {TbPolicy::TbPri, "tbpri", "TB-Pri"},
+    {TbPolicy::SmxBind, "smxbind", "SMX-Bind"},
+    {TbPolicy::AdaptiveBind, "adaptive", "Adaptive-Bind"},
+    {TbPolicy::AdaptiveBind, "laperm", nullptr},
 };
 constexpr Spelling<WarpPolicy> kWarpNames[] = {
-    {WarpPolicy::GTO, "gto"},
-    {WarpPolicy::LRR, "lrr"},
-    {WarpPolicy::TbAware, "tbaware"},
+    {WarpPolicy::GTO, "gto", "GTO"},
+    {WarpPolicy::LRR, "lrr", "LRR"},
+    {WarpPolicy::TbAware, "tbaware", "TB-aware"},
 };
 constexpr Spelling<TickMode> kTickNames[] = {
-    {TickMode::Event, "event"},
-    {TickMode::Dense, "dense"},
+    {TickMode::Event, "event", "event"},
+    {TickMode::Dense, "dense", "dense"},
 };
 
+/** @p field of @p value's canonical row, or "?". */
 template <typename E, std::size_t N>
 const char *
-nameOf(const Spelling<E> (&table)[N], E value)
+nameOf(const Spelling<E> (&table)[N], E value,
+       const char *Spelling<E>::*field = &Spelling<E>::name)
 {
     for (const Spelling<E> &s : table)
         if (s.value == value)
-            return s.name;
+            return s.*field;
     return "?";
 }
 
@@ -120,9 +80,13 @@ listOf(const Spelling<E> (&table)[N])
 
 } // namespace
 
-// wireName, parseWireName and wireNameList of one run enum, over its
-// table.
+// toString, wireName, parseWireName and wireNameList of one run enum,
+// over its table.
 #define LAPERM_WIRE_NAMES(ENUM, TABLE)                                       \
+    const char *toString(ENUM value)                                         \
+    {                                                                        \
+        return nameOf(TABLE, value, &Spelling<ENUM>::display);               \
+    }                                                                        \
     const char *wireName(ENUM value) { return nameOf(TABLE, value); }        \
     bool parseWireName(const std::string &s, ENUM &out)                      \
     {                                                                        \

@@ -70,11 +70,12 @@ const char *toString(TickMode mode);
 
 /**
  * The one spelling of each run enum on the command line, on the wire
- * and in machine TOML (cdp, tbpri, tbaware, dense, ...; the tables
- * are in config.cc); toString() stays the display name that CSVs and
- * tables print. parseWireName() accepts exactly these spellings plus
- * TbPolicy's laperm alias for Adaptive-Bind; wireNameList<E>() joins
- * the canonical ones as a|b|c for error messages.
+ * and in machine TOML (cdp, tbpri, tbaware, dense, ...). One table
+ * per enum in config.cc holds it beside toString()'s display name,
+ * which CSVs and tables print. parseWireName() accepts exactly these
+ * spellings plus TbPolicy's laperm alias for Adaptive-Bind;
+ * wireNameList<E>() joins the canonical ones as a|b|c for error
+ * messages.
  */
 const char *wireName(DynParModel model);
 const char *wireName(TbPolicy policy);

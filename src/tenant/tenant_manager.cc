@@ -57,7 +57,7 @@ TenantManager::TenantManager(const MixSpec &mix, const GpuConfig &cfg,
 }
 
 MultiTenantResult
-TenantManager::run(Cycle max_cycles)
+TenantManager::run()
 {
     const std::size_t n = mix_.tenants.size();
 
@@ -92,8 +92,8 @@ TenantManager::run(Cycle max_cycles)
 
     for (;;) {
         const Cycle now = gpu.now();
-        laperm_assert(now < max_cycles,
-                      "multi-tenant run exceeded max_cycles (livelock?)");
+        laperm_assert(now < kMaxRunCycles,
+                      "multi-tenant run exceeded kMaxRunCycles (livelock?)");
 
         // (a) Retire drained waves, in tenant index order.
         for (std::size_t i = 0; i < n; ++i) {
@@ -216,7 +216,7 @@ TenantManager::run(Cycle max_cycles)
         Cycle stop = now + mix_.quantum;
         if (nextArrival != kNoCycle && nextArrival < stop)
             stop = nextArrival;
-        gpu.runUntil(stop, max_cycles);
+        gpu.runUntil(stop);
 
         if (gpu.now() == now && !launched) {
             laperm_assert(++stalls < 4,

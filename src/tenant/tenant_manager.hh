@@ -47,7 +47,7 @@ class TenantManager
                   std::vector<const Workload *> workloads);
 
     /** Run the whole mix to completion and collect per-tenant results. */
-    MultiTenantResult run(Cycle max_cycles = Cycle(1) << 36);
+    MultiTenantResult run();
 
   private:
     const MixSpec mix_;

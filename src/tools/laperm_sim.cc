@@ -66,7 +66,6 @@
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "harness/run_spec.hh"
-#include "harness/table.hh"
 #include "harness/thread_pool.hh"
 #include "harness/trace_builder.hh"
 #include "harness/tenant_sweep.hh"

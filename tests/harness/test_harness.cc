@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 
+#include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/table.hh"
 #include "workloads/registry.hh"
@@ -36,6 +38,23 @@ TEST(Harness, RunOneProducesMetrics)
     EXPECT_GE(r.l1HitRate, 0.0);
     EXPECT_LE(r.l1HitRate, 1.0);
     EXPECT_EQ(r.workload, "bfs-cage");
+}
+
+TEST(Harness, ATraceThatCannotBeWrittenIsFatal)
+{
+    // A trace directory below a regular file cannot be made, so none of
+    // the five artifacts can be written: the run raises rather than
+    // return a record whose trace was lost.
+    const std::string dir = ::testing::TempDir() + "laperm_untraceable";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/file") << "not a directory\n";
+    auto w = createWorkload("bfs-cage");
+    w->setup(Scale::Tiny, 1);
+    const FatalThrows fatal_throws;
+    EXPECT_THROW((void)runOneRecord(*w, paperConfig(), dir + "/file/sub"),
+                 FatalError);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Harness, MatrixCacheRoundTrip)

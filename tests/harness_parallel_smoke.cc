@@ -13,8 +13,9 @@
  * store written and read from pool threads, private runs beside a
  * builder thread (harness/trace_builder.hh): one as runOneRecord runs
  * it, one whose builder may hold one byte, and one that throws
- * mid-run, and three graph workloads set up at once on one shared
- * graph input (workloads/graph_common.hh).
+ * mid-run, three graph workloads set up at once on one shared
+ * graph input (workloads/graph_common.hh), and one runCells batch
+ * (harness/run_spec.hh) whose mix cells run beside a shared forest.
  */
 
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include "common/log.hh"
 #include "gpu/gpu.hh"
 #include "harness/experiment.hh"
+#include "harness/run_spec.hh"
 #include "harness/thread_pool.hh"
 #include "harness/trace_builder.hh"
 #include "kernels/lambda_program.hh"
@@ -193,6 +195,45 @@ sharedGraphSetups()
     return true;
 }
 
+/**
+ * Two duo mix cells, join-uniform's 8 cells and two more duo cells as
+ * one runCells batch on two workers: mix cells run beside cells that
+ * replay a shared forest and beside the builder. Every payload must be
+ * the cell's own runCell, a private run. False after printing a
+ * failure.
+ */
+bool
+mixedBatch()
+{
+    std::vector<RunSpec> cells;
+    const auto mixCell = [&](TbPolicy policy) {
+        cells.push_back(sweepCell({{"tenants", "duo"},
+                                   {"policy", wireName(policy)},
+                                   {"seed", "3"}}));
+    };
+    mixCell(TbPolicy::RR);
+    mixCell(TbPolicy::TbPri);
+    for (DynParModel model : kDynParModels) {
+        for (TbPolicy policy : kTbPolicies) {
+            cells.push_back(sweepCell({{"workload", "join-uniform"},
+                                       {"model", wireName(model)},
+                                       {"policy", wireName(policy)},
+                                       {"scale", "tiny"},
+                                       {"seed", "3"}}));
+        }
+    }
+    mixCell(TbPolicy::SmxBind);
+    mixCell(TbPolicy::AdaptiveBind);
+    const std::vector<std::string> got = runCells(cells, false, 2);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (got[c] != runCell(cells[c], std::string())) {
+            std::fprintf(stderr, "FAIL: batch cell %zu diverged\n", c);
+            return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -253,7 +294,7 @@ main()
         }
     }
 
-    if (!builderRuns() || !sharedGraphSetups())
+    if (!builderRuns() || !sharedGraphSetups() || !mixedBatch())
         return 1;
 
     // One cached sweep twice on a fresh store: the first stores every

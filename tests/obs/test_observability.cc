@@ -357,6 +357,34 @@ TEST(Observability, ArtifactsByteIdenticalAcrossReruns)
     }
 }
 
+TEST(Observability, WritersReportAWriteTheDeviceRefused)
+{
+    // /dev/full opens for writing and fails every flush with ENOSPC.
+    // Each writer must report that, not a file it did not write.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    GpuConfig cfg = tinyConfig();
+    cfg.dynParModel = DynParModel::DTBL;
+    Gpu gpu(cfg);
+    obs::TraceCollector collector;
+    gpu.observers().attach(&collector);
+    obs::LocalityTracker tracker(gpu.mem().numL1());
+    gpu.setLocalityTracker(&tracker);
+    Scenario s = makeScenario();
+    gpu.launchHostKernel({s.parent, 8, 32});
+    gpu.runToIdle();
+
+    const std::string full = "/dev/full";
+    EXPECT_FALSE(collector.writeChromeTrace(full));
+    EXPECT_FALSE(collector.writeIntervalTsv(full, 64));
+    EXPECT_FALSE(collector.writeLaunchLatencyTsv(full));
+    EXPECT_FALSE(collector.writeDispatchCsv(full));
+    EXPECT_FALSE(tracker.writeTsv(full));
+    const std::string ok = "obs_full_control.tsv";
+    EXPECT_TRUE(tracker.writeTsv(ok));
+    std::remove(ok.c_str());
+}
+
 TEST(Observability, SweepTracesByteIdenticalAcrossJobCounts)
 {
     namespace fs = std::filesystem;

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
@@ -654,6 +656,45 @@ TEST(ServeService, TracedRequestWritesWhatEveryTracedRunWrites)
     EXPECT_EQ(served.size(), 5u);
     EXPECT_EQ(served, dirContents(dir + "/direct"));
     EXPECT_EQ(served, dirContents(dir + "/cli"));
+}
+
+TEST(ServeService, UnwritableTraceDirAnswersErrorAndStoresNothing)
+{
+    // A trace_dir below a regular file cannot be written: the request
+    // answers error, and its record is not stored, so a retry runs
+    // (and fails) again rather than hit a result whose trace was lost.
+    const std::string dir = tempDir("untraceable");
+    std::ofstream(dir + "/file") << "not a directory\n";
+    SimRequest req = tinyRequest(6);
+    req.traceDir = dir + "/file/sub";
+    SimService svc(testServiceOptions(dir + "/cache"));
+    const RunOutcome out = svc.run(req);
+    EXPECT_EQ(out.status, RunStatus::Error);
+    EXPECT_NE(out.error.find("could not write trace artifacts"),
+              std::string::npos)
+        << out.error;
+    EXPECT_EQ(svc.metrics().errors, 1u);
+    const std::string results = dir + "/cache/results";
+    EXPECT_TRUE(!std::filesystem::exists(results) ||
+                std::filesystem::is_empty(results));
+}
+
+TEST(LapermSim, UnwritableTraceDirExitsOne)
+{
+    const std::string dir = tempDir("untraceable_cli");
+    std::ofstream(dir + "/file") << "not a directory\n";
+    const std::string cli = std::string(LAPERM_SIM_BIN) +
+                            " --workload bfs-cage --scale tiny --csv"
+                            " --trace-dir " +
+                            dir + "/file/sub > " + dir + "/out.csv 2> " +
+                            dir + "/err.txt";
+    const int status = std::system(cli.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cli;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cli;
+    std::ifstream err(dir + "/err.txt");
+    const std::string text(std::istreambuf_iterator<char>(err), {});
+    EXPECT_NE(text.find("could not write trace artifacts"), std::string::npos)
+        << text;
 }
 
 TEST(ServeService, IdenticalInFlightRequestsAreSingleFlighted)

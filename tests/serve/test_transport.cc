@@ -108,7 +108,7 @@ TEST(Transport, UnixRoundTrip)
 {
     const Endpoint ep = Endpoint::unixAt(sockPath("uds_rt.sock"));
     std::string err;
-    auto listener = listenOn(ep, 4, err);
+    auto listener = listenOn(ep, err);
     ASSERT_NE(listener, nullptr) << err;
     EXPECT_EQ(listener->boundEndpoint(), ep);
     expectEcho(*listener, ep);
@@ -119,7 +119,7 @@ TEST(Transport, TcpRoundTripOnEphemeralPort)
     // Port 0: the kernel picks; boundEndpoint() must report the real
     // port so clients can be pointed at it.
     std::string err;
-    auto listener = listenOn(Endpoint::tcpAt("127.0.0.1", 0), 4, err);
+    auto listener = listenOn(Endpoint::tcpAt("127.0.0.1", 0), err);
     ASSERT_NE(listener, nullptr) << err;
     const Endpoint bound = listener->boundEndpoint();
     EXPECT_EQ(bound.kind, Endpoint::Kind::Tcp);
@@ -131,7 +131,7 @@ TEST(Transport, FramingSurvivesCoalescedAndSplitWrites)
 {
     const Endpoint ep = Endpoint::unixAt(sockPath("framing.sock"));
     std::string err;
-    auto listener = listenOn(ep, 4, err);
+    auto listener = listenOn(ep, err);
     ASSERT_NE(listener, nullptr) << err;
 
     std::thread serverSide([&] {
@@ -204,10 +204,10 @@ TEST(Transport, StaleUnixSocketFileIsRecovered)
     const Endpoint ep = Endpoint::unixAt(sockPath("stale.sock"));
     std::string err;
     {
-        auto first = listenOn(ep, 4, err);
+        auto first = listenOn(ep, err);
         ASSERT_NE(first, nullptr) << err;
         // While the listener is live, a second bind must be refused.
-        auto second = listenOn(ep, 4, err);
+        auto second = listenOn(ep, err);
         EXPECT_EQ(second, nullptr);
         EXPECT_FALSE(err.empty());
     }
@@ -228,7 +228,7 @@ TEST(Transport, StaleUnixSocketFileIsRecovered)
     }
     ASSERT_TRUE(std::filesystem::exists(ep.path));
     {
-        auto reborn = listenOn(ep, 4, err);
+        auto reborn = listenOn(ep, err);
         EXPECT_NE(reborn, nullptr) << err;
     }
     // ...and the destructor cleaned the path up again.
@@ -240,7 +240,7 @@ TEST(Transport, TcpRebindsImmediatelyAfterRestart)
     // SO_REUSEADDR: a restarted daemon re-binds the same port without
     // waiting out TIME_WAIT from the previous incarnation's sockets.
     std::string err;
-    auto first = listenOn(Endpoint::tcpAt("127.0.0.1", 0), 4, err);
+    auto first = listenOn(Endpoint::tcpAt("127.0.0.1", 0), err);
     ASSERT_NE(first, nullptr) << err;
     const Endpoint bound = first->boundEndpoint();
 
@@ -257,7 +257,7 @@ TEST(Transport, TcpRebindsImmediatelyAfterRestart)
     serverSide.join();
     first.reset();
 
-    auto second = listenOn(bound, 4, err);
+    auto second = listenOn(bound, err);
     EXPECT_NE(second, nullptr) << err;
 }
 
@@ -265,7 +265,7 @@ TEST(Transport, WakeUnblocksAPendingAccept)
 {
     const Endpoint ep = Endpoint::unixAt(sockPath("wake.sock"));
     std::string err;
-    auto listener = listenOn(ep, 4, err);
+    auto listener = listenOn(ep, err);
     ASSERT_NE(listener, nullptr) << err;
 
     std::thread accepting([&] {
