@@ -73,9 +73,19 @@ void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     if (fatalThrows)
-        throw FatalError(msg);
+        throw FatalError(file, line, msg);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
+}
+
+void
+rethrowHere(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const FatalError &e) {
+        fatalImpl(e.file(), e.line(), e.what());
+    }
 }
 
 void

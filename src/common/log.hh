@@ -8,6 +8,7 @@
 #define LAPERM_COMMON_LOG_HH
 
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -23,17 +24,30 @@ namespace laperm {
  */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 
-/** A user-caused error raised inside a FatalThrows scope. */
+/**
+ * A user-caused error raised inside a FatalThrows scope. It keeps the
+ * file and line of the laperm_fatal that first raised it, which a
+ * re-raise on another thread (rethrowHere) prints.
+ */
 class FatalError : public std::runtime_error
 {
   public:
-    using std::runtime_error::runtime_error;
+    FatalError(const char *file, int line, const std::string &msg)
+        : std::runtime_error(msg), file_(file), line_(line)
+    {
+    }
+    const char *file() const { return file_; }
+    int line() const { return line_; }
+
+  private:
+    const char *file_; ///< a __FILE__ literal
+    int line_;
 };
 
 /**
  * While alive, laperm_fatal on this thread throws FatalError instead
- * of ending the process, so a serving daemon can answer the one
- * request whose run hit a user-caused error and keep serving.
+ * of ending the process. Every ThreadPool job runs in one, so a job's
+ * error comes back to the thread that waits for the pool.
  */
 class FatalThrows
 {
@@ -46,6 +60,14 @@ class FatalThrows
   private:
     bool prev_;
 };
+
+/**
+ * Raise @p error, caught on another thread, on this one. A FatalError
+ * goes through fatalImpl with its origin, so this thread's FatalThrows
+ * scope decides between throwing and exiting; any other exception is
+ * rethrown as it was thrown.
+ */
+[[noreturn]] void rethrowHere(const std::exception_ptr &error);
 
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);

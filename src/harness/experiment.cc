@@ -82,7 +82,18 @@ runTraced(const Workload &workload, TraceForest &forest,
     Gpu gpu(cfg);
     std::unique_ptr<obs::TraceCollector> collector;
     std::unique_ptr<obs::LocalityTracker> locality;
+    std::string base;
     if (!trace_dir.empty()) {
+        base = logFormat("%s/%s_%s_%s", trace_dir.c_str(),
+                         workload.fullName().c_str(),
+                         toString(cfg.dynParModel), toString(cfg.tbPolicy));
+        // Made before the run, so a directory that cannot be made
+        // fails the run before it simulates.
+        std::error_code ec;
+        std::filesystem::create_directories(trace_dir, ec);
+        if (ec)
+            laperm_fatal("could not write trace artifacts '%s.*'",
+                         base.c_str());
         collector = std::make_unique<obs::TraceCollector>();
         gpu.observers().attach(collector.get());
         locality =
@@ -90,21 +101,13 @@ runTraced(const Workload &workload, TraceForest &forest,
         gpu.setLocalityTracker(locality.get());
     }
     gpu.runForest(forest);
-    if (collector) {
-        std::error_code ec;
-        std::filesystem::create_directories(trace_dir, ec);
-        const std::string base =
-            logFormat("%s/%s_%s_%s", trace_dir.c_str(),
-                      workload.fullName().c_str(),
-                      toString(cfg.dynParModel), toString(cfg.tbPolicy));
-        if (!collector->writeDispatchCsv(base + ".dispatch.csv") ||
-            !collector->writeChromeTrace(base + ".trace.json") ||
-            !collector->writeIntervalTsv(base + ".intervals.tsv") ||
-            !collector->writeLaunchLatencyTsv(base + ".latency.tsv") ||
-            !locality->writeTsv(base + ".locality.tsv")) {
-            laperm_fatal("could not write trace artifacts '%s.*'",
-                         base.c_str());
-        }
+    if (collector &&
+        (!collector->writeDispatchCsv(base + ".dispatch.csv") ||
+         !collector->writeChromeTrace(base + ".trace.json") ||
+         !collector->writeIntervalTsv(base + ".intervals.tsv") ||
+         !collector->writeLaunchLatencyTsv(base + ".latency.tsv") ||
+         !locality->writeTsv(base + ".locality.tsv"))) {
+        laperm_fatal("could not write trace artifacts '%s.*'", base.c_str());
     }
     return gpu.stats();
 }
@@ -186,6 +189,10 @@ runCells(const std::vector<RunSpec> &cells, bool use_cache, unsigned jobs)
         inputs.back().end = c + 1;
     }
     std::vector<std::string> payloads(cells.size());
+    // A failed job stops the pool; wait() raises it here once the
+    // running jobs have finished.
+    ThreadPool pool(
+        static_cast<unsigned>(std::min<std::size_t>(jobs, cells.size())));
 
     // Phase 1: one job per input. It probes the input's cells and sets
     // up a single-app input only if one of them is missing. A record
@@ -193,30 +200,26 @@ runCells(const std::vector<RunSpec> &cells, bool use_cache, unsigned jobs)
     // is recomputed, and the store overwrites it. Workloads are
     // immutable after setup() (traces const, programs const), so the
     // cell jobs below const-borrow them concurrently.
-    {
-        ThreadPool pool(
-            static_cast<unsigned>(std::min<std::size_t>(jobs, inputs.size())));
-        for (SweepInput &in : inputs) {
-            pool.submit([&cells, &store, &payloads, &in] {
-                for (std::size_t c = in.first; c < in.end; ++c) {
-                    if (!store ||
-                        store->probe(cells[c].key(), payloads[c],
-                                     std::bind_front(&RunSpec::accepts,
-                                                     &cells[c])) ==
-                            ResultCache::Tier::Miss) {
-                        in.missing.push_back(c);
-                    }
+    for (SweepInput &in : inputs) {
+        pool.submit([&cells, &store, &payloads, &in] {
+            for (std::size_t c = in.first; c < in.end; ++c) {
+                if (!store ||
+                    store->probe(cells[c].key(), payloads[c],
+                                 std::bind_front(&RunSpec::accepts,
+                                                 &cells[c])) ==
+                        ResultCache::Tier::Miss) {
+                    in.missing.push_back(c);
                 }
-                in.cellsLeft = in.missing.size();
-                const RunSpec &head = cells[in.first];
-                if (in.missing.empty() || !head.tenants.empty())
-                    return;
-                in.workload = createWorkload(head.workload);
-                in.workload->setup(head.scale, head.seed);
-            });
-        }
-        pool.wait();
+            }
+            in.cellsLeft = in.missing.size();
+            const RunSpec &head = cells[in.first];
+            if (in.missing.empty() || !head.tenants.empty())
+                return;
+            in.workload = createWorkload(head.workload);
+            in.workload->setup(head.scale, head.seed);
+        });
     }
+    pool.wait();
 
     // Phase 2: one job per missing cell, each owning its own Gpu and
     // filling its own slot, so the payloads are the same no matter how
@@ -235,44 +238,40 @@ runCells(const std::vector<RunSpec> &cells, bool use_cache, unsigned jobs)
     if (numMissing == 0)
         return payloads;
     TraceBuilder builder(std::move(forests));
-    {
-        ThreadPool pool(
-            static_cast<unsigned>(std::min<std::size_t>(jobs, numMissing)));
-        for (SweepInput &in : inputs) {
-            for (std::size_t c : in.missing) {
-                pool.submit([&cells, &store, &payloads, &in, c] {
-                    const RunSpec &cell = cells[c];
-                    std::string &payload = payloads[c];
-                    if (!cell.tenants.empty()) {
-                        payload = runCell(cell, std::string());
-                    } else if (in.forest) {
-                        payload = cellRecord(*in.workload, cell.cfg,
-                                             runTraced(*in.workload,
-                                                       *in.forest, cell.cfg,
-                                                       traceDir()))
-                                      .encode();
-                    } else {
-                        payload = runOneRecord(*in.workload, cell.cfg,
-                                               traceDir())
-                                      .encode();
-                    }
-                    if (in.cellsLeft.fetch_sub(1) == 1) {
-                        in.forest.reset();
-                        in.workload.reset();
-                    }
-                    if (store)
-                        store->store(cell.key(), payload);
-                    laperm_inform(
-                        "%s %s %s/%s",
-                        (cell.tenants.empty() ? cell.workload : cell.tenants)
-                            .c_str(),
-                        cell.presetName.c_str(), toString(cell.model),
-                        toString(cell.policy));
-                });
-            }
+    for (SweepInput &in : inputs) {
+        for (std::size_t c : in.missing) {
+            pool.submit([&cells, &store, &payloads, &in, c] {
+                const RunSpec &cell = cells[c];
+                std::string &payload = payloads[c];
+                if (!cell.tenants.empty()) {
+                    payload = runCell(cell, std::string());
+                } else if (in.forest) {
+                    payload = cellRecord(*in.workload, cell.cfg,
+                                         runTraced(*in.workload,
+                                                   *in.forest, cell.cfg,
+                                                   traceDir()))
+                                  .encode();
+                } else {
+                    payload = runOneRecord(*in.workload, cell.cfg,
+                                           traceDir())
+                                  .encode();
+                }
+                if (in.cellsLeft.fetch_sub(1) == 1) {
+                    in.forest.reset();
+                    in.workload.reset();
+                }
+                if (store)
+                    store->store(cell.key(), payload);
+                laperm_inform(
+                    "%s %s %s/%s",
+                    (cell.tenants.empty() ? cell.workload : cell.tenants)
+                        .c_str(),
+                    cell.presetName.c_str(), toString(cell.model),
+                    toString(cell.policy));
+            });
         }
-        pool.wait();
     }
+    pool.wait();
     builder.finish();
     return payloads;
 }

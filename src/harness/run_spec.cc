@@ -3,7 +3,6 @@
 #include "common/log.hh"
 #include "common/parse_uint.hh"
 #include "common/text.hh"
-#include "gpu/gpu.hh"
 #include "harness/result_cache.hh"
 #include "harness/tenant_sweep.hh"
 #include "sim/config_loader.hh"
@@ -181,22 +180,6 @@ mixCellCanonical(const std::string &mix, const std::string &preset,
     return out;
 }
 
-/**
- * Why a TB of one of @p workload's host waves can never be resident on
- * an SMX of @p cfg, or an empty string. Such a wave would never
- * dispatch.
- */
-std::string
-hostWaveMisfit(const Workload &workload, const GpuConfig &cfg)
-{
-    for (const LaunchRequest &wave : workload.waves()) {
-        std::string misfit = launchMisfit(cfg, wave);
-        if (!misfit.empty())
-            return misfit;
-    }
-    return std::string();
-}
-
 } // namespace
 
 std::string
@@ -329,9 +312,6 @@ runCell(const RunSpec &spec, const std::string &trace_dir)
     }
     auto w = createWorkload(spec.workload);
     w->setup(spec.scale, spec.seed);
-    const std::string misfit = hostWaveMisfit(*w, spec.cfg);
-    if (!misfit.empty())
-        laperm_fatal("%s: %s", spec.workload.c_str(), misfit.c_str());
     return runOneRecord(*w, spec.cfg, trace_dir).encode();
 }
 

@@ -144,10 +144,10 @@ RunSpec sweepCell(std::initializer_list<CellField> fields);
 
 /**
  * Run either kind of cell and return what the store keeps under its
- * key. A single-app cell sets up its workload, refuses a host TB no
- * SMX can hold (fatal, before simulating) and returns
+ * key. A single-app cell sets up its workload and returns
  * runOneRecord(...).encode(), writing the DESIGN.md §8 artifacts to a
- * non-empty @p trace_dir. A mix returns the tenant-sweep rows of
+ * non-empty @p trace_dir; a host TB no SMX can hold is fatal at its
+ * launch (Launcher::hostLaunch). A mix returns the tenant-sweep rows of
  * runMixStudy (harness/tenant_sweep.hh); it takes no trace directory.
  * The cell must pass check().
  */
@@ -165,7 +165,9 @@ std::string runCell(const RunSpec &spec, const std::string &trace_dir);
  * the pool: the missing cells of one input replay one shared trace
  * forest, which one builder thread builds ahead in the order the pool
  * takes them, and an input's last cell frees it. Single-app cells
- * trace into $LAPERM_TRACE_DIR when it is set.
+ * trace into $LAPERM_TRACE_DIR when it is set. A cell that fails stops
+ * the batch: no further cell starts, and its error is raised on the
+ * calling thread (ThreadPool::wait) once the running cells finish.
  *
  * @param use_cache probe and store each cell as one record in the
  *        result store under $LAPERM_CACHE_DIR (default "cache/" in the

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/parse_uint.hh"
@@ -44,18 +45,19 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mu_);
     idleCv_.wait(lock, [this] { return inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(err);
+    if (const std::exception_ptr err = std::exchange(firstError_, nullptr)) {
+        lock.unlock();
+        rethrowHere(err);
     }
 }
 
 void
 ThreadPool::workerLoop()
 {
+    const FatalThrows fatal_throws;
     for (;;) {
         std::function<void()> job;
+        bool failed = false;
         {
             std::unique_lock<std::mutex> lock(mu_);
             workCv_.wait(lock,
@@ -64,9 +66,13 @@ ThreadPool::workerLoop()
                 return; // stop_ set and nothing left to drain
             job = std::move(queue_.front());
             queue_.pop_front();
+            failed = firstError_ != nullptr;
         }
+        // After a failure, each job taken is dropped as finished until
+        // wait() raises it.
         try {
-            job();
+            if (!failed)
+                job();
         } catch (...) {
             std::unique_lock<std::mutex> lock(mu_);
             if (!firstError_)

@@ -1,9 +1,11 @@
 /**
  * @file
- * A small fixed-size thread pool for the sweep executor. Jobs are
- * plain std::function<void()>; wait() blocks until the pool is idle
- * and rethrows the first exception any job raised, so callers keep
- * fail-fast semantics under parallelism.
+ * A small fixed-size thread pool: the one way work leaves the calling
+ * thread (sweep cells, suite workloads, served runs, trace builders),
+ * and the one way its failure comes back. Jobs are plain
+ * std::function<void()> run under FatalThrows; the first one that
+ * throws stops the pool from starting the jobs queued behind it, and
+ * wait() raises its exception on the waiting thread.
  */
 
 #ifndef LAPERM_HARNESS_THREAD_POOL_HH
@@ -30,7 +32,10 @@ class ThreadPool
     /** Spawn @p num_threads workers (clamped to at least one). */
     explicit ThreadPool(unsigned num_threads);
 
-    /** Drains remaining jobs, then joins all workers. */
+    /**
+     * Runs the jobs still queued (drops them after a failure wait()
+     * has not raised), then joins all workers.
+     */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -40,8 +45,9 @@ class ThreadPool
     void submit(std::function<void()> job);
 
     /**
-     * Block until every submitted job has finished. If any job threw,
-     * rethrows the first captured exception (the pool stays usable).
+     * Block until every submitted job has finished or been dropped.
+     * If a job threw, raise its exception here through rethrowHere
+     * (common/log.hh); the pool runs the jobs submitted after that.
      */
     void wait();
 
@@ -71,7 +77,7 @@ class ThreadPool
     std::condition_variable idleCv_; ///< wait() sleeps here
     std::size_t inFlight_ = 0;       ///< queued + currently running
     bool stop_ = false;
-    std::exception_ptr firstError_;
+    std::exception_ptr firstError_; ///< jobs drop until wait() raises it
 };
 
 } // namespace laperm

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/log.hh"
-
 namespace laperm {
 
 TraceBuilder::TraceBuilder(TraceForest &forest, std::size_t budget)
@@ -16,68 +14,50 @@ TraceBuilder::TraceBuilder(TraceForest &forest, std::size_t budget)
 
 TraceBuilder::TraceBuilder(std::vector<std::shared_ptr<TraceForest>> forests,
                            std::size_t budget)
-    : forests_(std::move(forests)), thread_([this, budget] { run(budget); })
+    : forests_(std::move(forests))
 {
+    pool_.submit([this, budget] { run(budget); });
 }
 
-TraceBuilder::~TraceBuilder() { join(); }
+TraceBuilder::~TraceBuilder() { stop(); }
 
 void
 TraceBuilder::run(std::size_t budget)
 {
-    try {
-        // A fatal here must not end the process: the simulation
-        // thread meets the same error when it builds the node.
-        const FatalThrows fatal_throws;
-        for (std::size_t i = 0; i < forests_.size(); ++i) {
-            std::shared_ptr<TraceForest> forest;
-            {
-                const std::lock_guard<std::mutex> lock(mu_);
-                if (stopping_)
-                    return;
-                forest = forests_[i];
-            }
-            forest->buildAhead(budget);
-            // The next forest waits for a run of this one, so at most
-            // one forest that no run has started is being built.
-            if (i + 1 < forests_.size() && !forest->awaitStart())
-                return;
+    for (std::size_t i = 0; i < forests_.size(); ++i) {
+        std::shared_ptr<TraceForest> forest;
+        {
             const std::lock_guard<std::mutex> lock(mu_);
-            forests_[i].reset();
+            if (stopping_)
+                return;
+            forest = forests_[i];
         }
-    } catch (...) {
-        error_ = std::current_exception();
+        forest->buildAhead(budget);
+        // The next forest waits for a run of this one, so at most one
+        // forest that no run has started is being built.
+        if (i + 1 < forests_.size() && !forest->awaitStart())
+            return;
+        const std::lock_guard<std::mutex> lock(mu_);
+        forests_[i].reset();
     }
 }
 
 void
-TraceBuilder::join()
+TraceBuilder::stop()
 {
-    if (!thread_.joinable())
-        return;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-        for (const std::shared_ptr<TraceForest> &forest : forests_) {
-            if (forest)
-                forest->stop();
-        }
+    const std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    for (const std::shared_ptr<TraceForest> &forest : forests_) {
+        if (forest)
+            forest->stop();
     }
-    thread_.join();
 }
 
 void
 TraceBuilder::finish()
 {
-    join();
-    if (!error_)
-        return;
-    const std::exception_ptr error = std::exchange(error_, nullptr);
-    try {
-        std::rethrow_exception(error);
-    } catch (const FatalError &e) {
-        laperm_fatal("%s", e.what());
-    }
+    stop();
+    pool_.wait();
 }
 
 } // namespace laperm

@@ -1,36 +1,38 @@
 /**
  * @file
- * A builder thread that builds trace forests ahead of their dispatch
- * (TraceForest::buildAhead), so simulation threads mostly replay
- * traces they find ready: a private run's forest, or a sweep's shared
- * forests in the order its cells start. The engine knows no threads;
- * this is the one place that gives buildAhead() one.
+ * A builder that builds trace forests ahead of their dispatch
+ * (TraceForest::buildAhead) on a worker of its own, so simulation
+ * threads mostly replay traces they find ready: a private run's
+ * forest, or a sweep's shared forests in the order its cells start.
+ * The engine knows no threads; this is the one place that gives
+ * buildAhead() one.
  */
 
 #ifndef LAPERM_HARNESS_TRACE_BUILDER_HH
 #define LAPERM_HARNESS_TRACE_BUILDER_HH
 
 #include <cstddef>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "gpu/trace_forest.hh"
+#include "harness/thread_pool.hh"
 
 namespace laperm {
 
 /**
- * Runs buildAhead() over a sequence of forests on its own thread, from
- * construction until finish() or destruction, both of which stop and
- * join it, so no exit path of a run or a sweep (a FatalError thrown by
- * the simulation included) leaves a joinable thread behind. The builder
- * starts each forest after the first only once the one before it has
- * started a run (TraceForest::awaitStart), so it holds at most one
- * forest that no run has started. It holds each forest until it is done
- * with it. The builder runs under FatalThrows and captures what it
- * throws; finish() raises it on the calling thread.
+ * Runs buildAhead() over a sequence of forests as the one job of a
+ * one-worker ThreadPool, from construction until finish() or
+ * destruction, both of which stop the forests and wait for the job, so
+ * no exit path of a run or a sweep (a FatalError thrown by the
+ * simulation included) leaves the builder running. The builder starts
+ * each forest after the first only once the one before it has started
+ * a run (TraceForest::awaitStart), so it holds at most one forest that
+ * no run has started. It holds each forest until it is done with it.
+ * A fatal in the builder comes back from finish(), as a pool job's
+ * does from wait(); the simulation thread meets the same error when
+ * it builds the node itself.
  */
 class TraceBuilder
 {
@@ -50,22 +52,21 @@ class TraceBuilder
     TraceBuilder &operator=(const TraceBuilder &) = delete;
 
     /**
-     * Stop and join the builder, then raise on this thread what it
-     * threw: a FatalError through laperm_fatal, so this thread's
-     * FatalThrows scope decides between throwing and exiting.
+     * Stop the builder, wait for it, then raise on this thread what it
+     * threw (ThreadPool::wait).
      */
     void finish();
 
   private:
     void run(std::size_t budget);
-    void join();
+    void stop();
 
     std::mutex mu_;
     bool stopping_ = false; ///< guarded by mu_
     /** The forests it is not done with; guarded by mu_. */
     std::vector<std::shared_ptr<TraceForest>> forests_;
-    std::exception_ptr error_;
-    std::thread thread_;
+    /** Declared last: its worker is joined before the forests go. */
+    ThreadPool pool_{1};
 };
 
 } // namespace laperm

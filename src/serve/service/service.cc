@@ -206,9 +206,9 @@ SimService::execute(const SimRequest &req, const std::string &key,
     std::string error;
     try {
         // A user-caused error inside the run (a config the workload
-        // cannot run on) answers this request; it must not end the
-        // daemon.
-        const FatalThrows fatal_throws;
+        // cannot run on) throws on this pool job and answers this
+        // request. Nothing may escape: the pool would drop every job
+        // after it, and no one waits for this pool to raise it.
         payload = runCell(req, req.traceDir);
     } catch (const std::exception &e) {
         error = e.what();

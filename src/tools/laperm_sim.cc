@@ -35,7 +35,8 @@
  *                       latency per tenant. Workload scales come from
  *                       the spec (--scale does not apply); --policy,
  *                       --model, --seed and the machine flags do.
- *     --tenants-tsv FILE  also write the per-tenant rows as a TSV
+ *     --tenants-tsv FILE  also write the per-tenant rows as a TSV (a
+ *                       file it cannot write is fatal)
  *
  * The run flags, --workload through --tenants, are the run-field table
  * shared with laperm_submit and the wire (harness/run_spec.hh); a bad
@@ -62,6 +63,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "gpu/trace_forest.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
@@ -212,18 +214,16 @@ runTenants(const Options &opt)
                 static_cast<unsigned long long>(study.metrics.makespan));
 
     if (!opt.tenantsTsvPath.empty()) {
+        const std::string tsv = encodeTenantSweepTsv(tenantSweepRows(
+            mix.name, run.presetName, run.cfg.tbPolicy, study.metrics));
         std::FILE *f = std::fopen(opt.tenantsTsvPath.c_str(), "wb");
-        if (!f) {
-            laperm_warn("could not write tenants TSV '%s'",
-                        opt.tenantsTsvPath.c_str());
-        } else {
-            const std::string tsv = encodeTenantSweepTsv(tenantSweepRows(
-                mix.name, run.presetName, run.cfg.tbPolicy, study.metrics));
+        if (f)
             std::fwrite(tsv.data(), 1, tsv.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr, "tenant metrics: %s\n",
+        if (!f || !closeWritten(f))
+            laperm_fatal("could not write tenants TSV '%s'",
                          opt.tenantsTsvPath.c_str());
-        }
+        std::fprintf(stderr, "tenant metrics: %s\n",
+                     opt.tenantsTsvPath.c_str());
     }
     return 0;
 }
@@ -307,26 +307,19 @@ main(int argc, char **argv)
 
     // The suite runs on the pool, one job per workload, and prints each
     // workload's output once every workload before it has printed, so
-    // the output is the same at any job count. A fatal in a job
-    // surfaces here, on this thread, once the pool has drained.
+    // the output is the same at any job count. A fatal in a job stops
+    // the pool and exits here, on this thread, once the running jobs
+    // have finished.
     ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
         ThreadPool::defaultJobs(), names.size())));
-    auto drain = [&pool] {
-        try {
-            pool.wait();
-        } catch (const FatalError &e) {
-            laperm_fatal("%s", e.what());
-        }
-    };
     std::vector<std::unique_ptr<Workload>> inputs(names.size());
     for (std::size_t i = 0; i < names.size(); ++i) {
         pool.submit([&, i] {
-            const FatalThrows fatal_throws;
             inputs[i] = createWorkload(names[i]);
             inputs[i]->setup(run.scale, run.seed);
         });
     }
-    drain();
+    pool.wait();
 
     // Longest first: the suite ends with its longest run, which must
     // not start last. A workload's simulated footprint stands in for
@@ -346,7 +339,6 @@ main(int argc, char **argv)
     std::size_t printed = 0;
     for (std::size_t i : order) {
         pool.submit([&, i] {
-            const FatalThrows fatal_throws;
             std::string o = runWorkload(opt, *inputs[i]);
             inputs[i].reset();
             const std::lock_guard<std::mutex> lock(mu);
@@ -359,6 +351,6 @@ main(int argc, char **argv)
             }
         });
     }
-    drain();
+    pool.wait();
     return 0;
 }

@@ -45,17 +45,6 @@ class GraphRegistry
     std::map<Key, std::shared_ptr<Entry>> entries_;
 };
 
-/** A failed build's error, raised again in a waiter. */
-[[noreturn]] void
-raiseBuildError(const std::exception_ptr &error)
-{
-    try {
-        std::rethrow_exception(error);
-    } catch (const FatalError &e) {
-        laperm_fatal("%s", e.what());
-    }
-}
-
 std::shared_ptr<const Csr>
 GraphRegistry::get(const std::string &input, Scale scale,
                    std::uint64_t seed)
@@ -71,7 +60,7 @@ GraphRegistry::get(const std::string &input, Scale scale,
             done_.wait(lock, [&] { return entry->done; });
             if (entry->error) {
                 lock.unlock();
-                raiseBuildError(entry->error);
+                rethrowHere(entry->error);
             }
             continue; // the graph may have died while this caller woke
         }

@@ -86,8 +86,8 @@ Csr buildGraphInput(const std::string &input, Scale scale,
  * holds is handed out again; a graph is freed with its last holder,
  * and its entry goes with it, so the registry keeps nothing alive. A
  * build that fails raises in its caller and in every waiter and leaves
- * no entry: a FatalError raises again through laperm_fatal, so each
- * waiter throws or exits as its own FatalThrows scope decides.
+ * no entry: each waiter raises it through rethrowHere (common/log.hh),
+ * so it throws or exits as its own FatalThrows scope decides.
  * Thread-safe.
  */
 std::shared_ptr<const Csr> sharedGraphInput(const std::string &input,

@@ -6,6 +6,7 @@
 #include <iterator>
 
 #include "common/log.hh"
+#include "gpu/trace_forest.hh"
 #include "harness/experiment.hh"
 #include "harness/table.hh"
 #include "workloads/registry.hh"
@@ -54,6 +55,60 @@ TEST(Harness, ATraceThatCannotBeWrittenIsFatal)
     const FatalThrows fatal_throws;
     EXPECT_THROW((void)runOneRecord(*w, paperConfig(), dir + "/file/sub"),
                  FatalError);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Harness, ATraceDirThatCannotBeMadeFailsBeforeTheRun)
+{
+    // The directory is made before the run: a run with no builder
+    // thread throws having built no TB, so it simulated nothing.
+    const std::string dir = ::testing::TempDir() + "laperm_unmakeable";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/file") << "not a directory\n";
+    auto w = createWorkload("bfs-cage");
+    w->setup(Scale::Tiny, 1);
+    TraceForest forest(w->waves());
+    const FatalThrows fatal_throws;
+    try {
+        (void)runTraced(*w, forest, paperConfig(), dir + "/file/sub");
+        ADD_FAILURE() << "the run did not raise";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("could not write trace"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(forest.tbsBuilt(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Harness, AFailedSweepCellIsRaisedOnTheCallingThread)
+{
+    // Every cell's trace directory lies below a regular file. The
+    // sweep's pool stops at the first failure and raises it here, with
+    // the origin runTraced gave it, rather than let a worker end the
+    // process.
+    const std::string dir = ::testing::TempDir() + "laperm_sweep_untraced";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/file") << "not a directory\n";
+    setenv("LAPERM_TRACE_DIR", (dir + "/file/sub").c_str(), 1);
+    const FatalThrows fatal_throws;
+    for (unsigned jobs : {1u, 4u}) {
+        try {
+            (void)runMatrix({"bfs-cage", "join-uniform"}, Scale::Tiny, 1,
+                            false, jobs);
+            ADD_FAILURE() << jobs << " jobs: the sweep did not raise";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("could not write trace"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.file()).find("experiment.cc"),
+                      std::string::npos)
+                << e.file();
+        }
+    }
+    unsetenv("LAPERM_TRACE_DIR");
     std::filesystem::remove_all(dir);
 }
 

@@ -14,8 +14,9 @@
  * builder thread (harness/trace_builder.hh): one as runOneRecord runs
  * it, one whose builder may hold one byte, and one that throws
  * mid-run, three graph workloads set up at once on one shared
- * graph input (workloads/graph_common.hh), and one runCells batch
- * (harness/run_spec.hh) whose mix cells run beside a shared forest.
+ * graph input (workloads/graph_common.hh), one runCells batch
+ * (harness/run_spec.hh) whose mix cells run beside a shared forest,
+ * and one in which every cell fails at 4 jobs.
  */
 
 #include <cstdio>
@@ -234,6 +235,54 @@ mixedBatch()
     return true;
 }
 
+/**
+ * bfs-cage's and join-uniform's 16 cells as one runCells batch on four
+ * workers, each traced into a directory below a regular file, so every
+ * cell fails: the pool stops, and the batch raises one FatalError here,
+ * on the calling thread, once its running cells have finished. False
+ * after printing a failure.
+ */
+bool
+failingBatch()
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("laperm_parallel_smoke_untraced." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::FILE *f = std::fopen((dir / "file").c_str(), "w");
+    if (f)
+        std::fclose(f);
+    setenv("LAPERM_TRACE_DIR", (dir / "file" / "sub").c_str(), 1);
+    std::vector<RunSpec> cells;
+    for (const char *name : {"bfs-cage", "join-uniform"}) {
+        for (DynParModel model : kDynParModels) {
+            for (TbPolicy policy : kTbPolicies) {
+                cells.push_back(sweepCell({{"workload", name},
+                                           {"model", wireName(model)},
+                                           {"policy", wireName(policy)},
+                                           {"scale", "tiny"},
+                                           {"seed", "3"}}));
+            }
+        }
+    }
+    const FatalThrows fatal_throws;
+    int raised = 0;
+    try {
+        (void)runCells(cells, false, 4);
+    } catch (const FatalError &) {
+        ++raised;
+    }
+    unsetenv("LAPERM_TRACE_DIR");
+    std::filesystem::remove_all(dir);
+    if (raised != 1) {
+        std::fprintf(stderr, "FAIL: a failing batch raised %d errors\n",
+                     raised);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -294,7 +343,8 @@ main()
         }
     }
 
-    if (!builderRuns() || !sharedGraphSetups() || !mixedBatch())
+    if (!builderRuns() || !sharedGraphSetups() || !mixedBatch() ||
+        !failingBatch())
         return 1;
 
     // One cached sweep twice on a fresh store: the first stores every

@@ -697,6 +697,61 @@ TEST(LapermSim, UnwritableTraceDirExitsOne)
         << text;
 }
 
+TEST(LapermSim, AFailingSuiteExitsOnceBeforeItSimulates)
+{
+    // Every workload's trace directory lies below a regular file. Each
+    // run fails before it simulates, the pool starts no workload after
+    // the first failure, and only the main thread prints, once: one
+    // fatal line naming where runTraced raised it, after the CSV header
+    // alone.
+    const std::string dir = tempDir("untraceable_suite");
+    std::ofstream(dir + "/file") << "not a directory\n";
+    for (const char *jobs : {"1", "4"}) {
+        const std::string cli = std::string("LAPERM_JOBS=") + jobs + " " +
+                                LAPERM_SIM_BIN +
+                                " --workload all --scale tiny --csv"
+                                " --trace-dir " +
+                                dir + "/file/sub > " + dir + "/out.csv 2> " +
+                                dir + "/err.txt";
+        const int status = std::system(cli.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << cli;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << cli;
+        std::ifstream err(dir + "/err.txt");
+        const std::string text(std::istreambuf_iterator<char>(err), {});
+        EXPECT_EQ(text.rfind("fatal: could not write trace artifacts", 0),
+                  0u)
+            << text;
+        EXPECT_NE(text.find("experiment.cc:"), std::string::npos) << text;
+        EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+        std::ifstream out(dir + "/out.csv");
+        const std::string csv(std::istreambuf_iterator<char>(out), {});
+        EXPECT_EQ(csv, std::string(statsCsvHeader()) + "\n") << jobs;
+    }
+}
+
+TEST(LapermSim, AnUnwritableTenantsTsvExitsOne)
+{
+    // A full device refuses the write; a path below a regular file
+    // cannot be opened. Neither may report the TSV as written.
+    const std::string dir = tempDir("untsvable_cli");
+    std::ofstream(dir + "/file") << "not a directory\n";
+    for (const std::string &tsv :
+         {std::string("/dev/full"), dir + "/file/sub.tsv"}) {
+        const std::string cli = std::string(LAPERM_SIM_BIN) +
+                                " --tenants duo --tenants-tsv " + tsv +
+                                " > " + dir + "/out.txt 2> " + dir +
+                                "/err.txt";
+        const int status = std::system(cli.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << cli;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << cli;
+        std::ifstream err(dir + "/err.txt");
+        const std::string text(std::istreambuf_iterator<char>(err), {});
+        EXPECT_NE(text.find("could not write tenants TSV"), std::string::npos)
+            << text;
+        EXPECT_EQ(text.find("tenant metrics:"), std::string::npos) << text;
+    }
+}
+
 TEST(ServeService, IdenticalInFlightRequestsAreSingleFlighted)
 {
     ServiceOptions opts = testServiceOptions(tempDir("dedup"));
